@@ -18,7 +18,7 @@ from .simulators import AnalyticDipole, DriftFunction, DriftTestbed, DriftTruth
 
 __all__ = ["ConfigError", "RunConfig", "SyntheticSpec", "EmulatorSettings", "parse_config"]
 
-MODES = ("koh", "integrated_delta", "combined", "generate", "compare")
+MODES = ("koh", "integrated_delta", "combined", "generate", "fit_emulator", "compare")
 
 
 class ConfigError(ValueError):

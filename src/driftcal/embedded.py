@@ -20,10 +20,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
+from . import gp
 from .design import Prior, from_unit, to_unit
 from .gp import KernelParams, PredictiveDistribution, build_covariance, _as_matrix
+from .gp import _cho_solve, _solve_lower
 from .samples import PosteriorSamples
 from .simulators import CalibrationDataset
 
@@ -56,30 +57,42 @@ def _chol(K: np.ndarray) -> np.ndarray:
     jitter = 0.0
     for _ in range(8):
         try:
-            return np.linalg.cholesky(K + jitter * np.eye(K.shape[0]))
+            return np.linalg.cholesky(K + jitter * np.eye(K.shape[0]) if jitter else K)
         except np.linalg.LinAlgError:
             jitter = max(jitter * 10.0, 1e-12)
     raise np.linalg.LinAlgError("field covariance not positive definite")
 
 
+def _knot_chol(diff_kk: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Prior Cholesky factor of a field from raw hyperparameters ``[variance, *lengthscales]``.
+
+    ``diff_kk`` is the cached ``knots[:, None, :] - knots[None, :, :]``; the
+    kernel is built with :func:`build_covariance`'s operations in its order,
+    with ``FIELD_JITTER`` on the diagonal.
+    """
+    diff = diff_kk / h[1:]
+    K = h[0] * np.exp(-(diff * diff).sum(axis=2))
+    K.flat[:: K.shape[0] + 1] += FIELD_JITTER
+    return _chol(K)
+
+
 def _mvn_logpdf_zero(values: np.ndarray, L: np.ndarray) -> float:
-    w = solve_triangular(L, values, lower=True, check_finite=False)
-    return float(-0.5 * (w @ w) - np.log(np.diag(L)).sum() - 0.5 * values.size * _LOG_2PI)
+    w = _solve_lower(L, values)
+    return float(-0.5 * (w @ w) - np.log(L.diagonal()).sum() - 0.5 * values.size * _LOG_2PI)
 
 
 def gaussian_loglik(resid: np.ndarray, var: np.ndarray) -> float:
     """Sum of independent N(0, var_i) log-densities at the residuals."""
-    return float(-0.5 * np.sum(resid * resid / var + np.log(2.0 * math.pi * var)))
+    return float(-0.5 * (resid * resid / var + np.log(2.0 * math.pi * var)).sum())
 
 
 def _predict_std(emulator, Q: np.ndarray):
     """Emulator mean/variance on its standardized target scale."""
-    from .gp import ExactEmulator, GPModel, predict_standardized
-
-    if isinstance(emulator, GPModel):
-        mean, var, _ = predict_standardized(emulator, Q)
+    if isinstance(emulator, gp.GPModel):
+        # looked up at call time, so a rebound gp.predict_standardized is used
+        mean, var, _ = gp.predict_standardized(emulator, Q)
         return mean, var
-    if isinstance(emulator, ExactEmulator):
+    if isinstance(emulator, gp.ExactEmulator):
         mean = emulator.mean_at(Q)
         return mean, np.zeros_like(mean)
     pred = emulator.predict(Q)
@@ -91,7 +104,7 @@ def _predict_std(emulator, Q: np.ndarray):
 def _box_distances(Q: np.ndarray) -> np.ndarray:
     """Euclidean distance of each row beyond the training unit box."""
     excess = np.maximum(Q - 1.0, 0.0) + np.maximum(-Q, 0.0)
-    return np.sqrt(np.sum(excess * excess, axis=1))
+    return np.sqrt((excess * excess).sum(axis=1))
 
 
 def _exact_matches(X: np.ndarray, knots: np.ndarray):
@@ -145,8 +158,8 @@ class DiscrepancyField:
         X = _as_matrix(x)
         L = self.prior_chol()
         kxk = build_covariance(X, self.knots, replace(self.hyper, nugget=0.0))
-        mean = kxk @ cho_solve((L, True), self.values)
-        v = solve_triangular(L, kxk.T, lower=True, check_finite=False)
+        mean = kxk @ _cho_solve(L, self.values)
+        v = _solve_lower(L, kxk.T)
         var = np.maximum(self.hyper.variance_scale - np.einsum("ij,ij->j", v, v), 0.0)
         rows, cols = _exact_matches(X, self.knots)
         mean[rows] = self.values[cols]
@@ -306,17 +319,28 @@ def gibbs_sigma2(residuals, prior: Prior, rng: np.random.Generator) -> float:
     if prior.kind != "inverse_gamma":
         raise ValueError("gibbs_sigma2 requires an inverse_gamma prior")
     r = np.atleast_1d(np.asarray(residuals, dtype=float))
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         raise ValueError("residuals must be finite")
     a = prior.p1 + 0.5 * r.size
     b = prior.p2 + 0.5 * float(r @ r)
     return 1.0 / float(rng.gamma(a, 1.0 / b))
 
 
-def _hyper_logprior(hyper: KernelParams, var_prior: Prior, len_prior: Prior) -> float:
-    out = var_prior.logpdf(hyper.variance_scale)
-    for ell in hyper.lengthscales:
-        out += len_prior.logpdf(float(ell))
+def _hyper_vector(hyper: KernelParams) -> np.ndarray:
+    """Raw field hyperparameters ``[variance, *lengthscales]``: the stored layout."""
+    return np.r_[hyper.variance_scale, hyper.lengthscales]
+
+
+def _field_params(h: np.ndarray) -> KernelParams:
+    """Validated field kernel parameters from raw ``[variance, *lengthscales]``."""
+    return KernelParams(h[0], h[1:], FIELD_JITTER)
+
+
+def _hyper_logprior(h: np.ndarray, var_prior: Prior, len_prior: Prior) -> float:
+    """Hyperprior log-density of raw ``[variance, *lengthscales]``."""
+    out = var_prior.logpdf(h[0])
+    for ell in h[1:]:
+        out += len_prior.logpdf(ell)
     return out
 
 
@@ -361,9 +385,13 @@ def embedded_log_posterior(
     if state.eta_field is not None:
         total += state.eta_field.log_prior()
     for f in state.theta_star.fields:
-        total += _hyper_logprior(f.hyper, priors.field_variance, priors.field_lengthscale)
+        total += _hyper_logprior(
+            _hyper_vector(f.hyper), priors.field_variance, priors.field_lengthscale
+        )
     if state.eta_field is not None:
-        total += _hyper_logprior(state.eta_field.hyper, priors.eta_variance, priors.eta_lengthscale)
+        total += _hyper_logprior(
+            _hyper_vector(state.eta_field.hyper), priors.eta_variance, priors.eta_lengthscale
+        )
     total += priors.noise.logpdf(state.noise_var)
     total += _theta_logprior(state.theta_star.base_theta, priors, data.theta_bounds)
     return total
@@ -375,7 +403,8 @@ def _hyper_move(field, step, var_prior, len_prior, rng):
     Returns (proposal, d_field_prior, d_hyper_prior, log_ratio) where
     log_ratio includes the log-space Jacobian correction.
     """
-    logp = np.log(np.r_[field.hyper.variance_scale, field.hyper.lengthscales])
+    h = _hyper_vector(field.hyper)
+    logp = np.log(h)
     logp2 = logp + step * rng.standard_normal(logp.size)
     hyper2 = KernelParams(
         variance_scale=math.exp(logp2[0]),
@@ -384,8 +413,8 @@ def _hyper_move(field, step, var_prior, len_prior, rng):
     )
     prop = replace(field, hyper=hyper2)
     d_field = prop.log_prior() - field.log_prior()
-    d_hyper = _hyper_logprior(hyper2, var_prior, len_prior) - _hyper_logprior(
-        field.hyper, var_prior, len_prior
+    d_hyper = _hyper_logprior(_hyper_vector(hyper2), var_prior, len_prior) - _hyper_logprior(
+        h, var_prior, len_prior
     )
     log_ratio = d_field + d_hyper + float(logp2.sum() - logp.sum())
     return prop, d_field, d_hyper, log_ratio
@@ -435,16 +464,39 @@ class _BlockStats:
         return self.accepted / self.proposed if self.proposed else 0.0
 
 
-def _field_chol(knots: np.ndarray, hyper: KernelParams) -> np.ndarray:
-    return _chol(build_covariance(knots, None, replace(hyper, nugget=FIELD_JITTER)))
+def _hyper_proposal(rng, h, step, diff_kk, values, field_prior, hyper_prior,
+                    var_prior, len_prior):
+    """One log-space random-walk proposal on a field's raw ``[variance, *lengthscales]``.
+
+    Returns ``(log_ratio, h2, chol2, field_prior2, hyper_prior2)``, the log
+    ratio including the log-space Jacobian, or None when a proposed value
+    overflows or underflows or the proposed kernel does not factor: the
+    caller counts that as a rejection.
+    """
+    logp = np.log(h)
+    logp2 = logp + step * rng.standard_normal(logp.size)
+    try:
+        variance = math.exp(logp2[0])  # raises past 709.78, before np.exp warns
+        h2 = np.exp(logp2)
+        h2[0] = variance
+        if not all(0.0 < v < math.inf for v in h2.tolist()):
+            return None
+        chol2 = _knot_chol(diff_kk, h2)
+    except (OverflowError, np.linalg.LinAlgError):
+        return None
+    fp2 = _mvn_logpdf_zero(values, chol2)
+    hp2 = _hyper_logprior(h2, var_prior, len_prior)
+    log_ratio = (fp2 - field_prior) + (hp2 - hyper_prior) + float(logp2.sum() - logp.sum())
+    return log_ratio, h2, chol2, fp2, hp2
 
 
 class _EmbeddedChain:
     """Single-chain sampler; owns its state and RNG, shares data read-only.
 
-    Field values and prior Cholesky factors are kept as raw arrays (one
-    factorization per hyperparameter change) so that per-proposal work is a
-    matrix-vector product, an emulator query, and two Gaussian densities.
+    Field values, hyperparameters ``[variance, *lengthscales]`` and prior
+    Cholesky factors are kept as raw arrays (one factorization per
+    hyperparameter change) so that per-proposal work is a matrix-vector
+    product, an emulator query, and two Gaussian densities.
     """
 
     def __init__(self, data, emulator, priors, config, rng, additive: bool,
@@ -466,22 +518,19 @@ class _EmbeddedChain:
         self.pnames = data.param_names
         K = len(knots)
         dx = knots.shape[1]
+        self.diff_kk = knots[:, None, :] - knots[None, :, :]
 
-        hyper0 = KernelParams(
-            priors.field_variance.median(), np.full(dx, priors.field_lengthscale.median()),
-            FIELD_JITTER,
-        )
+        hyper0 = np.r_[priors.field_variance.median(),
+                       np.full(dx, priors.field_lengthscale.median())]
         self.values = [np.zeros(K) for _ in range(self.dtheta)]
         self.hypers = [hyper0] * self.dtheta
-        chol0 = _field_chol(knots, hyper0)
+        chol0 = _knot_chol(self.diff_kk, hyper0)
         self.chols = [chol0] * self.dtheta
         if additive:
-            self.eta_hyper = KernelParams(
-                priors.eta_variance.median(), np.full(dx, priors.eta_lengthscale.median()),
-                FIELD_JITTER,
-            )
+            self.eta_hyper = np.r_[priors.eta_variance.median(),
+                                   np.full(dx, priors.eta_lengthscale.median())]
             self.eta_values = np.zeros(K)
-            self.eta_chol = _field_chol(knots, self.eta_hyper)
+            self.eta_chol = _knot_chol(self.diff_kk, self.eta_hyper)
             self.eta_at_obs = self.eta_values[obs_idx]
         else:
             self.eta_values = None
@@ -533,7 +582,7 @@ class _EmbeddedChain:
                 self.extrap_max = dmax
             log.debug("emulator extrapolation: %d points, max box distance %.3g",
                       n_out, dmax)
-        ok = bool(np.all(np.isfinite(mean)) and np.all(np.isfinite(var)))
+        ok = bool(np.isfinite(mean).all() and np.isfinite(var).all())
         return mean, var, ok
 
     def _init_parts(self) -> None:
@@ -578,11 +627,11 @@ class _EmbeddedChain:
 
     def snapshot(self) -> ChainState:
         fields = tuple(
-            DiscrepancyField(self.knots, self.values[k].copy(), self.hypers[k])
+            DiscrepancyField(self.knots, self.values[k].copy(), _field_params(self.hypers[k]))
             for k in range(self.dtheta)
         )
         eta = (
-            DiscrepancyField(self.knots, self.eta_values.copy(), self.eta_hyper)
+            DiscrepancyField(self.knots, self.eta_values.copy(), _field_params(self.eta_hyper))
             if self.additive else None
         )
         return ChainState(
@@ -666,40 +715,27 @@ class _EmbeddedChain:
                     self.theta_prior = tp_new
         self._track("theta", accepted, adapting)
 
-    def _hyper_proposal(self, hyper: KernelParams, step: float):
-        logp = np.log(np.r_[hyper.variance_scale, hyper.lengthscales])
-        logp2 = logp + step * self.rng.standard_normal(logp.size)
-        hyper2 = KernelParams(math.exp(logp2[0]), np.exp(logp2[1:]), hyper.nugget)
-        return hyper2, float(logp2.sum() - logp.sum())
-
     def _update_hyper(self, k: int, adapting: bool) -> None:
         name = f"hyper:{self.pnames[k]}"
-        hyper2, d_jac = self._hyper_proposal(self.hypers[k], self.adapters[name].step)
-        chol2 = _field_chol(self.knots, hyper2)
-        fp_new = _mvn_logpdf_zero(self.values[k], chol2)
-        hp_new = _hyper_logprior(hyper2, self.priors.field_variance,
-                                 self.priors.field_lengthscale)
-        log_ratio = (fp_new - self.field_prior[k]) + (hp_new - self.hyper_prior[k]) + d_jac
-        accepted = mh_accept(log_ratio, 0.0, self.rng)
+        prop = _hyper_proposal(
+            self.rng, self.hypers[k], self.adapters[name].step, self.diff_kk, self.values[k],
+            self.field_prior[k], self.hyper_prior[k],
+            self.priors.field_variance, self.priors.field_lengthscale,
+        )
+        accepted = prop is not None and mh_accept(prop[0], 0.0, self.rng)
         if accepted:
-            self.hypers[k] = hyper2
-            self.chols[k] = chol2
-            self.field_prior[k] = fp_new
-            self.hyper_prior[k] = hp_new
+            _, self.hypers[k], self.chols[k], self.field_prior[k], self.hyper_prior[k] = prop
         self._track(name, accepted, adapting)
 
     def _update_hyper_eta(self, adapting: bool) -> None:
-        hyper2, d_jac = self._hyper_proposal(self.eta_hyper, self.adapters["hyper:eta"].step)
-        chol2 = _field_chol(self.knots, hyper2)
-        fp_new = _mvn_logpdf_zero(self.eta_values, chol2)
-        hp_new = _hyper_logprior(hyper2, self.priors.eta_variance, self.priors.eta_lengthscale)
-        log_ratio = (fp_new - self.eta_prior) + (hp_new - self.eta_hyper_prior) + d_jac
-        accepted = mh_accept(log_ratio, 0.0, self.rng)
+        prop = _hyper_proposal(
+            self.rng, self.eta_hyper, self.adapters["hyper:eta"].step, self.diff_kk,
+            self.eta_values, self.eta_prior, self.eta_hyper_prior,
+            self.priors.eta_variance, self.priors.eta_lengthscale,
+        )
+        accepted = prop is not None and mh_accept(prop[0], 0.0, self.rng)
         if accepted:
-            self.eta_hyper = hyper2
-            self.eta_chol = chol2
-            self.eta_prior = fp_new
-            self.eta_hyper_prior = hp_new
+            _, self.eta_hyper, self.eta_chol, self.eta_prior, self.eta_hyper_prior = prop
         self._track("hyper:eta", accepted, adapting)
 
     def _gibbs_sigma2(self) -> None:
@@ -750,14 +786,10 @@ class _EmbeddedChain:
             if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
                 for k, n in enumerate(self.pnames):
                     out_delta[n][stored] = self.values[k]
-                    out_hyper[n][stored] = np.r_[
-                        self.hypers[k].variance_scale, self.hypers[k].lengthscales
-                    ]
+                    out_hyper[n][stored] = self.hypers[k]
                 if self.additive:
                     out_delta["eta"][stored] = self.eta_values
-                    out_hyper["eta"][stored] = np.r_[
-                        self.eta_hyper.variance_scale, self.eta_hyper.lengthscales
-                    ]
+                    out_hyper["eta"][stored] = self.eta_hyper
                 out_sigma2[stored] = self.sigma2
                 if out_theta is not None:
                     out_theta[stored] = self.base_theta
@@ -924,17 +956,14 @@ def _conditional_curves(knots, X, values_rows, hyper_rows):
     diff_kk = knots[:, None, :] - knots[None, :, :]
     rows, cols = _exact_matches(X, knots)
     T = values_rows.shape[0]
-    K = knots.shape[0]
     means = np.empty((T, X.shape[0]))
     vars_ = np.empty((T, X.shape[0]))
-    eye = FIELD_JITTER * np.eye(K)
     for t in range(T):
         v, ls = hyper_rows[t, 0], hyper_rows[t, 1:]
-        Kk = v * np.exp(-np.sum((diff_kk / ls) ** 2, axis=2)) + eye
         kxk = v * np.exp(-np.sum((diff_xk / ls) ** 2, axis=2))
-        L = _chol(Kk)
-        means[t] = kxk @ cho_solve((L, True), values_rows[t])
-        s = solve_triangular(L, kxk.T, lower=True, check_finite=False)
+        L = _knot_chol(diff_kk, hyper_rows[t])
+        means[t] = kxk @ _cho_solve(L, values_rows[t])
+        s = _solve_lower(L, kxk.T)
         vars_[t] = np.maximum(v - np.einsum("ij,ij->j", s, s), 0.0)
         means[t, rows] = values_rows[t, cols]
         vars_[t, rows] = 0.0

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrs, dtrtrs
 from scipy.optimize import minimize
 
 __all__ = [
@@ -45,6 +45,25 @@ class DimensionMismatchError(ValueError):
 
 class SingularKernelError(RuntimeError):
     """Kernel matrix stayed non positive definite after nugget escalation."""
+
+
+def _solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``solve_triangular(L, b, lower=True)`` for a C-ordered ``L``: the same LAPACK
+    call, so the same bits, without the wrapper's per-call argument checks."""
+    x, info = dtrtrs(L.T, b, lower=0, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x
+
+
+def _cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``cho_solve((L, True), b)``: the same LAPACK call without the wrapper's checks."""
+    x, info = dpotrs(L, b, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -205,9 +224,9 @@ def build_covariance(a, b, params: KernelParams) -> np.ndarray:
             f"{d} lengthscales"
         )
     diff = (A[:, None, :] - B[None, :, :]) / params.lengthscales
-    K = params.variance_scale * np.exp(-np.sum(diff * diff, axis=2))
+    K = params.variance_scale * np.exp(-(diff * diff).sum(axis=2))
     if same and params.nugget > 0:
-        K[np.diag_indices_from(K)] += params.nugget
+        K.flat[:: K.shape[0] + 1] += params.nugget
     return K
 
 
@@ -247,7 +266,7 @@ def fit_gp(train: TrainingSet, params: KernelParams) -> GPModel:
                 raise SingularKernelError(
                     f"kernel not positive definite even at nugget={nugget:g}"
                 ) from None
-    alpha = cho_solve((L, True), train.targets)
+    alpha = _cho_solve(L, train.targets)
     return GPModel(params=p, train=train, chol=L, alpha=alpha)
 
 
@@ -261,7 +280,7 @@ def predict_standardized(model: GPModel, query, want_cov: bool = False):
         )
     Ks = build_covariance(Q, model.train.inputs, model.params)
     mean = Ks @ model.alpha
-    v = solve_triangular(model.chol, Ks.T, lower=True, check_finite=False)
+    v = _solve_lower(model.chol, Ks.T)
     var = np.maximum(model.params.variance_scale - np.einsum("ij,ij->j", v, v), 0.0)
     cov = None
     if want_cov:

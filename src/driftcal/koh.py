@@ -19,15 +19,17 @@ from .design import from_unit, to_unit
 from .embedded import (
     CalibrationPriors,
     DiscrepancyField,
-    FIELD_JITTER,
     McmcConfig,
     StepAdapter,
     _BlockStats,
     _build_knots,
     _attach_summaries,
     _box_distances,
-    _field_chol,
+    _field_params,
     _hyper_logprior,
+    _hyper_proposal,
+    _hyper_vector,
+    _knot_chol,
     _mvn_logpdf_zero,
     _n_workers,
     _predict_std,
@@ -117,7 +119,9 @@ def koh_log_posterior(
         y_std - mean - state.delta_knots[obs_idx], state.noise_var + var
     )
     total += field.log_prior()
-    total += _hyper_logprior(state.delta_params, priors.eta_variance, priors.eta_lengthscale)
+    total += _hyper_logprior(
+        _hyper_vector(state.delta_params), priors.eta_variance, priors.eta_lengthscale
+    )
     total += priors.noise.logpdf(state.noise_var)
     total += tp
     return total
@@ -148,12 +152,11 @@ class _KohChain:
             self.theta = np.full(self.dtheta, 0.5)
 
         dx = knots.shape[1]
-        self.delta_hyper = KernelParams(
-            priors.eta_variance.median(), np.full(dx, priors.eta_lengthscale.median()),
-            FIELD_JITTER,
-        )
+        self.diff_kk = knots[:, None, :] - knots[None, :, :]
+        self.delta_hyper = np.r_[priors.eta_variance.median(),
+                                 np.full(dx, priors.eta_lengthscale.median())]
         self.delta_values = np.zeros(len(knots))
-        self.delta_chol = _field_chol(knots, self.delta_hyper)
+        self.delta_chol = _knot_chol(self.diff_kk, self.delta_hyper)
         s0 = priors.noise.mean()
         self.sigma2 = s0 if math.isfinite(s0) else priors.noise.median()
 
@@ -175,7 +178,7 @@ class _KohChain:
         if n_out:
             self.extrap_count += n_out
             self.extrap_max = max(self.extrap_max, float(d.max()))
-        ok = bool(np.all(np.isfinite(mean)) and np.all(np.isfinite(var)))
+        ok = bool(np.isfinite(mean).all() and np.isfinite(var).all())
         return mean, var, ok
 
     def _init_parts(self):
@@ -201,11 +204,12 @@ class _KohChain:
                 + self.sigma2_prior + self.theta_prior)
 
     def snapshot(self) -> KohState:
+        delta_params = _field_params(self.delta_hyper)
         return KohState(
             theta=self.theta.copy(),
             delta_knots=self.delta_values.copy(),
-            eta_params=getattr(self.emulator, "params", self.delta_hyper),
-            delta_params=self.delta_hyper,
+            eta_params=getattr(self.emulator, "params", delta_params),
+            delta_params=delta_params,
             noise_var=self.sigma2,
             log_post=self.total(),
         )
@@ -255,22 +259,14 @@ class _KohChain:
         self._track("delta:eta", accepted, adapting)
 
     def _update_hyper(self, adapting):
-        step = self.adapters["hyper:eta"].step
-        logp = np.log(np.r_[self.delta_hyper.variance_scale, self.delta_hyper.lengthscales])
-        logp2 = logp + step * self.rng.standard_normal(logp.size)
-        hyper2 = KernelParams(math.exp(logp2[0]), np.exp(logp2[1:]), self.delta_hyper.nugget)
-        chol2 = _field_chol(self.knots, hyper2)
-        fp_new = _mvn_logpdf_zero(self.delta_values, chol2)
-        hp_new = _hyper_logprior(hyper2, self.priors.eta_variance, self.priors.eta_lengthscale)
-        log_ratio = (fp_new - self.field_prior) + (hp_new - self.hyper_prior) + float(
-            logp2.sum() - logp.sum()
+        prop = _hyper_proposal(
+            self.rng, self.delta_hyper, self.adapters["hyper:eta"].step, self.diff_kk,
+            self.delta_values, self.field_prior, self.hyper_prior,
+            self.priors.eta_variance, self.priors.eta_lengthscale,
         )
-        accepted = mh_accept(log_ratio, 0.0, self.rng)
+        accepted = prop is not None and mh_accept(prop[0], 0.0, self.rng)
         if accepted:
-            self.delta_hyper = hyper2
-            self.delta_chol = chol2
-            self.field_prior = fp_new
-            self.hyper_prior = hp_new
+            _, self.delta_hyper, self.delta_chol, self.field_prior, self.hyper_prior = prop
         self._track("hyper:eta", accepted, adapting)
 
     def _gibbs_sigma2(self):
@@ -313,9 +309,7 @@ class _KohChain:
                 self._audit()
             if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
                 out_delta[stored] = self.delta_values
-                out_hyper[stored] = np.r_[
-                    self.delta_hyper.variance_scale, self.delta_hyper.lengthscales
-                ]
+                out_hyper[stored] = self.delta_hyper
                 out_sigma2[stored] = self.sigma2
                 out_theta[stored] = self.theta
                 stored += 1

@@ -59,11 +59,12 @@ class RunReport:
     ess: dict[str, float] = field(default_factory=dict)
     extrapolation_count: int = 0
     wall_clock_s: float = 0.0
+    stage_s: dict[str, float] = field(default_factory=dict)
     outputs: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
         body = asdict(self)
-        body.pop("wall_clock_s")  # timing lives in timing.json: reports stay byte-stable
+        del body["wall_clock_s"], body["stage_s"]  # in timing.json: reports stay byte-stable
         body["format"] = REPORT_FORMAT
         return json.dumps(body, indent=2, sort_keys=True) + "\n"
 
@@ -273,6 +274,13 @@ def _emit_outputs(samples, emulator, ds, config, sub_dir, outputs) -> None:
     )
 
 
+def _lap(stages: dict[str, float], name: str, since: float) -> float:
+    """Record the wall time of stage ``name`` begun at ``since``; returns now."""
+    now = time.perf_counter()
+    stages[name] = now - since
+    return now
+
+
 def orchestrate(config: RunConfig) -> RunReport:
     """Execute a full run per the configuration and write the run directory.
 
@@ -292,6 +300,7 @@ def orchestrate(config: RunConfig) -> RunReport:
     report.outputs.append(echo_path)
 
     ds = _obtain_dataset(config, out_dir, report.outputs)
+    t = _lap(report.stage_s, "dataset", t0)
     report.metrics["n_obs"] = float(ds.n_obs)
     report.metrics["n_sim"] = float(ds.n_sim)
 
@@ -300,6 +309,7 @@ def orchestrate(config: RunConfig) -> RunReport:
         return report
 
     emulator = _train_emulator(config, ds, out_dir, report.outputs)
+    t = _lap(report.stage_s, "emulator", t)
     if config.mode == "fit_emulator":
         _finish(report, out_dir, t0)
         return report
@@ -311,6 +321,7 @@ def orchestrate(config: RunConfig) -> RunReport:
         if mode == "koh" and config.koh_mcmc is not None:
             mcmc = config.koh_mcmc
         samples = _run_calibrator(mode, ds, emulator, config, mcmc)
+        t = _lap(report.stage_s, f"calibration:{mode}", t)
         per_mode[mode] = samples
         sub_dir = os.path.join(out_dir, mode) if config.mode == "compare" else out_dir
         os.makedirs(sub_dir, exist_ok=True)
@@ -326,6 +337,7 @@ def orchestrate(config: RunConfig) -> RunReport:
         report.rhat.update({f"{prefix}{k}": v for k, v in rhat.items()})
         report.ess.update({f"{prefix}{k}": v for k, v in ess.items()})
         report.extrapolation_count += samples.extrapolation_count
+        t = _lap(report.stage_s, f"outputs:{mode}", t)
 
     if config.mode == "compare":
         koh_eta = report.metrics.get("koh.rmse_obs_emulator_only_lowx")
@@ -355,7 +367,7 @@ def _finish(report: RunReport, out_dir: str, t0: float) -> None:
         fh.write(report.to_json())
     report.outputs.append("report.json")
     with open(os.path.join(out_dir, "timing.json"), "w") as fh:
-        json.dump({"wall_clock_s": report.wall_clock_s}, fh)
+        json.dump({"wall_clock_s": report.wall_clock_s, "stage_s": report.stage_s}, fh)
         fh.write("\n")
 
 

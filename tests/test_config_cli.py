@@ -57,6 +57,12 @@ def test_minimal_config_fills_defaults():
     assert cfg.theta0 == (45.0, 0.33, 1.72)  # defaults to the synthetic truth
 
 
+def test_every_cli_mode_parses_from_a_config_file():
+    # the CLI forces generate, fit_emulator and compare; a config may name them too
+    for mode in ("koh", "integrated_delta", "combined", "generate", "fit_emulator"):
+        assert parse_config(json.dumps(base_config(mode=mode))).mode == mode
+
+
 def test_burn_in_constraint_reported_with_both_fields():
     raw = base_config()
     raw["mcmc"] = {"iterations": 100, "burn_in": 100}
@@ -131,6 +137,12 @@ def test_orchestrate_writes_declared_outputs(small_run):
         assert (out / name).exists(), name
     assert (out / "samples" / "meta.json").exists()
     assert 0.0 <= report.metrics["coverage_obs"] <= 1.0
+    timing = json.loads((out / "timing.json").read_text())
+    stages = timing["stage_s"]
+    assert sorted(stages) == ["calibration:integrated_delta", "dataset", "emulator",
+                              "outputs:integrated_delta"]
+    assert all(s >= 0.0 for s in stages.values())
+    assert sum(stages.values()) <= timing["wall_clock_s"]
     loaded = load_samples(out / "samples")
     assert loaded.kind == "integrated_delta"
 

@@ -21,8 +21,12 @@ from driftcal.embedded import (
     propose_field_update,
     run_integrated_delta,
     update_hyperparams,
+    _build_knots,
+    _EmbeddedChain,
+    _hyper_proposal,
 )
 from driftcal.gp import ExactEmulator, KernelParams
+from driftcal.koh import run_koh
 from driftcal.simulators import CalibrationDataset
 
 UNIT_BOUNDS = ((0.0, 1.0),)
@@ -308,6 +312,57 @@ def test_hyper_chain_matches_quadrature_conditional():
     el = float((w * np.exp(ll_grid)[None, :]).sum())
     assert vs.mean() == pytest.approx(ev, rel=0.12)
     assert ls.mean() == pytest.approx(el, rel=0.12)
+
+
+class FixedNormals:
+    """Stands in for the generator: every standard normal draw is a fixed vector."""
+
+    def __init__(self, z):
+        self.z = np.asarray(z, float)
+
+    def standard_normal(self, n):
+        return self.z[:n].copy()
+
+
+@pytest.mark.parametrize("z", [[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
+def test_hyper_proposal_outside_float_range_is_refused(z):
+    # a log-space step of 800 overflows the variance past 1.8e308 or
+    # underflows the variance or the lengthscale to zero
+    priors = CalibrationPriors()
+    knots = np.array([[0.1], [0.5], [0.9]])
+    prop = _hyper_proposal(
+        FixedNormals(z), np.array([0.05, 0.3]), 800.0, knots[:, None, :] - knots[None, :, :],
+        np.zeros(3), 0.0, 0.0, priors.field_variance, priors.field_lengthscale,
+    )
+    assert prop is None
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("additive", [False, True])
+def test_overflowing_hyper_proposals_are_counted_rejections(additive):
+    # with no burn-in the hyper steps stay at their cap of 1e3, so about a
+    # quarter of the proposals overflow exp() and many more underflow
+    data, emu, priors, _, _ = gaussian_rig([0.6, 0.45])
+    cfg = McmcConfig(iterations=300, burn_in=0, thin=1, chains=1, seed=5,
+                     initial_step=1e3, theta0=(0.5,), audit_every=50)
+    knots, obs_idx = _build_knots(data, 0)
+    chain = _EmbeddedChain(data, emu, priors, cfg, np.random.default_rng(5), additive,
+                           knots, obs_idx)
+    out = chain.run()
+    blocks = ["hyper:p0"] + (["hyper:eta"] if additive else [])
+    for block in blocks:
+        assert out["stats"][block].proposed == cfg.iterations
+    assert np.all(np.isfinite(out["hyper"]["p0"])) and np.all(out["hyper"]["p0"] > 0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_hyper_proposals_do_not_stop_the_baseline():
+    data, emu, priors, _, _ = gaussian_rig([0.6, 0.45])
+    cfg = McmcConfig(iterations=300, burn_in=0, thin=1, chains=1, seed=5,
+                     initial_step=1e3, theta0=(0.5,), audit_every=50)
+    samples = run_koh(data, emu, priors, cfg)
+    assert 0.0 <= samples.acceptance_rates["hyper:eta"] < 0.5
+    assert np.all(np.isfinite(samples.hyper_draws["eta"]))
 
 
 # -- full sampler --------------------------------------------------------------
