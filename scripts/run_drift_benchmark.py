@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Benchmark the two calibration formulations on the synthetic dipole drift problem.
 
-Generates a 43-run / 5-observation dataset whose first two parameters drift
-toward the small-separation end of the domain, trains the emulator, runs
-both calibrators, and prints the headline comparison: full predictive fit
-for each, and the emulator-only error of the single-theta baseline in the
+Runs the headline config ``configs/dipole_compare.json`` (a 43-run /
+5-observation dataset whose first two parameters drift toward the
+small-separation end of the domain): trains the emulator, runs both
+calibrators, and prints the headline comparison: full predictive fit for
+each, and the emulator-only error of the single-theta baseline in the
 high-drift region against the embedded formulation.
 
 Usage:
@@ -14,51 +15,37 @@ Usage:
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from driftcal.config import parse_config
 from driftcal.runner import orchestrate
 
+HEADLINE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "dipole_compare.json"
 
-def benchmark_config(out_dir: str, seed: int, iterations: int) -> dict:
-    return {
-        "mode": "compare",
-        "out_dir": out_dir,
-        "seed": seed,
-        "synthetic": {
-            "simulator": {"kind": "analytic_dipole", "amplitude": 1.0,
-                          "spread_weight": 0.5, "spread_length": 8.0},
-            "domain_bounds": [[5.0, 40.0]],
-            "theta_priors": [
-                {"kind": "uniform", "lo": 35.0, "hi": 55.0},
-                {"kind": "uniform", "lo": 0.28, "hi": 0.38},
-                {"kind": "uniform", "lo": 0.56, "hi": 2.88},
-            ],
-            "param_names": ["mu", "nu", "l_c"],
-            "n_sim": 43,
-            "n_obs": 5,
-            "noise_sd": 0.08,
-            "truth": {
-                "theta0": [45.0, 0.33, 1.72],
-                "drifts": [
-                    {"kind": "exp_decay", "params": [-0.30, 0.20]},
-                    {"kind": "exp_decay", "params": [-0.20, 0.25]},
-                    {"kind": "zero", "params": []},
-                ],
-            },
-        },
-        "emulator": {"budget": 200},
-        "mcmc": {"iterations": iterations, "burn_in": iterations // 3,
-                 "thin": 5, "chains": 2},
-        "koh": {"iterations": int(1.5 * iterations), "burn_in": iterations // 2,
-                "thin": 3, "chains": 2, "initial_step": 0.3},
-    }
+
+def benchmark_config(out_dir: str, seed: int, iterations: int | None = None) -> dict:
+    """The headline config with ``out_dir`` and ``seed`` replaced.
+
+    ``iterations``, when given, sets the embedded chains' iteration count and
+    scales the baseline's by the same factor; burn-in and thinning are kept.
+    """
+    config = json.loads(HEADLINE_CONFIG.read_text())
+    config["out_dir"] = out_dir
+    config["seed"] = seed
+    if iterations is not None:
+        scale = iterations / config["mcmc"]["iterations"]
+        config["mcmc"]["iterations"] = iterations
+        config["koh"]["iterations"] = round(scale * config["koh"]["iterations"])
+    return config
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="runs/drift_benchmark")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--iterations", type=int, default=6000)
+    parser.add_argument("--iterations", type=int, default=None,
+                        help="embedded-chain iterations, the baseline's scaled alike "
+                             "(default: the config's)")
     args = parser.parse_args(argv)
 
     config = parse_config(json.dumps(benchmark_config(args.out, args.seed, args.iterations)))

@@ -24,7 +24,7 @@ import numpy as np
 from . import gp
 from .design import Prior, from_unit, to_unit
 from .gp import KernelParams, PredictiveDistribution, build_covariance, _as_matrix
-from .gp import _cho_solve, _solve_lower
+from .gp import _cho_solve, _se_diff, _se_kernel, _solve_lower
 from .samples import PosteriorSamples
 from .simulators import CalibrationDataset
 
@@ -63,15 +63,13 @@ def _chol(K: np.ndarray) -> np.ndarray:
     raise np.linalg.LinAlgError("field covariance not positive definite")
 
 
-def _knot_chol(diff_kk: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _knot_chol(knot_diff: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Prior Cholesky factor of a field from raw hyperparameters ``[variance, *lengthscales]``.
 
-    ``diff_kk`` is the cached ``knots[:, None, :] - knots[None, :, :]``; the
-    kernel is built with :func:`build_covariance`'s operations in its order,
-    with ``FIELD_JITTER`` on the diagonal.
+    ``knot_diff`` is the cached ``_se_diff(knots, knots)``; the kernel is
+    :func:`build_covariance`'s, with ``FIELD_JITTER`` on the diagonal.
     """
-    diff = diff_kk / h[1:]
-    K = h[0] * np.exp(-(diff * diff).sum(axis=2))
+    K = _se_kernel(knot_diff, h[0], h[1:])
     K.flat[:: K.shape[0] + 1] += FIELD_JITTER
     return _chol(K)
 
@@ -464,7 +462,7 @@ class _BlockStats:
         return self.accepted / self.proposed if self.proposed else 0.0
 
 
-def _hyper_proposal(rng, h, step, diff_kk, values, field_prior, hyper_prior,
+def _hyper_proposal(rng, h, step, knot_diff, values, field_prior, hyper_prior,
                     var_prior, len_prior):
     """One log-space random-walk proposal on a field's raw ``[variance, *lengthscales]``.
 
@@ -481,7 +479,7 @@ def _hyper_proposal(rng, h, step, diff_kk, values, field_prior, hyper_prior,
         h2[0] = variance
         if not all(0.0 < v < math.inf for v in h2.tolist()):
             return None
-        chol2 = _knot_chol(diff_kk, h2)
+        chol2 = _knot_chol(knot_diff, h2)
     except (OverflowError, np.linalg.LinAlgError):
         return None
     fp2 = _mvn_logpdf_zero(values, chol2)
@@ -518,19 +516,19 @@ class _EmbeddedChain:
         self.pnames = data.param_names
         K = len(knots)
         dx = knots.shape[1]
-        self.diff_kk = knots[:, None, :] - knots[None, :, :]
+        self.knot_diff = _se_diff(knots, knots)
 
         hyper0 = np.r_[priors.field_variance.median(),
                        np.full(dx, priors.field_lengthscale.median())]
         self.values = [np.zeros(K) for _ in range(self.dtheta)]
         self.hypers = [hyper0] * self.dtheta
-        chol0 = _knot_chol(self.diff_kk, hyper0)
+        chol0 = _knot_chol(self.knot_diff, hyper0)
         self.chols = [chol0] * self.dtheta
         if additive:
             self.eta_hyper = np.r_[priors.eta_variance.median(),
                                    np.full(dx, priors.eta_lengthscale.median())]
             self.eta_values = np.zeros(K)
-            self.eta_chol = _knot_chol(self.diff_kk, self.eta_hyper)
+            self.eta_chol = _knot_chol(self.knot_diff, self.eta_hyper)
             self.eta_at_obs = self.eta_values[obs_idx]
         else:
             self.eta_values = None
@@ -718,7 +716,7 @@ class _EmbeddedChain:
     def _update_hyper(self, k: int, adapting: bool) -> None:
         name = f"hyper:{self.pnames[k]}"
         prop = _hyper_proposal(
-            self.rng, self.hypers[k], self.adapters[name].step, self.diff_kk, self.values[k],
+            self.rng, self.hypers[k], self.adapters[name].step, self.knot_diff, self.values[k],
             self.field_prior[k], self.hyper_prior[k],
             self.priors.field_variance, self.priors.field_lengthscale,
         )
@@ -729,7 +727,7 @@ class _EmbeddedChain:
 
     def _update_hyper_eta(self, adapting: bool) -> None:
         prop = _hyper_proposal(
-            self.rng, self.eta_hyper, self.adapters["hyper:eta"].step, self.diff_kk,
+            self.rng, self.eta_hyper, self.adapters["hyper:eta"].step, self.knot_diff,
             self.eta_values, self.eta_prior, self.eta_hyper_prior,
             self.priors.eta_variance, self.priors.eta_lengthscale,
         )
@@ -952,16 +950,16 @@ def _conditional_curves(knots, X, values_rows, hyper_rows):
     mean and variance arrays, with exact overrides where grid points
     coincide with knots.
     """
-    diff_xk = X[:, None, :] - knots[None, :, :]
-    diff_kk = knots[:, None, :] - knots[None, :, :]
+    diff_xk = _se_diff(X, knots)
+    knot_diff = _se_diff(knots, knots)
     rows, cols = _exact_matches(X, knots)
     T = values_rows.shape[0]
     means = np.empty((T, X.shape[0]))
     vars_ = np.empty((T, X.shape[0]))
     for t in range(T):
-        v, ls = hyper_rows[t, 0], hyper_rows[t, 1:]
-        kxk = v * np.exp(-np.sum((diff_xk / ls) ** 2, axis=2))
-        L = _knot_chol(diff_kk, hyper_rows[t])
+        v = hyper_rows[t, 0]
+        kxk = _se_kernel(diff_xk, v, hyper_rows[t, 1:])
+        L = _knot_chol(knot_diff, hyper_rows[t])
         means[t] = kxk @ _cho_solve(L, values_rows[t])
         s = _solve_lower(L, kxk.T)
         vars_[t] = np.maximum(v - np.einsum("ij,ij->j", s, s), 0.0)

@@ -207,6 +207,32 @@ class GPModel:
         return predict(self, query, want_cov)
 
 
+def _se_diff(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Differences ``A[g, d] - B[i, d]`` in dimension-major (G, D, n) layout."""
+    return A[:, :, None] - np.ascontiguousarray(B.T)
+
+
+def _se_kernel(diff: np.ndarray, variance, lengthscales: np.ndarray,
+               overwrite: bool = False) -> np.ndarray:
+    """Squared-exponential kernel ``variance * exp(-sum_d (diff_d / ls_d)^2)``.
+
+    ``diff`` holds dimension-major differences from :func:`_se_diff`, so the
+    sum over dimensions adds D contiguous (G, n) planes in sequence instead
+    of reducing a short innermost axis. The elementwise operations are those
+    of the (G, n, D) broadcast formula in its order, and for D <= 7 numpy's
+    innermost-axis sum also adds in sequence, so the result is bitwise
+    identical; from D = 8 numpy sums pairwise and the exponent may differ in
+    its last bits. ``diff`` is scaled in place when ``overwrite`` is set.
+    """
+    z = np.divide(diff, lengthscales[:, None], out=diff if overwrite else None)
+    z *= z
+    K = z.sum(axis=1)
+    np.negative(K, out=K)
+    np.exp(K, out=K)
+    K *= variance
+    return K
+
+
 def build_covariance(a, b, params: KernelParams) -> np.ndarray:
     """Kernel matrix with entries ``variance_scale * exp(-sum_d ((a_d-b_d)/ls_d)^2)``.
 
@@ -223,8 +249,7 @@ def build_covariance(a, b, params: KernelParams) -> np.ndarray:
             f"inputs with {A.shape[1]} and {B.shape[1]} columns do not match "
             f"{d} lengthscales"
         )
-    diff = (A[:, None, :] - B[None, :, :]) / params.lengthscales
-    K = params.variance_scale * np.exp(-(diff * diff).sum(axis=2))
+    K = _se_kernel(_se_diff(A, B), params.variance_scale, params.lengthscales, overwrite=True)
     if same and params.nugget > 0:
         K.flat[:: K.shape[0] + 1] += params.nugget
     return K
@@ -284,8 +309,9 @@ def predict_standardized(model: GPModel, query, want_cov: bool = False):
     var = np.maximum(model.params.variance_scale - np.einsum("ij,ij->j", v, v), 0.0)
     cov = None
     if want_cov:
-        Kqq = build_covariance(Q, Q.copy(), model.params)  # copy: no nugget on diagonal
-        cov = Kqq - v.T @ v
+        p = model.params
+        cov = _se_kernel(_se_diff(Q, Q), p.variance_scale, p.lengthscales, overwrite=True)
+        cov -= v.T @ v
         cov = 0.5 * (cov + cov.T)
     return mean, var, cov
 

@@ -37,7 +37,7 @@ from .embedded import (
     gibbs_sigma2,
     mh_accept,
 )
-from .gp import KernelParams
+from .gp import KernelParams, _se_diff
 from .samples import PosteriorSamples
 from .simulators import CalibrationDataset
 
@@ -152,11 +152,11 @@ class _KohChain:
             self.theta = np.full(self.dtheta, 0.5)
 
         dx = knots.shape[1]
-        self.diff_kk = knots[:, None, :] - knots[None, :, :]
+        self.knot_diff = _se_diff(knots, knots)
         self.delta_hyper = np.r_[priors.eta_variance.median(),
                                  np.full(dx, priors.eta_lengthscale.median())]
         self.delta_values = np.zeros(len(knots))
-        self.delta_chol = _knot_chol(self.diff_kk, self.delta_hyper)
+        self.delta_chol = _knot_chol(self.knot_diff, self.delta_hyper)
         s0 = priors.noise.mean()
         self.sigma2 = s0 if math.isfinite(s0) else priors.noise.median()
 
@@ -260,7 +260,7 @@ class _KohChain:
 
     def _update_hyper(self, adapting):
         prop = _hyper_proposal(
-            self.rng, self.delta_hyper, self.adapters["hyper:eta"].step, self.diff_kk,
+            self.rng, self.delta_hyper, self.adapters["hyper:eta"].step, self.knot_diff,
             self.delta_values, self.field_prior, self.hyper_prior,
             self.priors.eta_variance, self.priors.eta_lengthscale,
         )

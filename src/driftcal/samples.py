@@ -81,6 +81,8 @@ class PosteriorSamples:
         for name, arr in self.hyper_draws.items():
             out[f"variance:{name}"] = arr[:, 0]
             out[f"lengthscale:{name}"] = arr[:, 1]
+            for j in range(1, arr.shape[1] - 1):
+                out[f"lengthscale{j}:{name}"] = arr[:, 1 + j]
         if self.theta_draws is not None:
             for k in range(self.theta_draws.shape[1]):
                 pname = self.param_names[k] if k < len(self.param_names) else f"theta{k}"

@@ -1,13 +1,16 @@
-"""The LAPACK fast paths against the scipy and KernelParams code they replace.
+"""The fast paths against the code they replace.
 
-The samplers call ``dtrtrs``/``dpotrs`` directly and build knot kernels from
-raw hyperparameter vectors. Both must reproduce, bit for bit, the
-``solve_triangular``/``cho_solve`` and ``build_covariance`` + ``_chol`` path,
-which these tests keep as the reference.
+The samplers call ``dtrtrs``/``dpotrs`` directly, build knot kernels from
+raw hyperparameter vectors, and every squared-exponential kernel is built in
+dimension-major layout. All must reproduce, bit for bit, the
+``solve_triangular``/``cho_solve`` path and the (G, n, D) broadcast kernel
+formula, which these tests keep as frozen references.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_solve, solve_triangular
 
 from driftcal import embedded, gp, koh
@@ -22,7 +25,8 @@ from driftcal.embedded import (
     run_combined,
     run_integrated_delta,
 )
-from driftcal.gp import ExactEmulator, KernelParams, TrainingSet, build_covariance
+from driftcal.gp import (ExactEmulator, KernelParams, TrainingSet, _as_matrix, _se_diff,
+                         _se_kernel, build_covariance)
 from driftcal.koh import run_koh
 from driftcal.simulators import CalibrationDataset
 
@@ -35,11 +39,106 @@ def ref_cho_solve(L, b):
     return cho_solve((L, True), b)
 
 
+def ref_build_covariance(a, b, params):
+    """``build_covariance`` as the (G, n, D) broadcast formula."""
+    same = b is None or b is a
+    A = _as_matrix(a)
+    B = A if b is None else _as_matrix(b)
+    diff = (A[:, None, :] - B[None, :, :]) / params.lengthscales
+    K = params.variance_scale * np.exp(-(diff * diff).sum(axis=2))
+    if same and params.nugget > 0:
+        K.flat[:: K.shape[0] + 1] += params.nugget
+    return K
+
+
 def ref_knot_chol(knots):
-    def knot_chol(diff_kk, h):
-        return _chol(build_covariance(knots, None, KernelParams(h[0], h[1:], FIELD_JITTER)))
+    def knot_chol(knot_diff, h):
+        return _chol(ref_build_covariance(knots, None, KernelParams(h[0], h[1:], FIELD_JITTER)))
 
     return knot_chol
+
+
+def ref_conditional_curves(knots, X, values_rows, hyper_rows):
+    """``embedded._conditional_curves`` with the broadcast kernel and scipy solvers."""
+    diff_xk = X[:, None, :] - knots[None, :, :]
+    rows, cols = embedded._exact_matches(X, knots)
+    T = values_rows.shape[0]
+    means = np.empty((T, X.shape[0]))
+    vars_ = np.empty((T, X.shape[0]))
+    for t in range(T):
+        v, ls = hyper_rows[t, 0], hyper_rows[t, 1:]
+        kxk = v * np.exp(-np.sum((diff_xk / ls) ** 2, axis=2))
+        L = ref_knot_chol(knots)(None, hyper_rows[t])
+        means[t] = kxk @ ref_cho_solve(L, values_rows[t])
+        s = ref_solve_lower(L, kxk.T)
+        vars_[t] = np.maximum(v - np.einsum("ij,ij->j", s, s), 0.0)
+        means[t, rows] = values_rows[t, cols]
+        vars_[t, rows] = 0.0
+    return means, vars_
+
+
+def ulp_distance(a, b):
+    """Units in the last place between equal-signed doubles."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+@st.composite
+def kernel_case(draw, dims):
+    """Random inputs (1-300 x D against 1-40 x D) and kernel parameters."""
+    d = draw(dims)
+    g, n = draw(st.integers(1, 300)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.floats(1e-3, 1e2))
+    A = spread * rng.standard_normal((g, d))
+    B = spread * rng.standard_normal((n, d))
+    ls = np.exp(rng.uniform(np.log(1e-3), np.log(1e2), d))
+    params = KernelParams(draw(st.floats(1e-6, 1e4)), ls, draw(st.sampled_from([0.0, 1e-8, 1e-4])))
+    return A, B, params
+
+
+def assert_kernels_bitwise(A, B, params):
+    assert np.array_equal(build_covariance(A, B, params), ref_build_covariance(A, B, params),
+                          equal_nan=True)
+    assert np.array_equal(_se_kernel(_se_diff(A, B), params.variance_scale, params.lengthscales),
+                          ref_build_covariance(A, B, params), equal_nan=True)
+    for b in (None, A):  # self-covariance: the nugget lands on the diagonal
+        assert np.array_equal(build_covariance(A, b, params), ref_build_covariance(A, b, params),
+                              equal_nan=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_case(st.integers(1, 7)))
+def test_se_kernel_matches_broadcast_formula_bitwise(case):
+    assert_kernels_bitwise(*case)
+
+
+@settings(max_examples=50, deadline=None)
+@given(kernel_case(st.integers(8, 12)))
+def test_se_kernel_from_eight_dims_differs_only_by_exponent_rounding(case):
+    """From D = 8 numpy sums an innermost axis pairwise, the D planes in sequence.
+
+    Both sums of the D non-negative terms s are within (D - 1) unit roundoffs
+    of s each, and exp turns an exponent error e into a relative error e, so
+    the kernels differ by at most 2 (D - 1) s ulp plus the roundings of exp
+    and the variance product.
+    """
+    A, B, params = case
+    d = params.ndim
+    diff = (A[:, None, :] - B[None, :, :]) / params.lengthscales
+    s = (diff * diff).sum(axis=2)
+    got, ref = build_covariance(A, B, params), ref_build_covariance(A, B, params)
+    assert np.all(ulp_distance(got, ref) <= 4 + 2 * (d - 1) * s)
+
+
+@settings(max_examples=50, deadline=None)
+@given(kernel_case(st.integers(1, 7)), st.data())
+def test_se_kernel_non_finite_inputs_land_in_the_same_places(case, data):
+    A, B, params = case
+    for X in (A, B):
+        for value in data.draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=4)):
+            X[data.draw(st.integers(0, X.shape[0] - 1)), data.draw(st.integers(0, X.shape[1] - 1))] = value
+    with np.errstate(invalid="ignore"):
+        assert_kernels_bitwise(A, B, params)
 
 
 def spd_matrix(rng, n):
@@ -78,10 +177,10 @@ def test_singular_triangle_raises_like_solve_triangular():
 def test_knot_chol_matches_build_covariance_bitwise(n, dx):
     rng = np.random.default_rng(10 * n + dx)
     knots = rng.random((n, dx))
-    diff_kk = knots[:, None, :] - knots[None, :, :]
+    knot_diff = _se_diff(knots, knots)
     for _ in range(20):
         h = np.exp(rng.normal(0.0, 1.5, 1 + dx))
-        assert np.array_equal(_knot_chol(diff_kk, h), ref_knot_chol(knots)(diff_kk, h))
+        assert np.array_equal(_knot_chol(knot_diff, h), ref_knot_chol(knots)(knot_diff, h))
 
 
 def test_duplicate_knots_factor_through_jitter_escalation():
@@ -92,8 +191,7 @@ def test_duplicate_knots_factor_through_jitter_escalation():
     L = _chol(K)
     assert np.array_equal(L, np.linalg.cholesky(K + 1e-12 * np.eye(3)))
     # at a large variance FIELD_JITTER alone no longer makes the kernel factor
-    diff_kk = knots[:, None, :] - knots[None, :, :]
-    L = _knot_chol(diff_kk, np.array([1e8, 0.3]))
+    L = _knot_chol(_se_diff(knots, knots), np.array([1e8, 0.3]))
     assert np.all(np.isfinite(L))
     assert np.allclose(L @ L.T, 1e8 * K, rtol=0, atol=1e-3)
 
@@ -104,13 +202,18 @@ def test_gp_fit_and_predict_match_scipy_path(monkeypatch):
     params = KernelParams(1.2, [0.3, 0.5, 0.8], nugget=1e-8)
     query = rng.random((5, 3))
     model = gp.fit_gp(train, params)
-    fast = gp.predict_standardized(model, query)
+    fast = gp.predict_standardized(model, query, want_cov=True)
     monkeypatch.setattr(gp, "_solve_lower", ref_solve_lower)
     monkeypatch.setattr(gp, "_cho_solve", ref_cho_solve)
+    monkeypatch.setattr(gp, "build_covariance", ref_build_covariance)
     ref_model = gp.fit_gp(train, params)
     assert np.array_equal(model.alpha, ref_model.alpha)
     for a, b in zip(fast[:2], gp.predict_standardized(ref_model, query)[:2]):
         assert np.array_equal(a, b)
+    # the full covariance, as built before from a nugget-free copy of the query
+    v = ref_solve_lower(ref_model.chol, ref_build_covariance(query, train.inputs, params).T)
+    cov = ref_build_covariance(query, query.copy(), ref_model.params) - v.T @ v
+    assert np.array_equal(fast[2], 0.5 * (cov + cov.T))
 
 
 def drift_dataset():
@@ -126,10 +229,12 @@ def drift_dataset():
     )
 
 
-@pytest.mark.parametrize("runner", [run_integrated_delta, run_combined, run_koh])
-def test_production_draws_unchanged_with_reference_helpers(runner, monkeypatch):
+def drift_response(Q):
+    return Q[:, 1] + 0.5 * Q[:, 2] * Q[:, 0]
+
+
+def assert_draws_unchanged_with_reference_helpers(runner, emu, monkeypatch):
     data = drift_dataset()
-    emu = ExactEmulator(lambda Q: Q[:, 1] + 0.5 * Q[:, 2] * Q[:, 0], vectorized=True)
     priors = CalibrationPriors(noise=Prior.inverse_gamma(3.0, 2.0 * 0.05**2))
     cfg = McmcConfig(iterations=300, burn_in=100, thin=1, chains=2, seed=11,
                      theta0=(0.5, 0.5), audit_every=100, grid_points=11)
@@ -138,8 +243,11 @@ def test_production_draws_unchanged_with_reference_helpers(runner, monkeypatch):
     knots, _ = _build_knots(data, 0)
     for mod in (embedded, koh):
         monkeypatch.setattr(mod, "_knot_chol", ref_knot_chol(knots))
-    monkeypatch.setattr(embedded, "_solve_lower", ref_solve_lower)
-    monkeypatch.setattr(embedded, "_cho_solve", ref_cho_solve)
+    for mod in (embedded, gp):
+        monkeypatch.setattr(mod, "_solve_lower", ref_solve_lower)
+        monkeypatch.setattr(mod, "_cho_solve", ref_cho_solve)
+        monkeypatch.setattr(mod, "build_covariance", ref_build_covariance)
+    monkeypatch.setattr(embedded, "_conditional_curves", ref_conditional_curves)
     ref = runner(data, emu, priors, cfg)
 
     for name in fast.delta_draws:
@@ -151,3 +259,17 @@ def test_production_draws_unchanged_with_reference_helpers(runner, monkeypatch):
     assert fast.acceptance_rates == ref.acceptance_rates
     for key in fast.summaries:
         assert np.array_equal(fast.summaries[key], ref.summaries[key]), key
+
+
+@pytest.mark.parametrize("runner", [run_integrated_delta, run_combined, run_koh])
+def test_production_draws_unchanged_with_reference_helpers(runner, monkeypatch):
+    emu = ExactEmulator(drift_response, vectorized=True)
+    assert_draws_unchanged_with_reference_helpers(runner, emu, monkeypatch)
+
+
+@pytest.mark.parametrize("runner", [run_integrated_delta, run_combined, run_koh])
+def test_gp_emulator_draws_unchanged_with_reference_helpers(runner, monkeypatch):
+    X = np.random.default_rng(5).random((30, 3))
+    emu = gp.fit_gp(TrainingSet.from_raw(X, drift_response(X)),
+                    KernelParams(1.0, [0.4, 0.4, 0.4], nugget=1e-8))
+    assert_draws_unchanged_with_reference_helpers(runner, emu, monkeypatch)

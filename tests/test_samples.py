@@ -66,3 +66,14 @@ def test_scalar_traces_names():
     s = make_samples()
     traces = s.scalar_traces()
     assert {"sigma2", "variance:a", "lengthscale:a", "variance:b", "lengthscale:b"} <= set(traces)
+
+
+def test_scalar_traces_cover_every_lengthscale():
+    s = make_samples(T=6)
+    rng = np.random.default_rng(1)
+    s.hyper_draws["a"] = rng.uniform(0.1, 1, (6, 3))  # variance + a 2-D domain's lengthscales
+    traces = s.scalar_traces()
+    np.testing.assert_array_equal(traces["lengthscale:a"], s.hyper_draws["a"][:, 1])
+    np.testing.assert_array_equal(traces["lengthscale1:a"], s.hyper_draws["a"][:, 2])
+    assert "lengthscale2:a" not in traces
+    assert [k for k in traces if k.endswith(":b")] == ["variance:b", "lengthscale:b"]
