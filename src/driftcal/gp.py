@@ -221,8 +221,10 @@ def _se_kernel(diff: np.ndarray, variance, lengthscales: np.ndarray,
     of reducing a short innermost axis. The elementwise operations are those
     of the (G, n, D) broadcast formula in its order, and for D <= 7 numpy's
     innermost-axis sum also adds in sequence, so the result is bitwise
-    identical; from D = 8 numpy sums pairwise and the exponent may differ in
-    its last bits. ``diff`` is scaled in place when ``overwrite`` is set.
+    identical. From D = 8 numpy sums pairwise: the exponent may then differ
+    in its last bits, which exp turns into a relative difference of the
+    kernel that grows with the exponent. ``diff`` is scaled in place when
+    ``overwrite`` is set.
     """
     z = np.divide(diff, lengthscales[:, None], out=diff if overwrite else None)
     z *= z

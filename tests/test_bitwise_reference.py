@@ -115,7 +115,7 @@ def test_se_kernel_matches_broadcast_formula_bitwise(case):
 @settings(max_examples=50, deadline=None)
 @given(kernel_case(st.integers(8, 12)))
 def test_se_kernel_from_eight_dims_differs_only_by_exponent_rounding(case):
-    """From D = 8 numpy sums an innermost axis pairwise, the D planes in sequence.
+    """From D = 8 numpy sums an innermost axis pairwise; the helper adds D planes in order.
 
     Both sums of the D non-negative terms s are within (D - 1) unit roundoffs
     of s each, and exp turns an exponent error e into a relative error e, so
@@ -136,7 +136,8 @@ def test_se_kernel_non_finite_inputs_land_in_the_same_places(case, data):
     A, B, params = case
     for X in (A, B):
         for value in data.draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=4)):
-            X[data.draw(st.integers(0, X.shape[0] - 1)), data.draw(st.integers(0, X.shape[1] - 1))] = value
+            i = data.draw(st.integers(0, X.shape[0] - 1))
+            X[i, data.draw(st.integers(0, X.shape[1] - 1))] = value
     with np.errstate(invalid="ignore"):
         assert_kernels_bitwise(A, B, params)
 
