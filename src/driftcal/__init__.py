@@ -1,9 +1,11 @@
 """Bayesian model calibration with drift fields embedded in a GP emulator.
 
-Two calibrators over a shared Gaussian-process engine: a baseline with a
-single parameter vector plus an additive output discrepancy, and an
-embedded formulation where every calibration parameter carries its own
-input-dependent drift field fed through the emulator.
+Calibrators over a shared Gaussian-process engine and one sampler engine: a
+baseline with a single parameter vector plus an additive output
+discrepancy, an embedded formulation where every calibration parameter
+carries its own input-dependent drift field fed through the emulator, and
+their combination. One log-posterior, ``embedded_log_posterior``, serves
+all three.
 """
 
 from .config import ConfigError, RunConfig, parse_config
@@ -19,10 +21,8 @@ from .embedded import (
     gibbs_sigma2,
     mh_accept,
     posterior_predictive,
-    propose_field_update,
     run_combined,
     run_integrated_delta,
-    update_hyperparams,
 )
 from .gp import (
     ExactEmulator,
@@ -36,7 +36,7 @@ from .gp import (
     optimize_emulator,
     predict,
 )
-from .koh import KohState, koh_log_posterior, run_koh
+from .koh import run_koh
 from .runner import RunReport, StageError, emit_plot_data, orchestrate, recompute_report
 from .samples import PosteriorSamples, load_samples, save_samples
 from .simulators import (

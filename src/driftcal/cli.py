@@ -2,10 +2,11 @@
 
 Subcommands: ``generate`` (write a synthetic dataset), ``fit-emulator``
 (train and record the emulator), ``calibrate`` (run the mode named in the
-config), ``compare`` (run both calibrators and report the benchmark), and
-``report`` (recompute metrics from an existing run directory's emitted
-files). ``--seed`` and ``--out`` override the config; the environment
-variable ``DRIFTCAL_THREADS`` caps chain-level parallelism.
+config), ``compare`` (run the embedded calibrator and the baseline, both on
+the one sampler engine, and report the benchmark), and ``report``
+(recompute metrics from an existing run directory's emitted files).
+``--seed`` and ``--out`` override the config; the environment variable
+``DRIFTCAL_THREADS`` caps chain-level parallelism for every calibrator.
 """
 
 from __future__ import annotations

@@ -1,14 +1,16 @@
-"""Calibration with per-parameter drift fields embedded in the emulator.
+"""One Metropolis-within-Gibbs engine for every calibrator.
 
-Each calibration parameter gets a zero-mean GP field d_k(x) over the
-application domain; the emulator is queried at theta*(x) = theta + d(x),
-so all systematic observation/simulator mismatch is expressed as
-input-parameter drift rather than an additive output correction. Inference
-runs Metropolis-Hastings sweeps over the field knot values (with
-prior-preconditioned proposals and per-block adaptive step sizes) and the
-field hyperparameters, plus a conjugate Gibbs draw for the observation
-noise variance. An optional additive output-discrepancy field turns the
-sampler into the combined formulation.
+In the embedded formulation each calibration parameter gets a zero-mean GP
+field d_k(x) over the application domain; the emulator is queried at
+theta*(x) = theta + d(x), so all systematic observation/simulator mismatch
+is expressed as input-parameter drift rather than an additive output
+correction. Inference runs Metropolis-Hastings sweeps over the field knot
+values (with prior-preconditioned proposals and per-block adaptive step
+sizes) and the field hyperparameters, plus a conjugate Gibbs draw for the
+observation noise variance. An optional additive output-discrepancy field
+turns the sampler into the combined formulation; with the drift fields off,
+the theta block on and the additive field present it is the Kennedy &
+O'Hagan baseline of :mod:`driftcal.koh`.
 """
 
 from __future__ import annotations
@@ -35,9 +37,7 @@ __all__ = [
     "CalibrationPriors",
     "McmcConfig",
     "embedded_log_posterior",
-    "propose_field_update",
     "mh_accept",
-    "update_hyperparams",
     "gibbs_sigma2",
     "run_integrated_delta",
     "run_combined",
@@ -170,7 +170,10 @@ class DiscrepancyField:
 
 @dataclass(frozen=True)
 class ThetaStar:
-    """Drift-corrected parameter map theta*(x) = theta + d(x)."""
+    """Drift-corrected parameter map theta*(x) = theta + d(x).
+
+    With no fields (the baseline calibrator) theta*(x) is theta everywhere.
+    """
 
     base_theta: np.ndarray
     fields: tuple[DiscrepancyField, ...]
@@ -179,19 +182,21 @@ class ThetaStar:
         bt = np.atleast_1d(np.asarray(self.base_theta, dtype=float))
         object.__setattr__(self, "base_theta", bt)
         object.__setattr__(self, "fields", tuple(self.fields))
-        if len(self.fields) != bt.size:
-            raise ValueError("need one drift field per parameter")
+        if self.fields and len(self.fields) != bt.size:
+            raise ValueError("need one drift field per parameter, or none")
 
     def evaluate(self, x) -> np.ndarray:
         """theta*(x) at a single normalized input; exact at knot locations."""
         x = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
-        drift = np.array([float(f.conditional_mean(x)[0]) for f in self.fields])
-        return self.base_theta + drift
+        out = self.base_theta.copy()
+        for k, f in enumerate(self.fields):
+            out[k] += float(f.conditional_mean(x)[0])
+        return out
 
 
 @dataclass
 class ChainState:
-    """Mutable MCMC chain state for the embedded sampler."""
+    """Mutable MCMC chain state of any calibrator, as the log-posterior oracle reads it."""
 
     theta_star: ThetaStar
     noise_var: float
@@ -293,21 +298,6 @@ def mh_accept(log_post_new: float, log_post_old: float, rng: np.random.Generator
     return math.log(rng.uniform()) < log_post_new - log_post_old
 
 
-def propose_field_update(
-    field: DiscrepancyField, step: float, rng: np.random.Generator
-) -> DiscrepancyField:
-    """Prior-preconditioned random walk: values + step * L z with L the prior Cholesky.
-
-    The proposal is symmetric, so no q-ratio enters the acceptance decision.
-    """
-    if step < 0:
-        raise ValueError("step must be non-negative")
-    if step == 0:
-        return field
-    z = rng.standard_normal(field.n_knots)
-    return replace(field, values=field.values + step * (field.prior_chol() @ z))
-
-
 def gibbs_sigma2(residuals, prior: Prior, rng: np.random.Generator) -> float:
     """Draw the noise variance from its conjugate inverse-gamma conditional.
 
@@ -342,10 +332,13 @@ def _hyper_logprior(h: np.ndarray, var_prior: Prior, len_prior: Prior) -> float:
     return out
 
 
-def _theta_logprior(base_theta_unit: np.ndarray, priors: CalibrationPriors, theta_bounds) -> float:
+def _theta_logprior(theta_unit: np.ndarray, priors: CalibrationPriors, theta_bounds) -> float:
+    """Theta prior on the unit box: -inf outside it, then the configured priors."""
+    if np.any(theta_unit < 0.0) or np.any(theta_unit > 1.0):
+        return -math.inf
     if priors.theta is None:
         return 0.0
-    phys = from_unit(base_theta_unit[None, :], theta_bounds)[0]
+    phys = from_unit(theta_unit[None, :], theta_bounds)[0]
     return float(sum(p.logpdf(v) for p, v in zip(priors.theta, phys)))
 
 
@@ -355,14 +348,18 @@ def embedded_log_posterior(
     emulator,
     priors: CalibrationPriors,
 ) -> float:
-    """Joint log-posterior of the embedded-discrepancy model.
+    """Joint log-posterior of every calibrator: the audit and test oracle.
 
     Likelihood: y_i ~ N(eta(x_i, theta*(x_i)) [+ delta_eta(x_i)],
     sigma^2 + emulator variance), evaluated on the emulator's standardized
     target scale; plus GP priors of every field's knot values, the field
-    hyperpriors, the noise prior, and (when configured) the theta prior.
-    Non-finite emulator output maps to -inf.
+    hyperpriors, the noise prior, and the theta prior. With no drift fields
+    and an additive field this is the Kennedy & O'Hagan posterior. Theta
+    outside the unit box and non-finite emulator output map to -inf.
     """
+    theta_prior = _theta_logprior(state.theta_star.base_theta, priors, data.theta_bounds)
+    if not math.isfinite(theta_prior):
+        return -math.inf
     x_unit = data.obs_x_unit()
     theta_star = np.vstack([state.theta_star.evaluate(x) for x in x_unit])
     Q = np.hstack([x_unit, theta_star])
@@ -374,81 +371,16 @@ def embedded_log_posterior(
     shift = getattr(emulator, "y_shift", 0.0)
     scale = getattr(emulator, "y_scale", 1.0)
     y_std = (data.obs_y - shift) / scale
-    eta_at_obs = (
-        state.eta_field.conditional_mean(x_unit) if state.eta_field is not None else 0.0
-    )
+    fields = [(f, priors.field_variance, priors.field_lengthscale)
+              for f in state.theta_star.fields]
+    eta_at_obs = 0.0
+    if state.eta_field is not None:
+        eta_at_obs = state.eta_field.conditional_mean(x_unit)
+        fields.append((state.eta_field, priors.eta_variance, priors.eta_lengthscale))
     total = gaussian_loglik(y_std - mean - eta_at_obs, state.noise_var + var)
-    for f in state.theta_star.fields:
-        total += f.log_prior()
-    if state.eta_field is not None:
-        total += state.eta_field.log_prior()
-    for f in state.theta_star.fields:
-        total += _hyper_logprior(
-            _hyper_vector(f.hyper), priors.field_variance, priors.field_lengthscale
-        )
-    if state.eta_field is not None:
-        total += _hyper_logprior(
-            _hyper_vector(state.eta_field.hyper), priors.eta_variance, priors.eta_lengthscale
-        )
-    total += priors.noise.logpdf(state.noise_var)
-    total += _theta_logprior(state.theta_star.base_theta, priors, data.theta_bounds)
-    return total
-
-
-def _hyper_move(field, step, var_prior, len_prior, rng):
-    """One log-space RW proposal on a field's (variance, lengthscales).
-
-    Returns (proposal, d_field_prior, d_hyper_prior, log_ratio) where
-    log_ratio includes the log-space Jacobian correction.
-    """
-    h = _hyper_vector(field.hyper)
-    logp = np.log(h)
-    logp2 = logp + step * rng.standard_normal(logp.size)
-    hyper2 = KernelParams(
-        variance_scale=math.exp(logp2[0]),
-        lengthscales=np.exp(logp2[1:]),
-        nugget=field.hyper.nugget,
-    )
-    prop = replace(field, hyper=hyper2)
-    d_field = prop.log_prior() - field.log_prior()
-    d_hyper = _hyper_logprior(_hyper_vector(hyper2), var_prior, len_prior) - _hyper_logprior(
-        h, var_prior, len_prior
-    )
-    log_ratio = d_field + d_hyper + float(logp2.sum() - logp.sum())
-    return prop, d_field, d_hyper, log_ratio
-
-
-def update_hyperparams(
-    state: ChainState,
-    data: CalibrationDataset,
-    priors: CalibrationPriors,
-    rng: np.random.Generator,
-) -> ChainState:
-    """One MH pass over every field's (variance, lengthscale) pair.
-
-    The likelihood does not depend on the hyperparameters given the knot
-    values, so only the field GP prior and the hyperprior terms enter the
-    acceptance ratio; ``data`` is untouched.
-    """
-    fields = list(state.theta_star.fields)
-    for k, f in enumerate(fields):
-        step = state.step_sizes.get(f"hyper:{k}", 0.2)
-        prop, d_field, d_hyper, log_ratio = _hyper_move(
-            f, step, priors.field_variance, priors.field_lengthscale, rng
-        )
-        if mh_accept(log_ratio, 0.0, rng):
-            fields[k] = prop
-            state.log_post += d_field + d_hyper
-    if state.eta_field is not None:
-        step = state.step_sizes.get("hyper:eta", 0.2)
-        prop, d_field, d_hyper, log_ratio = _hyper_move(
-            state.eta_field, step, priors.eta_variance, priors.eta_lengthscale, rng
-        )
-        if mh_accept(log_ratio, 0.0, rng):
-            state.eta_field = prop
-            state.log_post += d_field + d_hyper
-    state.theta_star = replace(state.theta_star, fields=tuple(fields))
-    return state
+    for f, var_prior, len_prior in fields:
+        total += f.log_prior() + _hyper_logprior(_hyper_vector(f.hyper), var_prior, len_prior)
+    return total + priors.noise.logpdf(state.noise_var) + theta_prior
 
 
 class _BlockStats:
@@ -457,9 +389,6 @@ class _BlockStats:
     def __init__(self) -> None:
         self.proposed = 0
         self.accepted = 0
-
-    def rate(self) -> float:
-        return self.accepted / self.proposed if self.proposed else 0.0
 
 
 def _hyper_proposal(rng, h, step, knot_diff, values, field_prior, hyper_prior,
@@ -488,51 +417,56 @@ def _hyper_proposal(rng, h, step, knot_diff, values, field_prior, hyper_prior,
     return log_ratio, h2, chol2, fp2, hp2
 
 
-class _EmbeddedChain:
-    """Single-chain sampler; owns its state and RNG, shares data read-only.
+class _Chain:
+    """Single-chain sampler over its active blocks; owns its state and RNG.
 
-    Field values, hyperparameters ``[variance, *lengthscales]`` and prior
-    Cholesky factors are kept as raw arrays (one factorization per
+    Data are shared read-only between chains.
+
+    The fields are one list: a drift field per parameter when ``drift`` is
+    set, then the additive "eta" field when ``additive`` is. Each has its own
+    hyperpriors. Values, hyperparameters ``[variance, *lengthscales]`` and
+    prior Cholesky factors are raw arrays (one factorization per
     hyperparameter change) so that per-proposal work is a matrix-vector
     product, an emulator query, and two Gaussian densities.
+    ``sample_theta`` runs the theta block; ``store_theta`` keeps its draws
+    and acceptance rate even when it does not run. Every Metropolis decision
+    goes through ``accept`` and every noise draw through ``gibbs``.
+
+    Sweep order: theta, drift fields, eta, hyperparameters, Gibbs sigma^2.
     """
 
-    def __init__(self, data, emulator, priors, config, rng, additive: bool,
-                 knots: np.ndarray, obs_idx: np.ndarray):
+    def __init__(self, data, emulator, priors, config, rng, knots: np.ndarray,
+                 obs_idx: np.ndarray, *, drift: bool, additive: bool, sample_theta: bool,
+                 store_theta: bool, accept, gibbs):
         self.data = data
         self.emulator = emulator
         self.priors = priors
         self.cfg = config
         self.rng = rng
-        self.additive = additive
         self.knots = knots
         self.obs_idx = obs_idx
+        self.additive = additive
+        self.sample_theta = sample_theta
+        self.store_theta = store_theta
+        self.accept = accept
+        self.gibbs = gibbs
 
         self.x_obs_unit = data.obs_x_unit()
         shift = getattr(emulator, "y_shift", 0.0)
         scale = getattr(emulator, "y_scale", 1.0)
         self.y_std = (data.obs_y - shift) / scale
         self.dtheta = data.dtheta
-        self.pnames = data.param_names
-        K = len(knots)
-        dx = knots.shape[1]
-        self.knot_diff = _se_diff(knots, knots)
-
-        hyper0 = np.r_[priors.field_variance.median(),
-                       np.full(dx, priors.field_lengthscale.median())]
-        self.values = [np.zeros(K) for _ in range(self.dtheta)]
-        self.hypers = [hyper0] * self.dtheta
-        chol0 = _knot_chol(self.knot_diff, hyper0)
-        self.chols = [chol0] * self.dtheta
+        self.n_drift = self.dtheta if drift else 0
+        self.names = list(data.param_names[: self.n_drift]) + (["eta"] if additive else [])
+        self.field_priors = [(priors.field_variance, priors.field_lengthscale)] * self.n_drift
         if additive:
-            self.eta_hyper = np.r_[priors.eta_variance.median(),
-                                   np.full(dx, priors.eta_lengthscale.median())]
-            self.eta_values = np.zeros(K)
-            self.eta_chol = _knot_chol(self.knot_diff, self.eta_hyper)
-            self.eta_at_obs = self.eta_values[obs_idx]
-        else:
-            self.eta_values = None
-            self.eta_at_obs = 0.0
+            self.field_priors.append((priors.eta_variance, priors.eta_lengthscale))
+        self.knot_diff = _se_diff(knots, knots)
+        dx = knots.shape[1]
+        self.values = [np.zeros(len(knots)) for _ in self.names]
+        self.hypers = [np.r_[vp.median(), np.full(dx, lp.median())]
+                       for vp, lp in self.field_priors]
+        self.chols = [_knot_chol(self.knot_diff, h) for h in self.hypers]
 
         if config.theta0 is not None:
             t0 = to_unit(np.asarray(config.theta0, float)[None, :], data.theta_bounds)[0]
@@ -542,24 +476,19 @@ class _EmbeddedChain:
         else:
             t0 = np.full(self.dtheta, 0.5)
         self.base_theta = t0
-        self.theta_mat = np.column_stack(
-            [t0[k] + self.values[k][obs_idx] for k in range(self.dtheta)]
-        )
 
         s0 = priors.noise.mean()
         self.sigma2 = s0 if math.isfinite(s0) else priors.noise.median()
 
-        self.block_names = [f"delta:{n}" for n in self.pnames]
-        if additive:
-            self.block_names.append("delta:eta")
-        self.block_names += [f"hyper:{n}" for n in self.pnames]
-        if additive:
-            self.block_names.append("hyper:eta")
-        if config.sample_theta:
-            self.block_names.append("theta")
+        self.block_names = ["theta"] if sample_theta or store_theta else []
+        self.block_names += [f"delta:{n}" for n in self.names]
+        self.block_names += [f"hyper:{n}" for n in self.names]
         self.adapters = {
             n: StepAdapter(config.initial_step, config.adapt_target) for n in self.block_names
         }
+        if "theta" in self.adapters:
+            # theta moves on the unit box; a full-box step would mix poorly
+            self.adapters["theta"].step = min(config.initial_step, 0.15)
         self.stats = {n: _BlockStats() for n in self.block_names}
         self.extrap_count = 0
         self.extrap_max = 0.0
@@ -583,30 +512,29 @@ class _EmbeddedChain:
         ok = bool(np.isfinite(mean).all() and np.isfinite(var).all())
         return mean, var, ok
 
+    def _theta_at_obs(self, base_theta: np.ndarray) -> np.ndarray:
+        """theta*(x) at the observations: ``base_theta`` plus each drift field there."""
+        theta = np.tile(base_theta, (self.obs_idx.size, 1))
+        for k in range(self.n_drift):
+            theta[:, k] += self.values[k][self.obs_idx]
+        return theta
+
     def _init_parts(self) -> None:
-        Q = np.hstack([self.x_obs_unit, self.theta_mat])
-        mean, var, ok = self._emulate(Q)
+        self.theta_mat = self._theta_at_obs(self.base_theta)
+        mean, var, ok = self._emulate(np.hstack([self.x_obs_unit, self.theta_mat]))
         if not ok:
             raise RuntimeError("non-finite emulator output at initialization")
         self.emu_mean, self.emu_var = mean, var
+        self.eta_at_obs = self.values[-1][self.obs_idx] if self.additive else 0.0
         self.loglik = gaussian_loglik(
             self.y_std - mean - self.eta_at_obs, self.sigma2 + var
         )
         self.field_prior = np.array(
-            [_mvn_logpdf_zero(self.values[k], self.chols[k]) for k in range(self.dtheta)]
+            [_mvn_logpdf_zero(v, L) for v, L in zip(self.values, self.chols)]
         )
-        self.hyper_prior = np.array([
-            _hyper_logprior(h, self.priors.field_variance, self.priors.field_lengthscale)
-            for h in self.hypers
-        ])
-        if self.additive:
-            self.eta_prior = _mvn_logpdf_zero(self.eta_values, self.eta_chol)
-            self.eta_hyper_prior = _hyper_logprior(
-                self.eta_hyper, self.priors.eta_variance, self.priors.eta_lengthscale
-            )
-        else:
-            self.eta_prior = 0.0
-            self.eta_hyper_prior = 0.0
+        self.hyper_prior = np.array(
+            [_hyper_logprior(h, *p) for h, p in zip(self.hypers, self.field_priors)]
+        )
         self.sigma2_prior = self.priors.noise.logpdf(self.sigma2)
         self.theta_prior = _theta_logprior(self.base_theta, self.priors, self.data.theta_bounds)
         if not math.isfinite(self.total()):
@@ -616,29 +544,23 @@ class _EmbeddedChain:
         return (
             self.loglik
             + float(self.field_prior.sum())
-            + self.eta_prior
             + float(self.hyper_prior.sum())
-            + self.eta_hyper_prior
             + self.sigma2_prior
             + self.theta_prior
         )
 
     def snapshot(self) -> ChainState:
-        fields = tuple(
-            DiscrepancyField(self.knots, self.values[k].copy(), _field_params(self.hypers[k]))
-            for k in range(self.dtheta)
-        )
-        eta = (
-            DiscrepancyField(self.knots, self.eta_values.copy(), _field_params(self.eta_hyper))
-            if self.additive else None
-        )
+        fields = [
+            DiscrepancyField(self.knots, v.copy(), _field_params(h))
+            for v, h in zip(self.values, self.hypers)
+        ]
         return ChainState(
-            theta_star=ThetaStar(self.base_theta, fields),
+            theta_star=ThetaStar(self.base_theta, fields[: self.n_drift]),
             noise_var=self.sigma2,
             step_sizes={n: a.step for n, a in self.adapters.items()},
             log_post=self.total(),
             iteration=self.iteration,
-            eta_field=eta,
+            eta_field=fields[-1] if self.additive else None,
         )
 
     # -- MCMC blocks ------------------------------------------------------
@@ -651,8 +573,30 @@ class _EmbeddedChain:
             st.proposed += 1
             st.accepted += accepted
 
+    def _update_theta(self, adapting: bool) -> None:
+        step = self.adapters["theta"].step
+        base_new = self.base_theta + step * self.rng.standard_normal(self.dtheta)
+        tp_new = _theta_logprior(base_new, self.priors, self.data.theta_bounds)
+        accepted = False
+        if math.isfinite(tp_new):
+            theta_new = self._theta_at_obs(base_new)
+            mean, var, ok = self._emulate(np.hstack([self.x_obs_unit, theta_new]))
+            if ok:
+                loglik_new = gaussian_loglik(
+                    self.y_std - mean - self.eta_at_obs, self.sigma2 + var
+                )
+                delta = (loglik_new + tp_new) - (self.loglik + self.theta_prior)
+                accepted = self.accept(delta, 0.0, self.rng)
+                if accepted:
+                    self.base_theta = base_new
+                    self.theta_mat = theta_new
+                    self.emu_mean, self.emu_var = mean, var
+                    self.loglik = loglik_new
+                    self.theta_prior = tp_new
+        self._track("theta", accepted, adapting)
+
     def _update_field(self, k: int, adapting: bool) -> None:
-        name = f"delta:{self.pnames[k]}"
+        name = f"delta:{self.names[k]}"
         L = self.chols[k]
         z = self.rng.standard_normal(len(self.values[k]))
         vals_new = self.values[k] + self.adapters[name].step * (L @ z)
@@ -666,7 +610,7 @@ class _EmbeddedChain:
             )
             fp_new = _mvn_logpdf_zero(vals_new, L)
             delta = (loglik_new + fp_new) - (self.loglik + self.field_prior[k])
-            accepted = mh_accept(delta, 0.0, self.rng)
+            accepted = self.accept(delta, 0.0, self.rng)
             if accepted:
                 self.values[k] = vals_new
                 self.theta_mat = theta_new
@@ -676,69 +620,37 @@ class _EmbeddedChain:
         self._track(name, accepted, adapting)
 
     def _update_eta(self, adapting: bool) -> None:
-        z = self.rng.standard_normal(len(self.eta_values))
-        vals_new = self.eta_values + self.adapters["delta:eta"].step * (self.eta_chol @ z)
+        """The additive field's values: no emulator query, the cached mean is reused."""
+        L = self.chols[-1]
+        z = self.rng.standard_normal(len(self.values[-1]))
+        vals_new = self.values[-1] + self.adapters["delta:eta"].step * (L @ z)
         loglik_new = gaussian_loglik(
             self.y_std - self.emu_mean - vals_new[self.obs_idx], self.sigma2 + self.emu_var
         )
-        fp_new = _mvn_logpdf_zero(vals_new, self.eta_chol)
-        delta = (loglik_new + fp_new) - (self.loglik + self.eta_prior)
-        accepted = mh_accept(delta, 0.0, self.rng)
+        fp_new = _mvn_logpdf_zero(vals_new, L)
+        delta = (loglik_new + fp_new) - (self.loglik + self.field_prior[-1])
+        accepted = self.accept(delta, 0.0, self.rng)
         if accepted:
-            self.eta_values = vals_new
+            self.values[-1] = vals_new
             self.eta_at_obs = vals_new[self.obs_idx]
             self.loglik = loglik_new
-            self.eta_prior = fp_new
+            self.field_prior[-1] = fp_new
         self._track("delta:eta", accepted, adapting)
 
-    def _update_theta(self, adapting: bool) -> None:
-        step = self.adapters["theta"].step
-        base_new = self.base_theta + step * self.rng.standard_normal(self.dtheta)
-        tp_new = _theta_logprior(base_new, self.priors, self.data.theta_bounds)
-        accepted = False
-        if math.isfinite(tp_new):
-            theta_new = self.theta_mat + (base_new - self.base_theta)
-            mean, var, ok = self._emulate(np.hstack([self.x_obs_unit, theta_new]))
-            if ok:
-                loglik_new = gaussian_loglik(
-                    self.y_std - mean - self.eta_at_obs, self.sigma2 + var
-                )
-                delta = (loglik_new + tp_new) - (self.loglik + self.theta_prior)
-                accepted = mh_accept(delta, 0.0, self.rng)
-                if accepted:
-                    self.base_theta = base_new
-                    self.theta_mat = theta_new
-                    self.emu_mean, self.emu_var = mean, var
-                    self.loglik = loglik_new
-                    self.theta_prior = tp_new
-        self._track("theta", accepted, adapting)
-
     def _update_hyper(self, k: int, adapting: bool) -> None:
-        name = f"hyper:{self.pnames[k]}"
+        name = f"hyper:{self.names[k]}"
         prop = _hyper_proposal(
             self.rng, self.hypers[k], self.adapters[name].step, self.knot_diff, self.values[k],
-            self.field_prior[k], self.hyper_prior[k],
-            self.priors.field_variance, self.priors.field_lengthscale,
+            self.field_prior[k], self.hyper_prior[k], *self.field_priors[k],
         )
-        accepted = prop is not None and mh_accept(prop[0], 0.0, self.rng)
+        accepted = prop is not None and self.accept(prop[0], 0.0, self.rng)
         if accepted:
             _, self.hypers[k], self.chols[k], self.field_prior[k], self.hyper_prior[k] = prop
         self._track(name, accepted, adapting)
 
-    def _update_hyper_eta(self, adapting: bool) -> None:
-        prop = _hyper_proposal(
-            self.rng, self.eta_hyper, self.adapters["hyper:eta"].step, self.knot_diff,
-            self.eta_values, self.eta_prior, self.eta_hyper_prior,
-            self.priors.eta_variance, self.priors.eta_lengthscale,
-        )
-        accepted = prop is not None and mh_accept(prop[0], 0.0, self.rng)
-        if accepted:
-            _, self.eta_hyper, self.eta_chol, self.eta_prior, self.eta_hyper_prior = prop
-        self._track("hyper:eta", accepted, adapting)
-
     def _gibbs_sigma2(self) -> None:
         resid = self.y_std - self.emu_mean - self.eta_at_obs
-        self.sigma2 = gibbs_sigma2(resid, self.priors.noise, self.rng)
+        self.sigma2 = self.gibbs(resid, self.priors.noise, self.rng)
         self.loglik = gaussian_loglik(resid, self.sigma2 + self.emu_var)
         self.sigma2_prior = self.priors.noise.logpdf(self.sigma2)
 
@@ -754,40 +666,33 @@ class _EmbeddedChain:
         cfg = self.cfg
         n_stored = (cfg.iterations - cfg.burn_in + cfg.thin - 1) // cfg.thin
         K = len(self.knots)
-        out_delta = {n: np.empty((n_stored, K)) for n in self.pnames}
-        if self.additive:
-            out_delta["eta"] = np.empty((n_stored, K))
         dx = self.knots.shape[1]
-        out_hyper = {n: np.empty((n_stored, 1 + dx)) for n in out_delta}
+        out_delta = {n: np.empty((n_stored, K)) for n in self.names}
+        out_hyper = {n: np.empty((n_stored, 1 + dx)) for n in self.names}
         out_sigma2 = np.empty(n_stored)
-        out_theta = np.empty((n_stored, self.dtheta)) if cfg.sample_theta else None
+        out_theta = np.empty((n_stored, self.dtheta)) if self.store_theta else None
 
         stored = 0
         for it in range(cfg.iterations):
             self.iteration = it
             adapting = it < cfg.burn_in
-            for k in range(self.dtheta):
+            if self.sample_theta:
+                self._update_theta(adapting)
+            for k in range(self.n_drift):
                 self._update_field(k, adapting)
             if self.additive:
                 self._update_eta(adapting)
-            if cfg.sample_theta:
-                self._update_theta(adapting)
             if cfg.sample_hyper:
-                for k in range(self.dtheta):
+                for k in range(len(self.names)):
                     self._update_hyper(k, adapting)
-                if self.additive:
-                    self._update_hyper_eta(adapting)
             if cfg.sample_sigma2:
                 self._gibbs_sigma2()
             if cfg.audit_every and (it + 1) % cfg.audit_every == 0:
                 self._audit()
             if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
-                for k, n in enumerate(self.pnames):
+                for k, n in enumerate(self.names):
                     out_delta[n][stored] = self.values[k]
                     out_hyper[n][stored] = self.hypers[k]
-                if self.additive:
-                    out_delta["eta"][stored] = self.eta_values
-                    out_hyper["eta"][stored] = self.eta_hyper
                 out_sigma2[stored] = self.sigma2
                 if out_theta is not None:
                     out_theta[stored] = self.base_theta
@@ -831,15 +736,19 @@ def _n_workers(chains: int) -> int:
     return max(1, min(env, chains))
 
 
-def _run_embedded(data, emulator, priors, config, additive: bool, kind: str) -> PosteriorSamples:
+def _run_chains(data, emulator, priors, config, kind: str, **blocks) -> PosteriorSamples:
+    """Run ``config.chains`` seeded chains of :class:`_Chain` and merge their draws.
+
+    ``blocks`` are the chain's keyword-only block settings. Each chain gets
+    its own ``SeedSequence`` child, so the result does not depend on how
+    many chains run at once.
+    """
     knots, obs_idx = _build_knots(data, config.refine_knots)
     seeds = np.random.SeedSequence(config.seed).spawn(config.chains)
 
     def one_chain(i: int):
         rng = np.random.default_rng(seeds[i])
-        return _EmbeddedChain(
-            data, emulator, priors, config, rng, additive, knots, obs_idx
-        ).run()
+        return _Chain(data, emulator, priors, config, rng, knots, obs_idx, **blocks).run()
 
     workers = _n_workers(config.chains)
     if workers > 1:
@@ -911,15 +820,15 @@ def run_integrated_delta(
 ) -> PosteriorSamples:
     """Run the embedded-discrepancy sampler.
 
-    Per iteration: MH sweep over each parameter's drift-field knot values
+    Per iteration: an optional theta block (a random walk held to the unit
+    box), an MH sweep over each parameter's drift-field knot values
     (prior-preconditioned proposals), MH updates of each field's
-    (variance, lengthscale), an optional theta block, and a conjugate Gibbs
-    draw of the noise variance. Step sizes adapt toward the target
+    (variance, lengthscale), and a conjugate Gibbs draw of the noise
+    variance. Step sizes adapt toward the target
     acceptance rate during burn-in only; draws after burn-in are stored
     with the configured stride. Deterministic for a fixed seed.
     """
-    return _run_embedded(data, emulator, priors, mcmc_config, additive=False,
-                         kind="integrated_delta")
+    return _run_embedded(data, emulator, priors, mcmc_config, "integrated_delta", additive=False)
 
 
 def run_combined(
@@ -934,7 +843,15 @@ def run_combined(
     classic additive discrepancy; everything else matches
     :func:`run_integrated_delta`. Experimental.
     """
-    return _run_embedded(data, emulator, priors, mcmc_config, additive=True, kind="combined")
+    return _run_embedded(data, emulator, priors, mcmc_config, "combined", additive=True)
+
+
+def _run_embedded(data, emulator, priors, config, kind: str, additive: bool) -> PosteriorSamples:
+    """The drift-field calibrators: theta is sampled and stored only when configured."""
+    theta = bool(config.sample_theta)
+    return _run_chains(data, emulator, priors, config, kind, drift=True, additive=additive,
+                       sample_theta=theta, store_theta=theta, accept=mh_accept,
+                       gibbs=gibbs_sigma2)
 
 
 def _draw_subset(n_draws: int, max_draws: int | None) -> np.ndarray:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve, solve_triangular
 
-from driftcal import embedded, gp, koh
+from driftcal import embedded, gp
 from driftcal.design import Prior
 from driftcal.embedded import (
     FIELD_JITTER,
@@ -242,8 +242,7 @@ def assert_draws_unchanged_with_reference_helpers(runner, emu, monkeypatch):
     fast = runner(data, emu, priors, cfg)
 
     knots, _ = _build_knots(data, 0)
-    for mod in (embedded, koh):
-        monkeypatch.setattr(mod, "_knot_chol", ref_knot_chol(knots))
+    monkeypatch.setattr(embedded, "_knot_chol", ref_knot_chol(knots))
     for mod in (embedded, gp):
         monkeypatch.setattr(mod, "_solve_lower", ref_solve_lower)
         monkeypatch.setattr(mod, "_cho_solve", ref_cho_solve)

@@ -231,15 +231,18 @@ def test_cli_seed_override_changes_outputs(tmp_path):
     assert not np.array_equal(a, b)
 
 
-def test_chain_thread_pool_matches_sequential(tmp_path, monkeypatch):
-    raw = base_config(out_dir=str(tmp_path / "seq"))
-    orchestrate(parse_config(json.dumps(raw)))
+@pytest.mark.parametrize("mode", ["koh", "integrated_delta", "combined"])
+def test_chain_thread_pool_matches_sequential(tmp_path, monkeypatch, mode):
+    orchestrate(parse_config(json.dumps(base_config(out_dir=str(tmp_path / "seq"), mode=mode))))
     monkeypatch.setenv("DRIFTCAL_THREADS", "2")
-    raw2 = base_config(out_dir=str(tmp_path / "par"))
-    orchestrate(parse_config(json.dumps(raw2)))
-    a = np.loadtxt(tmp_path / "seq" / "samples" / "delta_mu.csv", delimiter=",", comments="#")
-    b = np.loadtxt(tmp_path / "par" / "samples" / "delta_mu.csv", delimiter=",", comments="#")
-    assert np.array_equal(a, b)
+    orchestrate(parse_config(json.dumps(base_config(out_dir=str(tmp_path / "par"), mode=mode))))
+    seq = sorted((tmp_path / "seq" / "samples").glob("*.csv"))
+    assert seq
+    assert [p.name for p in seq] == [
+        p.name for p in sorted((tmp_path / "par" / "samples").glob("*.csv"))
+    ]
+    for p in seq:
+        assert p.read_bytes() == (tmp_path / "par" / "samples" / p.name).read_bytes(), p.name
 
 
 def test_compare_mode_report_keys(tmp_path):

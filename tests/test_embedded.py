@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from driftcal import embedded
 from driftcal.design import Prior
 from driftcal.embedded import (
     FIELD_JITTER,
@@ -18,11 +19,9 @@ from driftcal.embedded import (
     gibbs_sigma2,
     mh_accept,
     posterior_predictive,
-    propose_field_update,
     run_integrated_delta,
-    update_hyperparams,
     _build_knots,
-    _EmbeddedChain,
+    _Chain,
     _hyper_proposal,
 )
 from driftcal.gp import ExactEmulator, KernelParams
@@ -95,18 +94,40 @@ def test_theta_star_exact_addition_at_knots():
 # -- proposals and acceptance ------------------------------------------------
 
 
+def field_chain(data, emu, priors, cfg=None, additive=False, seed=5):
+    """The production chain with drift fields on, theta fixed, decisions by ``embedded``."""
+    cfg = cfg or McmcConfig(iterations=2, burn_in=1, theta0=(0.5,))
+    knots, obs_idx = _build_knots(data, 0)
+    return _Chain(data, emu, priors, cfg, np.random.default_rng(seed), knots, obs_idx,
+                  drift=True, additive=additive, sample_theta=False, store_theta=False,
+                  accept=embedded.mh_accept, gibbs=embedded.gibbs_sigma2)
+
+
 def test_propose_zero_step_is_identity():
-    f = make_field([[0.1], [0.6]], [0.2, -0.3])
-    rng = np.random.default_rng(0)
-    assert np.array_equal(propose_field_update(f, 0.0, rng).values, f.values)
+    data = unit_dataset([[0.1], [0.6]], [0.5, 0.5])
+    chain = field_chain(data, ExactEmulator(lambda row: row[1]), CalibrationPriors(), seed=0)
+    chain.values[0] = np.array([0.2, -0.3])
+    chain._init_parts()
+    chain.adapters["delta:p0"].step = 0.0
+    chain._update_field(0, adapting=False)
+    assert np.array_equal(chain.values[0], [0.2, -0.3])
 
 
-def test_propose_covariance_matches_prior():
-    f = make_field([[0.1], [0.5], [0.9]], [0.0, 0.0, 0.0])
-    rng = np.random.default_rng(1)
-    draws = np.array([propose_field_update(f, 1.0, rng).values for _ in range(100_000)])
+def test_propose_covariance_matches_prior(monkeypatch):
+    # constant emulator and every proposal accepted: the increments are the proposals
+    monkeypatch.setattr(embedded, "mh_accept", lambda new, old, rng: True)
+    data = unit_dataset([[0.1], [0.5], [0.9]], np.zeros(3))
+    emu = ExactEmulator(lambda Q: np.zeros(len(Q)), vectorized=True)
+    chain = field_chain(data, emu, CalibrationPriors(), seed=1)
+    chain.adapters["delta:p0"].step = 1.0
+    draws = np.empty((100_000, 3))
+    for i in range(draws.shape[0]):
+        before = chain.values[0]
+        chain._update_field(0, adapting=False)
+        draws[i] = chain.values[0] - before
     sample_cov = np.cov(draws.T)
-    K = f.prior_cov()
+    h = chain.hypers[0]
+    K = make_field(data.obs_x, np.zeros(3), variance=h[0], lengthscale=h[1]).prior_cov()
     rel = np.linalg.norm(sample_cov - K) / np.linalg.norm(K)
     assert rel < 0.05
 
@@ -267,27 +288,22 @@ def test_tiny_lengthscale_proposal_is_hopeless():
 
 
 def test_hyper_chain_matches_quadrature_conditional():
-    # with knot values pinned at zero the hyper conditional is
+    # the production hyper block with the knot values held at zero samples
     # p(v, l | delta=0) ~ N(0; K(v, l)) p(v) p(l); compare chain means to
     # a dense quadrature of that density
     knots = np.array([[0.1], [0.5], [0.9]])
     vp = Prior.log_normal(math.log(0.05), 0.75)
     lp = Prior.log_normal(math.log(0.3), 0.5)
     priors = CalibrationPriors(field_variance=vp, field_lengthscale=lp)
-    f0 = make_field(knots, np.zeros(3), variance=vp.median(), lengthscale=lp.median())
-    state = ChainState(
-        theta_star=ThetaStar(np.array([0.5]), (f0,)),
-        noise_var=1.0,
-        step_sizes={"hyper:0": 0.5},
-        log_post=0.0,
-    )
-    rng = np.random.default_rng(0)
+    data = unit_dataset(knots, np.zeros(3))
+    chain = field_chain(data, ExactEmulator(lambda row: row[1]), priors, seed=0)
+    chain.adapters["hyper:p0"].step = 0.5
     vs, ls = [], []
     for _ in range(30_000):
-        state = update_hyperparams(state, None, priors, rng)
-        h = state.theta_star.fields[0].hyper
-        vs.append(h.variance_scale)
-        ls.append(h.lengthscales[0])
+        chain._update_hyper(0, adapting=False)
+        vs.append(chain.hypers[0][0])
+        ls.append(chain.hypers[0][1])
+    assert np.array_equal(chain.values[0], np.zeros(3))
     vs = np.array(vs[2000:])
     ls = np.array(ls[2000:])
 
@@ -345,10 +361,7 @@ def test_overflowing_hyper_proposals_are_counted_rejections(additive):
     data, emu, priors, _, _ = gaussian_rig([0.6, 0.45])
     cfg = McmcConfig(iterations=300, burn_in=0, thin=1, chains=1, seed=5,
                      initial_step=1e3, theta0=(0.5,), audit_every=50)
-    knots, obs_idx = _build_knots(data, 0)
-    chain = _EmbeddedChain(data, emu, priors, cfg, np.random.default_rng(5), additive,
-                           knots, obs_idx)
-    out = chain.run()
+    out = field_chain(data, emu, priors, cfg, additive=additive).run()
     blocks = ["hyper:p0"] + (["hyper:eta"] if additive else [])
     for block in blocks:
         assert out["stats"][block].proposed == cfg.iterations

@@ -5,9 +5,19 @@ import pytest
 
 from driftcal.design import Prior
 from driftcal.diagnostics import split_rhat
-from driftcal.embedded import CalibrationPriors, FIELD_JITTER, McmcConfig, posterior_predictive
+from driftcal.embedded import (
+    FIELD_JITTER,
+    CalibrationPriors,
+    ChainState,
+    DiscrepancyField,
+    McmcConfig,
+    ThetaStar,
+    _build_knots,
+    embedded_log_posterior,
+    posterior_predictive,
+)
 from driftcal.gp import ExactEmulator, KernelParams, TrainingSet, fit_gp, optimize_emulator
-from driftcal.koh import KohState, koh_log_posterior, run_koh
+from driftcal.koh import run_koh
 from driftcal.problems import dipole_dataset
 from driftcal.simulators import CalibrationDataset
 
@@ -27,14 +37,16 @@ def unit_dataset(obs_x, obs_y, dtheta=1):
     )
 
 
-def state_for(theta, delta, noise_var, v0=0.04, l0=0.3):
-    hyper = KernelParams(v0, [l0], FIELD_JITTER)
-    return KohState(
-        theta=np.asarray(theta, float),
-        delta_knots=np.asarray(delta, float),
-        eta_params=hyper,
-        delta_params=hyper,
+def state_for(data, theta, delta, noise_var, v0=0.04, l0=0.3):
+    """Baseline state: no drift fields, the discrepancy as the additive field at the knots."""
+    knots, _ = _build_knots(data, 0)
+    eta = DiscrepancyField(knots, np.asarray(delta, float), KernelParams(v0, [l0], FIELD_JITTER))
+    return ChainState(
+        theta_star=ThetaStar(np.asarray(theta, float), ()),
         noise_var=noise_var,
+        step_sizes={},
+        log_post=0.0,
+        eta_field=eta,
     )
 
 
@@ -46,7 +58,7 @@ def test_log_posterior_grid_scan_peaks_at_truth():
     priors = CalibrationPriors()
     grid = np.linspace(0.05, 0.95, 19)
     lp = [
-        koh_log_posterior(state_for([t], np.zeros(3), 0.01), data, emu, priors)
+        embedded_log_posterior(state_for(data, [t], np.zeros(3), 0.01), data, emu, priors)
         for t in grid
     ]
     assert grid[int(np.argmax(lp))] == pytest.approx(truth, abs=0.051)
@@ -56,8 +68,9 @@ def test_log_posterior_hard_support():
     emu = ExactEmulator(lambda row: row[1])
     data = unit_dataset(np.array([[0.5]]), np.array([0.5]))
     priors = CalibrationPriors()
-    assert koh_log_posterior(state_for([1.2], [0.0], 0.01), data, emu, priors) == -math.inf
-    assert koh_log_posterior(state_for([-0.1], [0.0], 0.01), data, emu, priors) == -math.inf
+    for theta in (1.2, -0.1):
+        state = state_for(data, [theta], [0.0], 0.01)
+        assert embedded_log_posterior(state, data, emu, priors) == -math.inf
 
 
 def test_log_posterior_noise_normalization():
@@ -67,7 +80,7 @@ def test_log_posterior_noise_normalization():
     priors = CalibrationPriors()
 
     def loglik(nv):
-        lp = koh_log_posterior(state_for([0.5], np.zeros(2), nv), data, emu, priors)
+        lp = embedded_log_posterior(state_for(data, [0.5], np.zeros(2), nv), data, emu, priors)
         return lp - priors.noise.logpdf(nv)
 
     assert loglik(0.02) < loglik(0.01)  # doubling sigma^2 on zero residuals hurts
