@@ -5,8 +5,10 @@ Subcommands: ``generate`` (write a synthetic dataset), ``fit-emulator``
 config), ``compare`` (run the embedded calibrator and the baseline, both on
 the one sampler engine, and report the benchmark), and ``report``
 (recompute metrics from an existing run directory's emitted files).
-``--seed`` and ``--out`` override the config; the environment variable
-``DRIFTCAL_THREADS`` caps chain-level parallelism for every calibrator.
+``--seed`` and ``--out`` override the config's ``seed`` and ``out_dir``
+keys, and a subcommand other than ``calibrate`` its ``mode``; the config is
+parsed with these values in place, so ``config_echo.json`` records the run
+that was made.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from .config import ConfigError, parse_config
 from .runner import StageError, orchestrate, recompute_report
@@ -22,22 +23,10 @@ from .runner import StageError, orchestrate, recompute_report
 
 def _load_config(args, forced_mode: str | None):
     with open(args.config) as fh:
-        config = parse_config(fh.read())
-    if forced_mode is not None and config.mode != forced_mode:
-        config = replace(config, mode=forced_mode)
-    if args.seed is not None:
-        config = replace(
-            config,
-            seed=args.seed,
-            mcmc=replace(config.mcmc, seed=args.seed),
-            koh_mcmc=(
-                replace(config.koh_mcmc, seed=args.seed + 1_000_003)
-                if config.koh_mcmc is not None else None
-            ),
-        )
-    if args.out is not None:
-        config = replace(config, out_dir=args.out)
-    return config
+        raw = parse_config(fh.read()).raw
+    overrides = {"mode": forced_mode, "seed": args.seed, "out_dir": args.out}
+    raw.update({key: val for key, val in overrides.items() if val is not None})
+    return parse_config(json.dumps(raw))
 
 
 def _cmd_run(args, forced_mode: str | None) -> int:

@@ -73,7 +73,11 @@ class SyntheticSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully validated run configuration with defaults filled in."""
+    """Fully validated run configuration with defaults filled in.
+
+    The top-level ``theta0`` and ``grid_points`` keys are stored in ``mcmc``
+    and ``koh_mcmc``.
+    """
 
     mode: str
     out_dir: str
@@ -82,10 +86,8 @@ class RunConfig:
     synthetic: SyntheticSpec | None
     emulator: EmulatorSettings
     priors: CalibrationPriors
-    theta0: tuple[float, ...] | None
     mcmc: McmcConfig
     koh_mcmc: McmcConfig | None
-    grid_points: int = 101
     trajectories: int = 20
     predictive_draws: int = 2000
     raw: dict = field(default_factory=dict, repr=False)
@@ -416,10 +418,8 @@ def parse_config(text: str) -> RunConfig:
         synthetic=synthetic,
         emulator=emulator,
         priors=priors,
-        theta0=theta0,
         mcmc=mcmc,
         koh_mcmc=koh_mcmc,
-        grid_points=grid_points,
         trajectories=trajectories,
         predictive_draws=predictive_draws,
         raw=raw,

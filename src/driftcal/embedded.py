@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -85,18 +83,13 @@ def gaussian_loglik(resid: np.ndarray, var: np.ndarray) -> float:
 
 
 def _predict_std(emulator, Q: np.ndarray):
-    """Emulator mean/variance on its standardized target scale."""
+    """Mean/variance of a ``GPModel`` or ``ExactEmulator`` on its standardized target scale."""
     if isinstance(emulator, gp.GPModel):
         # looked up at call time, so a rebound gp.predict_standardized is used
         mean, var, _ = gp.predict_standardized(emulator, Q)
         return mean, var
-    if isinstance(emulator, gp.ExactEmulator):
-        mean = emulator.mean_at(Q)
-        return mean, np.zeros_like(mean)
-    pred = emulator.predict(Q)
-    shift = getattr(emulator, "y_shift", 0.0)
-    scale = getattr(emulator, "y_scale", 1.0)
-    return (pred.mean - shift) / scale, pred.variance / (scale * scale)
+    mean = emulator.mean_at(Q)
+    return mean, np.zeros_like(mean)
 
 
 def _box_distances(Q: np.ndarray) -> np.ndarray:
@@ -200,17 +193,11 @@ class ChainState:
 
     theta_star: ThetaStar
     noise_var: float
-    step_sizes: dict[str, float]
-    log_post: float
-    iteration: int = 0
     eta_field: DiscrepancyField | None = None
 
     def __post_init__(self) -> None:
         if not self.noise_var > 0:
             raise ValueError("noise_var must be positive")
-        for name, s in self.step_sizes.items():
-            if not s > 0:
-                raise ValueError(f"step size for {name!r} must be positive")
 
 
 @dataclass(frozen=True)
@@ -428,8 +415,8 @@ class _Chain:
     prior Cholesky factors are raw arrays (one factorization per
     hyperparameter change) so that per-proposal work is a matrix-vector
     product, an emulator query, and two Gaussian densities.
-    ``sample_theta`` runs the theta block; ``store_theta`` keeps its draws
-    and acceptance rate even when it does not run. Every Metropolis decision
+    ``sample_theta`` runs the theta block; ``store_theta`` keeps its
+    (constant) draws even when it does not run. Every Metropolis decision
     goes through ``accept`` and every noise draw through ``gibbs``.
 
     Sweep order: theta, drift fields, eta, hyperparameters, Gibbs sigma^2.
@@ -480,7 +467,7 @@ class _Chain:
         s0 = priors.noise.mean()
         self.sigma2 = s0 if math.isfinite(s0) else priors.noise.median()
 
-        self.block_names = ["theta"] if sample_theta or store_theta else []
+        self.block_names = ["theta"] if sample_theta else []
         self.block_names += [f"delta:{n}" for n in self.names]
         self.block_names += [f"hyper:{n}" for n in self.names]
         self.adapters = {
@@ -492,7 +479,6 @@ class _Chain:
         self.stats = {n: _BlockStats() for n in self.block_names}
         self.extrap_count = 0
         self.extrap_max = 0.0
-        self.iteration = 0
 
         self._init_parts()
 
@@ -557,9 +543,6 @@ class _Chain:
         return ChainState(
             theta_star=ThetaStar(self.base_theta, fields[: self.n_drift]),
             noise_var=self.sigma2,
-            step_sizes={n: a.step for n, a in self.adapters.items()},
-            log_post=self.total(),
-            iteration=self.iteration,
             eta_field=fields[-1] if self.additive else None,
         )
 
@@ -674,7 +657,6 @@ class _Chain:
 
         stored = 0
         for it in range(cfg.iterations):
-            self.iteration = it
             adapting = it < cfg.burn_in
             if self.sample_theta:
                 self._update_theta(adapting)
@@ -728,34 +710,18 @@ def _build_knots(data: CalibrationDataset, refine: int):
     return knots, obs_idx
 
 
-def _n_workers(chains: int) -> int:
-    try:
-        env = int(os.environ.get("DRIFTCAL_THREADS", "1"))
-    except ValueError:
-        env = 1
-    return max(1, min(env, chains))
-
-
 def _run_chains(data, emulator, priors, config, kind: str, **blocks) -> PosteriorSamples:
-    """Run ``config.chains`` seeded chains of :class:`_Chain` and merge their draws.
+    """Run ``config.chains`` seeded chains of :class:`_Chain` one after another and merge them.
 
-    ``blocks`` are the chain's keyword-only block settings. Each chain gets
-    its own ``SeedSequence`` child, so the result does not depend on how
-    many chains run at once.
+    ``blocks`` are the chain's keyword-only block settings. Each chain draws
+    from its own ``SeedSequence`` child of ``config.seed``.
     """
     knots, obs_idx = _build_knots(data, config.refine_knots)
-    seeds = np.random.SeedSequence(config.seed).spawn(config.chains)
-
-    def one_chain(i: int):
-        rng = np.random.default_rng(seeds[i])
-        return _Chain(data, emulator, priors, config, rng, knots, obs_idx, **blocks).run()
-
-    workers = _n_workers(config.chains)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_chain, range(config.chains)))
-    else:
-        results = [one_chain(i) for i in range(config.chains)]
+    results = [
+        _Chain(data, emulator, priors, config, np.random.default_rng(seed), knots, obs_idx,
+               **blocks).run()
+        for seed in np.random.SeedSequence(config.seed).spawn(config.chains)
+    ]
 
     names = list(results[0]["delta"])
     delta = {n: np.vstack([r["delta"][n] for r in results]) for n in names}

@@ -29,9 +29,10 @@ def run_koh(
     Per iteration: theta random-walk block on the normalized box,
     discrepancy knot block, discrepancy hyperparameter block, conjugate
     Gibbs noise update. Setting ``sample_theta=False`` clamps theta at its
-    initial value. Deterministic for a fixed seed; emits the same sample
-    layout as the embedded calibrator with theta draws always stored and
-    the discrepancy stored under the "eta" key.
+    initial value and leaves "theta" out of the acceptance rates.
+    Deterministic for a fixed seed; emits the same sample layout as the
+    embedded calibrator with theta draws always stored and the discrepancy
+    stored under the "eta" key.
     """
     # this module's mh_accept/gibbs_sigma2 bindings make every decision
     return _run_chains(

@@ -266,9 +266,8 @@ def _run_calibrator(mode: str, ds, emulator, config: RunConfig, mcmc: McmcConfig
 @_stage("predictive")
 def _emit_outputs(samples, emulator, ds, config, sub_dir, outputs) -> None:
     outputs.extend(save_samples(samples, os.path.join(sub_dir, "samples")))
-    grid = np.linspace(0.0, 1.0, config.grid_points)
     outputs.extend(
-        emit_plot_data(samples, grid, sub_dir, emulator,
+        emit_plot_data(samples, samples.grid, sub_dir, emulator,
                        trajectories=config.trajectories,
                        predictive_draws=config.predictive_draws)
     )

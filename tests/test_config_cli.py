@@ -1,13 +1,19 @@
+import inspect
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from driftcal.cli import main
 from driftcal.config import ConfigError, parse_config
+from driftcal.problems import DIPOLE_PARAM_NAMES, dipole_dataset, dipole_problem
 from driftcal.runner import emit_plot_data, orchestrate, recompute_report
 from driftcal.samples import load_samples
+from driftcal.simulators import generate_dataset
+
+HEADLINE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "dipole_compare.json"
 
 
 def base_config(out_dir="out", mode="integrated_delta", **extra):
@@ -54,7 +60,34 @@ def test_minimal_config_fills_defaults():
     assert cfg.mcmc.seed == 3
     assert cfg.priors.noise.kind == "inverse_gamma"
     assert cfg.priors.theta is not None and len(cfg.priors.theta) == 3
-    assert cfg.theta0 == (45.0, 0.33, 1.72)  # defaults to the synthetic truth
+    assert cfg.mcmc.theta0 == (45.0, 0.33, 1.72)  # defaults to the synthetic truth
+
+
+def test_headline_config_spells_the_dipole_problem_of_problems_module():
+    cfg = parse_config(HEADLINE_CONFIG.read_text())
+    spec = cfg.synthetic
+    sim, design, truth = dipole_problem(seed=cfg.seed)
+    defaults = inspect.signature(dipole_dataset).parameters
+    assert spec.build_simulator() == sim
+    assert spec.domain_bounds == design.domain_bounds
+    assert spec.theta_priors == design.theta_priors
+    assert np.array_equal(spec.truth.theta0, truth.theta0)
+    assert spec.truth.drifts == truth.drifts
+    assert spec.n_sim == design.n_samples == defaults["n_sim"].default
+    assert spec.n_obs == defaults["n_obs"].default
+    assert spec.noise_sd == defaults["noise_sd"].default
+    assert spec.param_names == DIPOLE_PARAM_NAMES
+    assert spec.design_spec(cfg.seed) == design
+
+    from_config = generate_dataset(
+        spec.build_simulator(), spec.design_spec(cfg.seed), spec.truth,
+        noise_sd=spec.noise_sd, seed=cfg.seed, n_obs=spec.n_obs, param_names=spec.param_names,
+    )
+    from_module = dipole_dataset(seed=cfg.seed)
+    for name in ("obs_x", "obs_y", "sim_x", "sim_theta", "sim_y"):
+        assert np.array_equal(getattr(from_config, name), getattr(from_module, name)), name
+    for name in ("domain_bounds", "theta_bounds", "noise_sd", "param_names"):
+        assert getattr(from_config, name) == getattr(from_module, name), name
 
 
 def test_every_cli_mode_parses_from_a_config_file():
@@ -200,14 +233,21 @@ def test_emit_plot_data_guards(tmp_path):
 def test_rerun_from_echoed_config_reproduces_outputs(tmp_path):
     raw = base_config(out_dir=str(tmp_path / "first"))
     orchestrate(parse_config(json.dumps(raw)))
-    echoed = json.loads((tmp_path / "first" / "config_echo.json").read_text())
-    echoed["out_dir"] = str(tmp_path / "second")
-    orchestrate(parse_config(json.dumps(echoed)))
-    for name in ("dataset.csv", "predictive.csv", "predictive_obs.csv",
-                 "samples/sigma2.csv", "samples/delta_mu.csv", "report.json"):
-        a = (tmp_path / "first" / name).read_bytes()
-        b = (tmp_path / "second" / name).read_bytes()
-        assert a == b, name
+    # the echo of a CLI run records the overridden seed and out_dir
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(out_dir=str(tmp_path / "unused"))))
+    assert main(["calibrate", "--config", str(cfg_path), "--seed", "7",
+                 "--out", str(tmp_path / "cli")]) == 0
+    for first in ("first", "cli"):
+        echoed = json.loads((tmp_path / first / "config_echo.json").read_text())
+        assert echoed["out_dir"] == str(tmp_path / first)
+        echoed["out_dir"] = str(tmp_path / f"{first}_rerun")
+        orchestrate(parse_config(json.dumps(echoed)))
+        for name in ("dataset.csv", "predictive.csv", "predictive_obs.csv",
+                     "samples/sigma2.csv", "samples/delta_mu.csv", "report.json"):
+            a = (tmp_path / first / name).read_bytes()
+            b = (tmp_path / f"{first}_rerun" / name).read_bytes()
+            assert a == b, (first, name)
 
 
 def test_cli_fit_emulator_subcommand(tmp_path, capsys):
@@ -229,20 +269,6 @@ def test_cli_seed_override_changes_outputs(tmp_path):
                    delimiter=",", comments="#")
     b = np.loadtxt(tmp_path / "b" / "samples" / "sigma2.csv", delimiter=",", comments="#")
     assert not np.array_equal(a, b)
-
-
-@pytest.mark.parametrize("mode", ["koh", "integrated_delta", "combined"])
-def test_chain_thread_pool_matches_sequential(tmp_path, monkeypatch, mode):
-    orchestrate(parse_config(json.dumps(base_config(out_dir=str(tmp_path / "seq"), mode=mode))))
-    monkeypatch.setenv("DRIFTCAL_THREADS", "2")
-    orchestrate(parse_config(json.dumps(base_config(out_dir=str(tmp_path / "par"), mode=mode))))
-    seq = sorted((tmp_path / "seq" / "samples").glob("*.csv"))
-    assert seq
-    assert [p.name for p in seq] == [
-        p.name for p in sorted((tmp_path / "par" / "samples").glob("*.csv"))
-    ]
-    for p in seq:
-        assert p.read_bytes() == (tmp_path / "par" / "samples" / p.name).read_bytes(), p.name
 
 
 def test_compare_mode_report_keys(tmp_path):

@@ -190,8 +190,6 @@ def offset_state(knots, offset, noise_var=0.01, base=0.5):
     return ChainState(
         theta_star=ThetaStar(np.array([base]), (f,)),
         noise_var=noise_var,
-        step_sizes={"delta:0": 0.1},
-        log_post=0.0,
     )
 
 
@@ -226,8 +224,6 @@ def test_log_posterior_change_matches_direct_evaluation():
         return ChainState(
             theta_star=ThetaStar(np.array([0.5]), (f,)),
             noise_var=noise,
-            step_sizes={"delta:0": 0.1},
-            log_post=0.0,
         )
 
     def direct_loglik(v):

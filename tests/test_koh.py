@@ -44,8 +44,6 @@ def state_for(data, theta, delta, noise_var, v0=0.04, l0=0.3):
     return ChainState(
         theta_star=ThetaStar(np.asarray(theta, float), ()),
         noise_var=noise_var,
-        step_sizes={},
-        log_post=0.0,
         eta_field=eta,
     )
 
@@ -179,3 +177,4 @@ def test_koh_theta_clamped_when_disabled():
                      sample_theta=False, theta0=(0.42,), audit_every=100)
     samples = run_koh(data, emu, CalibrationPriors(), cfg)
     assert np.all(samples.theta_draws == 0.42)
+    assert "theta" not in samples.acceptance_rates  # the block never ran
