@@ -23,9 +23,14 @@ from .runner import StageError, orchestrate, recompute_report
 
 def _load_config(args, forced_mode: str | None):
     with open(args.config) as fh:
-        raw = parse_config(fh.read()).raw
-    overrides = {"mode": forced_mode, "seed": args.seed, "out_dir": args.out}
-    raw.update({key: val for key, val in overrides.items() if val is not None})
+        text = fh.read()
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError:
+        return parse_config(text)  # reports the invalid JSON
+    if isinstance(raw, dict):
+        overrides = {"mode": forced_mode, "seed": args.seed, "out_dir": args.out}
+        raw.update({key: val for key, val in overrides.items() if val is not None})
     return parse_config(json.dumps(raw))
 
 

@@ -152,7 +152,7 @@ class _Checker:
 
 _MCMC_KEYS = {
     "iterations", "burn_in", "thin", "chains", "adapt_target", "initial_step",
-    "sample_hyper", "sample_sigma2", "sample_theta", "refine_knots", "audit_every",
+    "sample_hyper", "sample_sigma2", "sample_theta", "audit_every",
 }
 
 
@@ -178,15 +178,14 @@ def _parse_mcmc(chk: _Checker, obj: dict, path: str, seed: int,
     if sample_theta is not None and not isinstance(sample_theta, bool):
         chk.fail(f"{path}.sample_theta", f"expected true/false/null, got {sample_theta!r}")
         sample_theta = None
-    refine_knots = chk.integer(obj, "refine_knots", path, default=0, minimum=0)
     audit_every = chk.integer(obj, "audit_every", path, default=1000, minimum=0)
     try:
         return McmcConfig(
             iterations=iterations, burn_in=burn_in, thin=thin, chains=chains,
             seed=seed, adapt_target=adapt_target, initial_step=initial_step,
             sample_hyper=sample_hyper, sample_sigma2=sample_sigma2,
-            sample_theta=sample_theta, theta0=theta0, refine_knots=refine_knots,
-            audit_every=audit_every, grid_points=grid_points,
+            sample_theta=sample_theta, theta0=theta0, audit_every=audit_every,
+            grid_points=grid_points,
         )
     except ValueError as exc:
         chk.fail(path, str(exc))

@@ -23,7 +23,13 @@ __all__ = [
 _LOG_2PI = math.log(2.0 * math.pi)
 _PPF_CLIP = 1e-15
 
-_KINDS = ("uniform", "normal", "inverse_gamma", "log_normal")
+# the named parameters (p1, p2) of each prior kind, as configs spell them
+_PARAM_NAMES = {
+    "uniform": ("lo", "hi"),
+    "normal": ("mean", "sd"),
+    "inverse_gamma": ("shape", "scale"),
+    "log_normal": ("mu", "sigma"),
+}
 
 
 @dataclass(frozen=True)
@@ -41,7 +47,7 @@ class Prior:
     def __post_init__(self) -> None:
         object.__setattr__(self, "p1", float(self.p1))
         object.__setattr__(self, "p2", float(self.p2))
-        if self.kind not in _KINDS:
+        if self.kind not in _PARAM_NAMES:
             raise ValueError(f"unknown prior kind {self.kind!r}")
         if not (math.isfinite(self.p1) and math.isfinite(self.p2)):
             raise ValueError("prior parameters must be finite")
@@ -141,31 +147,14 @@ class Prior:
     def median(self) -> float:
         return float(self.ppf(0.5))
 
-    def support(self) -> tuple[float, float]:
-        if self.kind == "uniform":
-            return (self.p1, self.p2)
-        if self.kind == "normal":
-            return (-math.inf, math.inf)
-        return (0.0, math.inf)
-
     def to_dict(self) -> dict:
-        names = {
-            "uniform": ("lo", "hi"),
-            "normal": ("mean", "sd"),
-            "inverse_gamma": ("shape", "scale"),
-            "log_normal": ("mu", "sigma"),
-        }[self.kind]
+        names = _PARAM_NAMES[self.kind]
         return {"kind": self.kind, names[0]: self.p1, names[1]: self.p2}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Prior":
         kind = d.get("kind")
-        names = {
-            "uniform": ("lo", "hi"),
-            "normal": ("mean", "sd"),
-            "inverse_gamma": ("shape", "scale"),
-            "log_normal": ("mu", "sigma"),
-        }.get(kind)
+        names = _PARAM_NAMES.get(kind)
         if names is None:
             raise ValueError(f"unknown prior kind {kind!r}")
         missing = [n for n in names if n not in d]
@@ -233,8 +222,7 @@ def scale_design(unit: np.ndarray, spec: DesignSpec) -> np.ndarray:
     if U.shape[1] != d:
         raise ValueError(f"design has {U.shape[1]} columns, spec expects {d}")
     out = np.empty_like(U)
-    for j, (lo, hi) in enumerate(spec.domain_bounds):
-        out[:, j] = lo + U[:, j] * (hi - lo)
+    out[:, : spec.dx] = from_unit(U[:, : spec.dx], spec.domain_bounds)
     for k, prior in enumerate(spec.theta_priors):
         out[:, spec.dx + k] = prior.ppf(U[:, spec.dx + k])
     return out
@@ -244,16 +232,23 @@ def unscale_design(physical: np.ndarray, spec: DesignSpec) -> np.ndarray:
     """Inverse of :func:`scale_design` through the stored bounds and prior CDFs."""
     P = np.atleast_2d(np.asarray(physical, dtype=float))
     out = np.empty_like(P)
-    for j, (lo, hi) in enumerate(spec.domain_bounds):
-        out[:, j] = (P[:, j] - lo) / (hi - lo)
+    out[:, : spec.dx] = to_unit(P[:, : spec.dx], spec.domain_bounds)
     for k, prior in enumerate(spec.theta_priors):
         out[:, spec.dx + k] = prior.cdf(P[:, spec.dx + k])
     return out
 
 
+def _columns(values, bounds) -> np.ndarray:
+    """``values`` as a float matrix, checked to have one column per (lo, hi) bound."""
+    V = np.atleast_2d(np.asarray(values, dtype=float))
+    if V.shape[1] != len(bounds):
+        raise ValueError(f"{V.shape[1]} columns for {len(bounds)} (lo, hi) bounds")
+    return V
+
+
 def to_unit(values, bounds) -> np.ndarray:
     """Affine map of physical columns onto [0, 1] using per-column (lo, hi) bounds."""
-    V = np.atleast_2d(np.asarray(values, dtype=float))
+    V = _columns(values, bounds)
     out = np.empty_like(V)
     for j, (lo, hi) in enumerate(bounds):
         out[:, j] = (V[:, j] - lo) / (hi - lo)
@@ -262,7 +257,7 @@ def to_unit(values, bounds) -> np.ndarray:
 
 def from_unit(unit, bounds) -> np.ndarray:
     """Inverse of :func:`to_unit`."""
-    U = np.atleast_2d(np.asarray(unit, dtype=float))
+    U = _columns(unit, bounds)
     out = np.empty_like(U)
     for j, (lo, hi) in enumerate(bounds):
         out[:, j] = lo + U[:, j] * (hi - lo)

@@ -130,35 +130,19 @@ class DiscrepancyField:
         if not np.all(np.isfinite(v)):
             raise ValueError("field values must be finite")
 
-    @property
-    def n_knots(self) -> int:
-        return int(self.values.size)
-
     def prior_cov(self) -> np.ndarray:
         return build_covariance(self.knots, None, replace(self.hyper, nugget=FIELD_JITTER))
 
-    def prior_chol(self) -> np.ndarray:
-        return _chol(self.prior_cov())
-
     def log_prior(self) -> float:
         """Zero-mean GP prior log-density of the knot values."""
-        return _mvn_logpdf_zero(self.values, self.prior_chol())
+        L = _knot_chol(_se_diff(self.knots, self.knots), _hyper_vector(self.hyper))
+        return _mvn_logpdf_zero(self.values, L)
 
     def conditional(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Noise-free conditional mean and variance of the field at ``x``."""
-        X = _as_matrix(x)
-        L = self.prior_chol()
-        kxk = build_covariance(X, self.knots, replace(self.hyper, nugget=0.0))
-        mean = kxk @ _cho_solve(L, self.values)
-        v = _solve_lower(L, kxk.T)
-        var = np.maximum(self.hyper.variance_scale - np.einsum("ij,ij->j", v, v), 0.0)
-        rows, cols = _exact_matches(X, self.knots)
-        mean[rows] = self.values[cols]
-        var[rows] = 0.0
-        return mean, var
-
-    def conditional_mean(self, x) -> np.ndarray:
-        return self.conditional(x)[0]
+        means, vars_ = _conditional_curves(self.knots, _as_matrix(x), self.values[None, :],
+                                           _hyper_vector(self.hyper)[None, :])
+        return means[0], vars_[0]
 
 
 @dataclass(frozen=True)
@@ -183,7 +167,7 @@ class ThetaStar:
         x = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
         out = self.base_theta.copy()
         for k, f in enumerate(self.fields):
-            out[k] += float(f.conditional_mean(x)[0])
+            out[k] += float(f.conditional(x)[0][0])
         return out
 
 
@@ -240,7 +224,6 @@ class McmcConfig:
     # stays at its initial estimate), True for the baseline.
     sample_theta: bool | None = None
     theta0: tuple[float, ...] | None = None
-    refine_knots: int = 0
     audit_every: int = 1000
     grid_points: int = 101
 
@@ -355,14 +338,12 @@ def embedded_log_posterior(
         log.warning("emulator returned non-finite output; state rejected")
         return -math.inf
 
-    shift = getattr(emulator, "y_shift", 0.0)
-    scale = getattr(emulator, "y_scale", 1.0)
-    y_std = (data.obs_y - shift) / scale
+    y_std = (data.obs_y - emulator.y_shift) / emulator.y_scale
     fields = [(f, priors.field_variance, priors.field_lengthscale)
               for f in state.theta_star.fields]
     eta_at_obs = 0.0
     if state.eta_field is not None:
-        eta_at_obs = state.eta_field.conditional_mean(x_unit)
+        eta_at_obs = state.eta_field.conditional(x_unit)[0]
         fields.append((state.eta_field, priors.eta_variance, priors.eta_lengthscale))
     total = gaussian_loglik(y_std - mean - eta_at_obs, state.noise_var + var)
     for f, var_prior, len_prior in fields:
@@ -415,16 +396,16 @@ class _Chain:
     prior Cholesky factors are raw arrays (one factorization per
     hyperparameter change) so that per-proposal work is a matrix-vector
     product, an emulator query, and two Gaussian densities.
-    ``sample_theta`` runs the theta block; ``store_theta`` keeps its
-    (constant) draws even when it does not run. Every Metropolis decision
-    goes through ``accept`` and every noise draw through ``gibbs``.
+    ``sample_theta`` runs the theta block; its draws are stored when it runs
+    and, constant, when ``drift`` is off (the baseline). Every Metropolis
+    decision goes through ``accept`` and every noise draw through ``gibbs``.
 
     Sweep order: theta, drift fields, eta, hyperparameters, Gibbs sigma^2.
     """
 
     def __init__(self, data, emulator, priors, config, rng, knots: np.ndarray,
                  obs_idx: np.ndarray, *, drift: bool, additive: bool, sample_theta: bool,
-                 store_theta: bool, accept, gibbs):
+                 accept, gibbs):
         self.data = data
         self.emulator = emulator
         self.priors = priors
@@ -434,14 +415,12 @@ class _Chain:
         self.obs_idx = obs_idx
         self.additive = additive
         self.sample_theta = sample_theta
-        self.store_theta = store_theta
+        self.record_theta = sample_theta or not drift
         self.accept = accept
         self.gibbs = gibbs
 
         self.x_obs_unit = data.obs_x_unit()
-        shift = getattr(emulator, "y_shift", 0.0)
-        scale = getattr(emulator, "y_scale", 1.0)
-        self.y_std = (data.obs_y - shift) / scale
+        self.y_std = (data.obs_y - emulator.y_shift) / emulator.y_scale
         self.dtheta = data.dtheta
         self.n_drift = self.dtheta if drift else 0
         self.names = list(data.param_names[: self.n_drift]) + (["eta"] if additive else [])
@@ -653,7 +632,7 @@ class _Chain:
         out_delta = {n: np.empty((n_stored, K)) for n in self.names}
         out_hyper = {n: np.empty((n_stored, 1 + dx)) for n in self.names}
         out_sigma2 = np.empty(n_stored)
-        out_theta = np.empty((n_stored, self.dtheta)) if self.store_theta else None
+        out_theta = np.empty((n_stored, self.dtheta)) if self.record_theta else None
 
         stored = 0
         for it in range(cfg.iterations):
@@ -691,19 +670,10 @@ class _Chain:
         }
 
 
-def _build_knots(data: CalibrationDataset, refine: int):
-    """Knots at the (deduplicated) observation inputs plus an optional uniform grid."""
+def _build_knots(data: CalibrationDataset):
+    """Knots at the deduplicated observation inputs, and each observation's knot index."""
     x_unit = data.obs_x_unit()
     knots = np.unique(x_unit, axis=0)
-    if refine > 0:
-        if data.dx != 1:
-            raise ValueError("knot grid refinement requires a 1-D domain")
-        grid = np.linspace(0.0, 1.0, refine)[:, None]
-        extra = [g for g in grid if np.min(np.abs(knots[:, 0] - g[0])) > 1e-9]
-        if extra:
-            knots = np.vstack([knots, np.array(extra)])
-        order = np.lexsort(knots.T[::-1])
-        knots = knots[order]
     obs_idx = np.empty(x_unit.shape[0], dtype=int)
     for i, row in enumerate(x_unit):
         obs_idx[i] = int(np.where(np.all(knots == row, axis=1))[0][0])
@@ -714,9 +684,19 @@ def _run_chains(data, emulator, priors, config, kind: str, **blocks) -> Posterio
     """Run ``config.chains`` seeded chains of :class:`_Chain` one after another and merge them.
 
     ``blocks`` are the chain's keyword-only block settings. Each chain draws
-    from its own ``SeedSequence`` child of ``config.seed``.
+    from its own ``SeedSequence`` child of ``config.seed``. Raises when the
+    theta priors or ``config.theta0`` do not give one entry per parameter.
     """
-    knots, obs_idx = _build_knots(data, config.refine_knots)
+    if priors.theta is not None and len(priors.theta) != data.dtheta:
+        raise ValueError(
+            f"{len(priors.theta)} theta priors for a dataset with "
+            f"{data.dtheta} calibration parameters"
+        )
+    if config.theta0 is not None and len(config.theta0) != data.dtheta:
+        raise ValueError(
+            f"theta0 has {len(config.theta0)} entries, dataset has {data.dtheta} parameters"
+        )
+    knots, obs_idx = _build_knots(data)
     results = [
         _Chain(data, emulator, priors, config, np.random.default_rng(seed), knots, obs_idx,
                **blocks).run()
@@ -749,8 +729,8 @@ def _run_chains(data, emulator, priors, config, kind: str, **blocks) -> Posterio
         chains=config.chains,
         domain_bounds=data.domain_bounds,
         theta_bounds=data.theta_bounds,
-        y_shift=float(getattr(emulator, "y_shift", 0.0)),
-        y_scale=float(getattr(emulator, "y_scale", 1.0)),
+        y_shift=float(emulator.y_shift),
+        y_scale=float(emulator.y_scale),
         grid=np.linspace(0.0, 1.0, config.grid_points),
         extrapolation_count=sum(r["extrap_count"] for r in results),
         extrapolation_max_distance=max(r["extrap_max"] for r in results),
@@ -816,8 +796,7 @@ def _run_embedded(data, emulator, priors, config, kind: str, additive: bool) -> 
     """The drift-field calibrators: theta is sampled and stored only when configured."""
     theta = bool(config.sample_theta)
     return _run_chains(data, emulator, priors, config, kind, drift=True, additive=additive,
-                       sample_theta=theta, store_theta=theta, accept=mh_accept,
-                       gibbs=gibbs_sigma2)
+                       sample_theta=theta, accept=mh_accept, gibbs=gibbs_sigma2)
 
 
 def _draw_subset(n_draws: int, max_draws: int | None) -> np.ndarray:
@@ -895,23 +874,15 @@ def posterior_predictive(
         X = X.T if X.shape[0] == len(samples.domain_bounds) else X
     x_unit = to_unit(X, samples.domain_bounds)
     G = x_unit.shape[0]
-    dtheta = len(samples.theta_bounds)
 
-    field_names = [n for n in samples.param_names if n in samples.delta_draws]
-    drift = {
+    # drift fields shift theta, the additive "eta" field adds to the mean
+    curves = {
         name: _conditional_curves(
             samples.knots, x_unit, samples.delta_draws[name][sel],
             samples.hyper_draws[name][sel],
         )[0]
-        for name in field_names
+        for name in samples.delta_draws
     }
-    eta_curves = None
-    if "eta" in samples.delta_draws:
-        eta_curves = _conditional_curves(
-            samples.knots, x_unit, samples.delta_draws["eta"][sel],
-            samples.hyper_draws["eta"][sel],
-        )[0]
-
     means = np.empty((sel.size, G))
     vars_ = np.empty((sel.size, G))
     for j, t in enumerate(sel):
@@ -919,13 +890,11 @@ def posterior_predictive(
             theta = np.tile(samples.theta_draws[t], (G, 1))
         else:
             theta = np.tile(samples.base_theta, (G, 1))
-        for k, name in enumerate(field_names):
-            theta[:, k] += drift[name][j]
-        Q = np.hstack([x_unit, theta]) if dtheta else x_unit
-        m, v = _predict_std(emulator, Q)
-        if eta_curves is not None:
-            m = m + eta_curves[j]
-        means[j] = m
+        for k, name in enumerate(samples.param_names):
+            if name in curves:
+                theta[:, k] += curves[name][j]
+        m, v = _predict_std(emulator, np.hstack([x_unit, theta]))
+        means[j] = m + curves["eta"][j] if "eta" in curves else m
         vars_[j] = v + samples.sigma2_draws[t]
 
     mean_std = means.mean(axis=0)

@@ -150,9 +150,6 @@ class TrainingSet:
     def dim(self) -> int:
         return int(self.inputs.shape[1])
 
-    def standardize(self, y) -> np.ndarray:
-        return (np.asarray(y, dtype=float) - self.shift) / self.scale
-
     def destandardize(self, z) -> np.ndarray:
         return self.shift + self.scale * np.asarray(z, dtype=float)
 

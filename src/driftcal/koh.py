@@ -31,12 +31,12 @@ def run_koh(
     Gibbs noise update. Setting ``sample_theta=False`` clamps theta at its
     initial value and leaves "theta" out of the acceptance rates.
     Deterministic for a fixed seed; emits the same sample layout as the
-    embedded calibrator with theta draws always stored and the discrepancy
-    stored under the "eta" key.
+    embedded calibrator with theta draws always stored (the engine stores
+    them whenever the drift fields are off) and the discrepancy under "eta".
     """
     # this module's mh_accept/gibbs_sigma2 bindings make every decision
     return _run_chains(
         data, emulator, priors, mcmc_config, "koh", drift=False, additive=True,
-        sample_theta=mcmc_config.sample_theta is not False, store_theta=True,
+        sample_theta=mcmc_config.sample_theta is not False,
         accept=mh_accept, gibbs=gibbs_sigma2,
     )

@@ -153,13 +153,10 @@ def emit_plot_data(samples: PosteriorSamples, grid: np.ndarray, out_dir, emulato
     os.makedirs(out_dir, exist_ok=True)
     written: list[str] = []
 
-    x_phys = from_unit(grid[:, None], samples.domain_bounds)[:, 0]
-    pred = posterior_predictive(
-        samples, emulator, from_unit(grid[:, None], samples.domain_bounds),
-        max_draws=predictive_draws,
-    )
+    x_phys = from_unit(grid[:, None], samples.domain_bounds)
+    pred = posterior_predictive(samples, emulator, x_phys, max_draws=predictive_draws)
     table = np.column_stack([
-        x_phys, grid, pred.mean, pred.sd,
+        x_phys[:, 0], grid, pred.mean, pred.sd,
         pred.mean - pred.sd, pred.mean + pred.sd,
         pred.mean - 2 * pred.sd, pred.mean + 2 * pred.sd,
     ])
@@ -251,15 +248,6 @@ _RUNNERS = {
 
 @_stage("calibration")
 def _run_calibrator(mode: str, ds, emulator, config: RunConfig, mcmc: McmcConfig):
-    if config.priors.theta is not None and len(config.priors.theta) != ds.dtheta:
-        raise ValueError(
-            f"{len(config.priors.theta)} theta priors for a dataset with "
-            f"{ds.dtheta} calibration parameters"
-        )
-    if mcmc.theta0 is not None and len(mcmc.theta0) != ds.dtheta:
-        raise ValueError(
-            f"theta0 has {len(mcmc.theta0)} entries, dataset has {ds.dtheta} parameters"
-        )
     return _RUNNERS[mode](ds, emulator, config.priors, mcmc)
 
 

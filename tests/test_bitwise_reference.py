@@ -7,6 +7,8 @@ dimension-major layout. All must reproduce, bit for bit, the
 formula, which these tests keep as frozen references.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from driftcal.design import Prior
 from driftcal.embedded import (
     FIELD_JITTER,
     CalibrationPriors,
+    DiscrepancyField,
     McmcConfig,
     _build_knots,
     _chol,
@@ -184,6 +187,27 @@ def test_knot_chol_matches_build_covariance_bitwise(n, dx):
         assert np.array_equal(_knot_chol(knot_diff, h), ref_knot_chol(knots)(knot_diff, h))
 
 
+@pytest.mark.parametrize("n", [5, 20])
+@pytest.mark.parametrize("dx", [1, 2])
+def test_field_conditional_and_log_prior_match_build_covariance_bitwise(n, dx):
+    """A field's conditional and prior density, against the formula written with
+    ``build_covariance``, ``_chol`` and the triangular solves."""
+    rng = np.random.default_rng(100 * n + dx)
+    knots = rng.random((n, dx))
+    X = rng.random((30, dx))  # off the knots: the conditional, not the exact overrides
+    for _ in range(20):
+        h = np.exp(rng.normal(0.0, 1.5, 1 + dx))
+        field = DiscrepancyField(knots, rng.normal(0.0, 0.2, n),
+                                 KernelParams(h[0], h[1:], FIELD_JITTER))
+        L = _chol(field.prior_cov())
+        kxk = build_covariance(X, knots, replace(field.hyper, nugget=0.0))
+        s = gp._solve_lower(L, kxk.T)
+        mean, var = field.conditional(X)
+        assert np.array_equal(mean, kxk @ gp._cho_solve(L, field.values))
+        assert np.array_equal(var, np.maximum(h[0] - np.einsum("ij,ij->j", s, s), 0.0))
+        assert field.log_prior() == embedded._mvn_logpdf_zero(field.values, L)
+
+
 def test_duplicate_knots_factor_through_jitter_escalation():
     knots = np.array([[0.2], [0.2], [0.7]])
     K = build_covariance(knots, None, KernelParams(1.0, [0.3]))  # no nugget: singular
@@ -241,7 +265,7 @@ def assert_draws_unchanged_with_reference_helpers(runner, emu, monkeypatch):
                      theta0=(0.5, 0.5), audit_every=100, grid_points=11)
     fast = runner(data, emu, priors, cfg)
 
-    knots, _ = _build_knots(data, 0)
+    knots, _ = _build_knots(data)
     monkeypatch.setattr(embedded, "_knot_chol", ref_knot_chol(knots))
     for mod in (embedded, gp):
         monkeypatch.setattr(mod, "_solve_lower", ref_solve_lower)

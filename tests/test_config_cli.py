@@ -292,6 +292,21 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "configuration errors" in capsys.readouterr().err
 
 
+def test_cli_overrides_apply_before_the_config_is_checked(tmp_path, capsys):
+    raw = json.loads(HEADLINE_CONFIG.read_text())
+    del raw["out_dir"]  # --out supplies it
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "run")]) == 0
+    echoed = json.loads((tmp_path / "run" / "config_echo.json").read_text())
+    assert echoed["out_dir"] == str(tmp_path / "run") and echoed["mode"] == "generate"
+    assert (tmp_path / "run" / "dataset.csv").exists()
+    # a file that is not JSON is still a configuration error
+    cfg_path.write_text("{not json")
+    assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+    assert "invalid JSON" in capsys.readouterr().err
+
+
 def test_cli_missing_dataset_is_stage_error(tmp_path, capsys):
     raw = base_config(out_dir=str(tmp_path / "r"))
     del raw["synthetic"]

@@ -8,7 +8,9 @@ from driftcal.design import (
     Prior,
     latin_hypercube,
     sample_prior,
+    from_unit,
     scale_design,
+    to_unit,
     unscale_design,
 )
 
@@ -106,6 +108,16 @@ def test_scale_design_heavy_tailed_prior_columns():
     assert np.all(np.diff(phys, axis=0) >= 0)
     back = unscale_design(phys, spec)
     assert np.max(np.abs(back - u)) < 1e-9
+
+
+def test_unit_maps_reject_a_column_count_other_than_the_bounds():
+    bounds = ((0.0, 2.0), (1.0, 3.0))
+    for cols in (1, 3):  # too few columns, and one left unfilled
+        for fn in (to_unit, from_unit):
+            with pytest.raises(ValueError, match=f"{cols} columns for 2"):
+                fn(np.ones((4, cols)), bounds)
+    assert np.array_equal(to_unit(np.ones((4, 2)), bounds), np.tile([0.5, 0.0], (4, 1)))
+    assert np.array_equal(from_unit(np.ones((4, 2)), bounds), np.tile([2.0, 3.0], (4, 1)))
 
 
 def test_degenerate_uniform_prior():

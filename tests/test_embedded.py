@@ -97,9 +97,9 @@ def test_theta_star_exact_addition_at_knots():
 def field_chain(data, emu, priors, cfg=None, additive=False, seed=5):
     """The production chain with drift fields on, theta fixed, decisions by ``embedded``."""
     cfg = cfg or McmcConfig(iterations=2, burn_in=1, theta0=(0.5,))
-    knots, obs_idx = _build_knots(data, 0)
+    knots, obs_idx = _build_knots(data)
     return _Chain(data, emu, priors, cfg, np.random.default_rng(seed), knots, obs_idx,
-                  drift=True, additive=additive, sample_theta=False, store_theta=False,
+                  drift=True, additive=additive, sample_theta=False,
                   accept=embedded.mh_accept, gibbs=embedded.gibbs_sigma2)
 
 

@@ -17,6 +17,7 @@ from driftcal.embedded import (
     run_integrated_delta,
 )
 from driftcal.gp import ExactEmulator
+from driftcal.koh import run_koh
 from driftcal.simulators import CalibrationDataset
 
 
@@ -57,9 +58,9 @@ def test_embedded_theta_block_stays_in_the_unit_box():
 # the block settings of run_koh, of the embedded calibrators with theta on,
 # and of run_combined with theta on
 CONFIGURATIONS = {
-    "koh": dict(drift=False, additive=True, sample_theta=True, store_theta=True),
-    "embedded_theta": dict(drift=True, additive=False, sample_theta=True, store_theta=True),
-    "combined": dict(drift=True, additive=True, sample_theta=True, store_theta=True),
+    "koh": dict(drift=False, additive=True, sample_theta=True),
+    "embedded_theta": dict(drift=True, additive=False, sample_theta=True),
+    "combined": dict(drift=True, additive=True, sample_theta=True),
 }
 
 edge = st.one_of(st.floats(0.0, 0.02), st.floats(0.98, 1.0))
@@ -74,7 +75,7 @@ def test_extreme_steps_are_counted_rejections(config, theta0, theta_step, hyper_
     data = edge_dataset(0.4 + 0.3 * np.linspace(0.1, 0.9, 4))
     cfg = McmcConfig(iterations=40, burn_in=10, thin=1, chains=1, seed=seed,
                      theta0=theta0, audit_every=5)
-    knots, obs_idx = _build_knots(data, 0)
+    knots, obs_idx = _build_knots(data)
     chain = _Chain(data, EMULATOR, PRIORS, cfg, np.random.default_rng(seed), knots, obs_idx,
                    accept=embedded.mh_accept, gibbs=embedded.gibbs_sigma2,
                    **CONFIGURATIONS[config])
@@ -94,3 +95,16 @@ def test_extreme_steps_are_counted_rejections(config, theta0, theta_step, hyper_
     if out["theta"] is not None:
         assert np.all((out["theta"] >= 0.0) & (out["theta"] <= 1.0))
     assert math.isfinite(chain.total())
+
+
+@pytest.mark.parametrize("calibrator", [run_integrated_delta, run_koh])
+@pytest.mark.parametrize("n", [1, 3])
+def test_theta_inputs_must_match_the_parameter_count(calibrator, n):
+    # the dataset has 2 parameters: one entry too few, or one too many
+    data = edge_dataset(0.4 + 0.3 * np.linspace(0.1, 0.9, 4))
+    cfg = McmcConfig(iterations=4, burn_in=2, thin=1, chains=1, theta0=(0.5, 0.5))
+    priors = CalibrationPriors(noise=PRIORS.noise, theta=(Prior.uniform(0.0, 1.0),) * n)
+    with pytest.raises(ValueError, match=f"{n} theta priors for a dataset with 2"):
+        calibrator(data, EMULATOR, priors, cfg)
+    with pytest.raises(ValueError, match=f"theta0 has {n} entries, dataset has 2"):
+        calibrator(data, EMULATOR, PRIORS, McmcConfig(iterations=4, burn_in=2, theta0=(0.5,) * n))
