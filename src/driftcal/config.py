@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .design import DesignSpec, Prior
-from .embedded import CalibrationPriors, McmcConfig
+from .embedded import SUMMARY_MAX_DRAWS, CalibrationPriors, McmcConfig
 from .simulators import AnalyticDipole, DriftFunction, DriftTestbed, DriftTruth
 
 __all__ = ["ConfigError", "RunConfig", "SyntheticSpec", "EmulatorSettings", "parse_config"]
@@ -44,10 +44,10 @@ class SyntheticSpec:
     simulator: dict
     domain_bounds: tuple[tuple[float, float], ...]
     theta_priors: tuple[Prior, ...]
-    n_sim: int
-    n_obs: int
-    noise_sd: float
     truth: DriftTruth
+    n_sim: int = 43
+    n_obs: int = 5
+    noise_sd: float = 0.0
     param_names: tuple[str, ...] = ()
 
     def build_simulator(self):
@@ -89,8 +89,46 @@ class RunConfig:
     mcmc: McmcConfig
     koh_mcmc: McmcConfig | None
     trajectories: int = 20
-    predictive_draws: int = 2000
+    predictive_draws: int = SUMMARY_MAX_DRAWS
     raw: dict = field(default_factory=dict, repr=False)
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _number(minimum=None, above=None, integer=False):
+    """A check that a value is a number (an integer if ``integer``), >= ``minimum``, > ``above``.
+
+    The check returns an error message, or None when the value passes.
+    """
+    def check(val):
+        if not isinstance(val, int if integer else (int, float)) or isinstance(val, bool):
+            return f"expected {'an integer' if integer else 'a number'}, got {val!r}"
+        if minimum is not None and val < minimum:
+            return f"must be >= {minimum}, got {val}"
+        if above is not None and val <= above:
+            return f"must be > {above}, got {val}"
+        return None
+    return check
+
+
+def _integer(minimum=None):
+    return _number(minimum, integer=True)
+
+
+def _boolean(val):
+    return None if isinstance(val, bool) else f"expected true/false, got {val!r}"
+
+
+def _boolean_or_null(val):
+    if val is None or isinstance(val, bool):
+        return None
+    return f"expected true/false/null, got {val!r}"
+
+
+def _is_number_list(val) -> bool:
+    return isinstance(val, list) and all(isinstance(v, (int, float)) for v in val)
 
 
 class _Checker:
@@ -100,44 +138,43 @@ class _Checker:
     def fail(self, path: str, msg: str) -> None:
         self.errors.append((path, msg))
 
-    def known_keys(self, obj: dict, allowed: set[str], path: str) -> None:
+    def known_keys(self, obj: dict, allowed, path: str) -> None:
         for key in obj:
             if key not in allowed:
-                self.fail(f"{path}.{key}" if path else key, "unknown key")
+                self.fail(_join(path, key), "unknown key")
 
-    def number(self, obj: dict, key: str, path: str, default=None, minimum=None,
-               strict_min=None):
-        val = obj.get(key, default)
-        if val is None:
-            return None
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            self.fail(f"{path}.{key}", f"expected a number, got {val!r}")
-            return default
-        if minimum is not None and val < minimum:
-            self.fail(f"{path}.{key}", f"must be >= {minimum}, got {val}")
-        if strict_min is not None and val <= strict_min:
-            self.fail(f"{path}.{key}", f"must be > {strict_min}, got {val}")
-        return val
+    def given(self, obj: dict, path: str, checks: dict) -> dict:
+        """The keys of ``checks`` that ``obj`` gives and that pass their check.
 
-    def integer(self, obj: dict, key: str, path: str, default=None, minimum=None):
-        val = obj.get(key, default)
-        if val is None:
-            return None
-        if not isinstance(val, int) or isinstance(val, bool):
-            self.fail(f"{path}.{key}", f"expected an integer, got {val!r}")
-            return default
-        if minimum is not None and val < minimum:
-            self.fail(f"{path}.{key}", f"must be >= {minimum}, got {val}")
-        return val
+        A key that fails is reported with its path and left out, so the
+        dataclass default applies while the remaining errors are collected.
+        """
+        out = {}
+        for key, check in checks.items():
+            if key in obj:
+                msg = check(obj[key])
+                if msg is None:
+                    out[key] = obj[key]
+                else:
+                    self.fail(_join(path, key), msg)
+        return out
 
-    def boolean(self, obj: dict, key: str, path: str, default=None):
-        val = obj.get(key, default)
-        if val is None:
+    def block(self, raw: dict, key: str, checks: dict) -> dict:
+        """The checked settings the optional object ``raw[key]`` gives."""
+        obj = raw.get(key, {})
+        if not isinstance(obj, dict):
+            self.fail(key, "expected an object")
+            return {}
+        self.known_keys(obj, checks, key)
+        return self.given(obj, key, checks)
+
+    def build(self, cls, path: str, **kwargs):
+        """``cls(**kwargs)``, or None with its ValueError reported at ``path``."""
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            self.fail(path, str(exc))
             return None
-        if not isinstance(val, bool):
-            self.fail(f"{path}.{key}", f"expected true/false, got {val!r}")
-            return default
-        return val
 
     def prior(self, spec, path: str) -> Prior | None:
         if not isinstance(spec, dict):
@@ -150,51 +187,27 @@ class _Checker:
             return None
 
 
-_MCMC_KEYS = {
-    "iterations", "burn_in", "thin", "chains", "adapt_target", "initial_step",
-    "sample_hyper", "sample_sigma2", "sample_theta", "audit_every",
+# The keys of each block and their per-key checks. The dataclasses hold the
+# defaults; McmcConfig checks burn_in against iterations and adapt_target.
+_MCMC_CHECKS = {
+    "iterations": _integer(1), "burn_in": _integer(0), "thin": _integer(1),
+    "chains": _integer(1), "adapt_target": _number(),
+    "initial_step": _number(above=0.0), "sample_hyper": _boolean,
+    "sample_sigma2": _boolean, "sample_theta": _boolean_or_null, "audit_every": _integer(0),
 }
-
-
-def _parse_mcmc(chk: _Checker, obj: dict, path: str, seed: int,
-                theta0, grid_points: int) -> McmcConfig:
-    chk.known_keys(obj, _MCMC_KEYS, path)
-    iterations = chk.integer(obj, "iterations", path, default=4000, minimum=1)
-    burn_in = chk.integer(obj, "burn_in", path, default=min(1500, iterations // 2), minimum=0)
-    if iterations is not None and burn_in is not None and burn_in >= iterations:
-        chk.fail(f"{path}.burn_in",
-                 f"burn_in ({burn_in}) must be smaller than iterations ({iterations})")
-        burn_in = iterations // 2
-    thin = chk.integer(obj, "thin", path, default=2, minimum=1)
-    chains = chk.integer(obj, "chains", path, default=2, minimum=1)
-    adapt_target = chk.number(obj, "adapt_target", path, default=0.3, strict_min=0.0)
-    if adapt_target is not None and not 0.0 < adapt_target < 1.0:
-        chk.fail(f"{path}.adapt_target", f"must lie in (0, 1), got {adapt_target}")
-        adapt_target = 0.3
-    initial_step = chk.number(obj, "initial_step", path, default=0.5, strict_min=0.0)
-    sample_hyper = chk.boolean(obj, "sample_hyper", path, default=True)
-    sample_sigma2 = chk.boolean(obj, "sample_sigma2", path, default=True)
-    sample_theta = obj.get("sample_theta", None)
-    if sample_theta is not None and not isinstance(sample_theta, bool):
-        chk.fail(f"{path}.sample_theta", f"expected true/false/null, got {sample_theta!r}")
-        sample_theta = None
-    audit_every = chk.integer(obj, "audit_every", path, default=1000, minimum=0)
-    try:
-        return McmcConfig(
-            iterations=iterations, burn_in=burn_in, thin=thin, chains=chains,
-            seed=seed, adapt_target=adapt_target, initial_step=initial_step,
-            sample_hyper=sample_hyper, sample_sigma2=sample_sigma2,
-            sample_theta=sample_theta, theta0=theta0, audit_every=audit_every,
-            grid_points=grid_points,
-        )
-    except ValueError as exc:
-        chk.fail(path, str(exc))
-        return McmcConfig(seed=seed)
+_EMULATOR_CHECKS = {
+    "init_variance": _number(above=0.0), "init_lengthscale": _number(above=0.0),
+    "nugget": _number(minimum=0.0), "budget": _integer(1),
+}
+_SYNTHETIC_CHECKS = {"n_sim": _integer(2), "n_obs": _integer(1), "noise_sd": _number(minimum=0.0)}
+_SHARED_MCMC_CHECKS = {"grid_points": _integer(1)}  # top-level, for both calibrators
+_RUN_CHECKS = {"trajectories": _integer(0), "predictive_draws": _integer(1)}
+_PRIOR_KEYS = ("field_variance", "field_lengthscale", "eta_variance", "eta_lengthscale", "noise")
 
 
 def _parse_synthetic(chk: _Checker, obj: dict, path: str) -> SyntheticSpec | None:
-    allowed = {"simulator", "domain_bounds", "theta_priors", "param_names",
-               "n_sim", "n_obs", "noise_sd", "truth"}
+    allowed = {"simulator", "domain_bounds", "theta_priors", "param_names", "truth",
+               *_SYNTHETIC_CHECKS}
     chk.known_keys(obj, allowed, path)
     sim = obj.get("simulator")
     if not isinstance(sim, dict) or sim.get("kind") not in ("analytic_dipole", "drift_testbed"):
@@ -221,9 +234,7 @@ def _parse_synthetic(chk: _Checker, obj: dict, path: str) -> SyntheticSpec | Non
             prior = chk.prior(p, f"{path}.theta_priors[{j}]")
             if prior is not None:
                 theta_priors.append(prior)
-    n_sim = chk.integer(obj, "n_sim", path, default=43, minimum=2)
-    n_obs = chk.integer(obj, "n_obs", path, default=5, minimum=1)
-    noise_sd = chk.number(obj, "noise_sd", path, default=0.0, minimum=0.0)
+    settings = chk.given(obj, path, _SYNTHETIC_CHECKS)
 
     truth_raw = obj.get("truth")
     truth = None
@@ -234,8 +245,7 @@ def _parse_synthetic(chk: _Checker, obj: dict, path: str) -> SyntheticSpec | Non
         theta0 = truth_raw.get("theta0")
         drifts_raw = truth_raw.get("drifts")
         ok = True
-        if (not isinstance(theta0, list)
-                or not all(isinstance(v, (int, float)) for v in theta0)):
+        if not _is_number_list(theta0):
             chk.fail(f"{path}.truth.theta0", "required list of numbers")
             ok = False
         if not isinstance(drifts_raw, list):
@@ -249,15 +259,9 @@ def _parse_synthetic(chk: _Checker, obj: dict, path: str) -> SyntheticSpec | Non
                 except (ValueError, TypeError, KeyError) as exc:
                     chk.fail(f"{path}.truth.drifts[{j}]", str(exc))
                     ok = False
-        if ok and len(drifts) != len(theta0):
-            chk.fail(f"{path}.truth.drifts",
-                     f"need one drift per parameter ({len(theta0)}), got {len(drifts)}")
-            ok = False
         if ok:
-            try:
-                truth = DriftTruth(theta0=np.asarray(theta0, float), drifts=tuple(drifts))
-            except ValueError as exc:
-                chk.fail(f"{path}.truth", str(exc))
+            truth = chk.build(DriftTruth, f"{path}.truth",
+                              theta0=np.asarray(theta0, float), drifts=tuple(drifts))
     names = obj.get("param_names", [])
     if names and (not isinstance(names, list) or not all(isinstance(n, str) for n in names)):
         chk.fail(f"{path}.param_names", "expected a list of strings")
@@ -271,31 +275,21 @@ def _parse_synthetic(chk: _Checker, obj: dict, path: str) -> SyntheticSpec | Non
         simulator=sim,
         domain_bounds=tuple(bounds),
         theta_priors=tuple(theta_priors),
-        n_sim=n_sim,
-        n_obs=n_obs,
-        noise_sd=noise_sd,
         truth=truth,
         param_names=tuple(names),
+        **settings,
     )
 
 
 def _parse_priors(chk: _Checker, obj: dict, path: str,
-                  theta_default: tuple[Prior, ...] | None) -> CalibrationPriors:
-    allowed = {"field_variance", "field_lengthscale", "eta_variance",
-               "eta_lengthscale", "noise", "theta"}
-    chk.known_keys(obj, allowed, path)
-    defaults = CalibrationPriors()
-    out = {}
-    for key in ("field_variance", "field_lengthscale", "eta_variance",
-                "eta_lengthscale", "noise"):
+                  theta_default: tuple[Prior, ...] | None) -> CalibrationPriors | None:
+    chk.known_keys(obj, {*_PRIOR_KEYS, "theta"}, path)
+    given = {}
+    for key in _PRIOR_KEYS:
         if key in obj:
             p = chk.prior(obj[key], f"{path}.{key}")
-            out[key] = p if p is not None else getattr(defaults, key)
-        else:
-            out[key] = getattr(defaults, key)
-    if out["noise"].kind != "inverse_gamma":
-        chk.fail(f"{path}.noise", "noise prior must be inverse_gamma")
-        out["noise"] = defaults.noise
+            if p is not None:
+                given[key] = p
     theta = theta_default
     if "theta" in obj:
         raw = obj["theta"]
@@ -305,19 +299,21 @@ def _parse_priors(chk: _Checker, obj: dict, path: str,
             parsed = [chk.prior(p, f"{path}.theta[{j}]") for j, p in enumerate(raw)]
             if all(p is not None for p in parsed):
                 theta = tuple(parsed)
-    return CalibrationPriors(theta=theta, **out)
+    return chk.build(CalibrationPriors, path, theta=theta, **given)
 
 
 _TOP_KEYS = {
     "mode", "out_dir", "seed", "dataset", "synthetic", "emulator", "priors",
-    "theta0", "mcmc", "koh", "grid_points", "trajectories", "predictive_draws",
+    "theta0", "mcmc", "koh", *_SHARED_MCMC_CHECKS, *_RUN_CHECKS,
 }
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON run configuration.
 
-    Raises :class:`ConfigError` listing every violation with its path.
+    Only the settings a config gives are checked and passed on; the
+    dataclasses they configure own every default. Raises
+    :class:`ConfigError` listing every violation with its path.
     """
     chk = _Checker()
     try:
@@ -336,7 +332,7 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(out_dir, str) or not out_dir:
         chk.fail("out_dir", "required non-empty string")
         out_dir = "."
-    seed = chk.integer(raw, "seed", "", default=0)
+    seed = chk.given(raw, "", {"seed": _integer()}).get("seed", 0)
 
     dataset_path = raw.get("dataset")
     if dataset_path is not None and not isinstance(dataset_path, str):
@@ -355,21 +351,7 @@ def parse_config(text: str) -> RunConfig:
     if mode == "compare" and "koh" not in raw:
         chk.fail("koh", "mode=compare requires a koh settings block")
 
-    emu_raw = raw.get("emulator", {})
-    emulator = EmulatorSettings()
-    if not isinstance(emu_raw, dict):
-        chk.fail("emulator", "expected an object")
-    else:
-        chk.known_keys(emu_raw, {"init_variance", "init_lengthscale", "nugget", "budget"},
-                       "emulator")
-        emulator = EmulatorSettings(
-            init_variance=chk.number(emu_raw, "init_variance", "emulator",
-                                     default=1.0, strict_min=0.0),
-            init_lengthscale=chk.number(emu_raw, "init_lengthscale", "emulator",
-                                        default=0.4, strict_min=0.0),
-            nugget=chk.number(emu_raw, "nugget", "emulator", default=1e-8, minimum=0.0),
-            budget=chk.integer(emu_raw, "budget", "emulator", default=150, minimum=1),
-        )
+    emulator = EmulatorSettings(**chk.block(raw, "emulator", _EMULATOR_CHECKS))
 
     theta_default = synthetic.theta_priors if synthetic is not None else None
     priors_raw = raw.get("priors", {})
@@ -378,35 +360,22 @@ def parse_config(text: str) -> RunConfig:
         priors_raw = {}
     priors = _parse_priors(chk, priors_raw, "priors", theta_default)
 
+    shared = chk.given(raw, "", _SHARED_MCMC_CHECKS)
     theta0 = raw.get("theta0")
     if theta0 is not None:
-        if (not isinstance(theta0, list)
-                or not all(isinstance(v, (int, float)) for v in theta0)):
-            chk.fail("theta0", "expected a list of numbers")
-            theta0 = None
+        if _is_number_list(theta0):
+            shared["theta0"] = tuple(float(v) for v in theta0)
         else:
-            theta0 = tuple(float(v) for v in theta0)
-    if theta0 is None and synthetic is not None:
-        theta0 = tuple(float(v) for v in synthetic.truth.theta0)
-
-    grid_points = chk.integer(raw, "grid_points", "", default=101, minimum=1)
-    trajectories = chk.integer(raw, "trajectories", "", default=20, minimum=0)
-    predictive_draws = chk.integer(raw, "predictive_draws", "", default=2000, minimum=1)
-
-    mcmc_raw = raw.get("mcmc", {})
-    if not isinstance(mcmc_raw, dict):
-        chk.fail("mcmc", "expected an object")
-        mcmc_raw = {}
-    mcmc = _parse_mcmc(chk, mcmc_raw, "mcmc", seed, theta0, grid_points)
+            chk.fail("theta0", "expected a list of numbers")
+    mcmc = chk.build(McmcConfig, "mcmc", seed=seed, **shared,
+                     **chk.block(raw, "mcmc", _MCMC_CHECKS))
     koh_mcmc = None
     if "koh" in raw:
-        if not isinstance(raw["koh"], dict):
-            chk.fail("koh", "expected an object")
-        else:
-            # fixed offset keeps the two calibrators on distinct seed streams
-            koh_mcmc = _parse_mcmc(chk, raw["koh"], "koh", seed + 1_000_003,
-                                   theta0, grid_points)
+        # fixed offset keeps the two calibrators on distinct seed streams
+        koh_mcmc = chk.build(McmcConfig, "koh", seed=seed + 1_000_003, **shared,
+                             **chk.block(raw, "koh", _MCMC_CHECKS))
 
+    outputs = chk.given(raw, "", _RUN_CHECKS)
     if chk.errors:
         raise ConfigError(chk.errors)
     return RunConfig(
@@ -419,7 +388,6 @@ def parse_config(text: str) -> RunConfig:
         priors=priors,
         mcmc=mcmc,
         koh_mcmc=koh_mcmc,
-        trajectories=trajectories,
-        predictive_draws=predictive_draws,
         raw=raw,
+        **outputs,
     )

@@ -162,12 +162,15 @@ class ThetaStar:
         if self.fields and len(self.fields) != bt.size:
             raise ValueError("need one drift field per parameter, or none")
 
-    def evaluate(self, x) -> np.ndarray:
-        """theta*(x) at a single normalized input; exact at knot locations."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
-        out = self.base_theta.copy()
+    def evaluate(self, X) -> np.ndarray:
+        """theta*(x) at each row of the (n, dx) normalized inputs; exact at knot locations.
+
+        Returns an (n, dtheta) array; each field is conditioned once for all rows.
+        """
+        X = _as_matrix(X)
+        out = np.tile(self.base_theta, (X.shape[0], 1))
         for k, f in enumerate(self.fields):
-            out[k] += float(f.conditional(x)[0][0])
+            out[:, k] += f.conditional(X)[0]
         return out
 
 
@@ -212,7 +215,7 @@ class McmcConfig:
     """Chain-length, adaptation, and block-selection settings."""
 
     iterations: int = 4000
-    burn_in: int = 1500
+    burn_in: int | None = None  # None resolves to min(1500, iterations // 2)
     thin: int = 2
     chains: int = 2
     seed: int = 0
@@ -228,6 +231,8 @@ class McmcConfig:
     grid_points: int = 101
 
     def __post_init__(self) -> None:
+        if self.burn_in is None:
+            object.__setattr__(self, "burn_in", min(1500, self.iterations // 2))
         if not (self.iterations > self.burn_in >= 0):
             raise ValueError(
                 f"need iterations > burn_in >= 0, got iterations={self.iterations}, "
@@ -331,8 +336,7 @@ def embedded_log_posterior(
     if not math.isfinite(theta_prior):
         return -math.inf
     x_unit = data.obs_x_unit()
-    theta_star = np.vstack([state.theta_star.evaluate(x) for x in x_unit])
-    Q = np.hstack([x_unit, theta_star])
+    Q = np.hstack([x_unit, state.theta_star.evaluate(x_unit)])
     mean, var = _predict_std(emulator, Q)
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(var))):
         log.warning("emulator returned non-finite output; state rejected")
@@ -747,11 +751,10 @@ def _attach_summaries(samples: PosteriorSamples, emulator) -> None:
     grid = samples.grid
     samples.summaries["x_norm"] = grid
     for name in samples.delta_draws:
-        mean_c, var_c = delta_field_curves(samples, name, grid, max_draws=SUMMARY_MAX_DRAWS)
-        samples.summaries[f"delta_mean:{name}"] = mean_c.mean(axis=0)
-        samples.summaries[f"delta_sd:{name}"] = np.sqrt(
-            mean_c.var(axis=0) + var_c.mean(axis=0)
-        )
+        mean, sd = _curve_band(*delta_field_curves(samples, name, grid,
+                                                  max_draws=SUMMARY_MAX_DRAWS))
+        samples.summaries[f"delta_mean:{name}"] = mean
+        samples.summaries[f"delta_sd:{name}"] = sd
     query = from_unit(grid[:, None], samples.domain_bounds)
     pred = posterior_predictive(samples, emulator, query, max_draws=SUMMARY_MAX_DRAWS)
     samples.summaries["predictive_mean"] = pred.mean
@@ -847,6 +850,14 @@ def delta_field_curves(
     return _conditional_curves(
         samples.knots, X, samples.delta_draws[name][sel], samples.hyper_draws[name][sel]
     )
+
+
+def _curve_band(mean_c: np.ndarray, var_c: np.ndarray):
+    """Posterior mean and sd of a field from its (T, G) per-draw conditional curves.
+
+    The sd adds the spread of the per-draw means to the average per-draw variance.
+    """
+    return mean_c.mean(axis=0), np.sqrt(mean_c.var(axis=0) + var_c.mean(axis=0))
 
 
 def posterior_predictive(

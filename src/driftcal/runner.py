@@ -22,6 +22,8 @@ from .design import from_unit
 from .diagnostics import coverage_2sd, effective_sample_size, rmse, split_rhat
 from .embedded import (
     McmcConfig,
+    _curve_band,
+    _draw_subset,
     delta_field_curves,
     posterior_predictive,
     run_combined,
@@ -139,7 +141,8 @@ def _train_emulator(config: RunConfig, ds: CalibrationDataset, out_dir: str,
 
 
 def emit_plot_data(samples: PosteriorSamples, grid: np.ndarray, out_dir, emulator,
-                   trajectories: int = 20, predictive_draws: int | None = 2000) -> list[str]:
+                   trajectories: int = RunConfig.trajectories,
+                   predictive_draws: int | None = RunConfig.predictive_draws) -> list[str]:
     """Write plot-ready delimited files: predictive bands plus per-field drift bands.
 
     ``grid`` is a normalized evaluation grid. The drift files carry the
@@ -171,17 +174,13 @@ def emit_plot_data(samples: PosteriorSamples, grid: np.ndarray, out_dir, emulato
     }
     for name in sorted(samples.delta_draws):
         mean_c, var_c = delta_field_curves(samples, name, grid, max_draws=predictive_draws)
-        mean = mean_c.mean(axis=0)
-        sd = np.sqrt(mean_c.var(axis=0) + var_c.mean(axis=0))
+        mean, sd = _curve_band(mean_c, var_c)
         scale = widths.get(name, samples.y_scale)  # additive field scales with y
         cols = [grid, mean, sd, mean * scale, sd * scale]
         headers = ["x_norm", "mean", "sd", "mean_phys", "sd_phys"]
-        n_traj = min(trajectories, mean_c.shape[0])
-        if n_traj:
-            sel = np.unique(np.linspace(0, mean_c.shape[0] - 1, n_traj).astype(int))
-            for j, t in enumerate(sel):
-                cols.append(mean_c[t])
-                headers.append(f"traj_{j:03d}")
+        for j, t in enumerate(_draw_subset(mean_c.shape[0], trajectories)):
+            cols.append(mean_c[t])
+            headers.append(f"traj_{j:03d}")
         path = os.path.join(out_dir, f"drift_{name}.csv")
         np.savetxt(path, np.column_stack(cols), fmt=_FMT, delimiter=",",
                    header=",".join(headers), comments="# ")

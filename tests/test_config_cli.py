@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from driftcal.cli import main
-from driftcal.config import ConfigError, parse_config
+from driftcal.config import ConfigError, EmulatorSettings, RunConfig, parse_config
+from driftcal.design import to_unit
+from driftcal.embedded import McmcConfig, _build_knots, _Chain, gibbs_sigma2, mh_accept
+from driftcal.gp import ExactEmulator
 from driftcal.problems import DIPOLE_PARAM_NAMES, dipole_dataset, dipole_problem
 from driftcal.runner import emit_plot_data, orchestrate, recompute_report
 from driftcal.samples import load_samples
@@ -60,7 +63,43 @@ def test_minimal_config_fills_defaults():
     assert cfg.mcmc.seed == 3
     assert cfg.priors.noise.kind == "inverse_gamma"
     assert cfg.priors.theta is not None and len(cfg.priors.theta) == 3
-    assert cfg.mcmc.theta0 == (45.0, 0.33, 1.72)  # defaults to the synthetic truth
+    assert cfg.mcmc.theta0 is None  # the engine starts at the prior medians
+
+
+def test_omitted_blocks_parse_to_the_dataclass_defaults():
+    raw = base_config()
+    for key in ("mcmc", "emulator", "grid_points", "trajectories", "predictive_draws"):
+        del raw[key]
+    for key in ("n_sim", "n_obs", "noise_sd"):
+        del raw["synthetic"][key]
+    cfg = parse_config(json.dumps(raw))
+    assert cfg.mcmc == McmcConfig(seed=3)
+    assert cfg.emulator == EmulatorSettings()
+    spec = cfg.synthetic
+    assert (spec.n_sim, spec.n_obs, spec.noise_sd) == (43, 5, 0.0)
+    defaults = RunConfig.__dataclass_fields__
+    assert cfg.trajectories == defaults["trajectories"].default
+    assert cfg.predictive_draws == defaults["predictive_draws"].default
+    raw["mcmc"], raw["emulator"] = {}, {}
+    assert parse_config(json.dumps(raw)).mcmc == McmcConfig(seed=3)
+
+
+def test_chain_starts_at_prior_medians_not_at_the_synthetic_truth():
+    raw = base_config()
+    raw["synthetic"]["truth"]["theta0"] = [40.0, 0.36, 1.0]
+    cfg = parse_config(json.dumps(raw))
+    spec = cfg.synthetic
+    ds = generate_dataset(spec.build_simulator(), spec.design_spec(cfg.seed), spec.truth,
+                          noise_sd=spec.noise_sd, seed=cfg.seed, n_obs=spec.n_obs,
+                          param_names=spec.param_names)
+    knots, obs_idx = _build_knots(ds)
+    chain = _Chain(ds, ExactEmulator(lambda row: 0.0), cfg.priors, cfg.mcmc,
+                   np.random.default_rng(0), knots, obs_idx, drift=True, additive=False,
+                   sample_theta=False, accept=mh_accept, gibbs=gibbs_sigma2)
+    medians = np.array([[p.median() for p in spec.theta_priors]])
+    assert np.array_equal(chain.base_theta, to_unit(medians, ds.theta_bounds)[0])
+    assert not np.array_equal(chain.base_theta, to_unit(spec.truth.theta0[None, :],
+                                                         ds.theta_bounds)[0])
 
 
 def test_headline_config_spells_the_dipole_problem_of_problems_module():
@@ -103,6 +142,19 @@ def test_burn_in_constraint_reported_with_both_fields():
         parse_config(json.dumps(raw))
     msg = str(err.value)
     assert "burn_in" in msg and "iterations" in msg
+
+
+def test_each_error_is_reported_where_its_check_lives():
+    raw = base_config()
+    raw["seed"] = None
+    raw["grid_points"] = 0
+    raw["mcmc"]["adapt_target"] = 1.5
+    raw["priors"] = {"noise": {"kind": "normal", "mean": 0.0, "sd": 1.0}}
+    raw["synthetic"]["truth"]["drifts"].pop()
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(raw))
+    paths = {p for p, _ in err.value.errors}
+    assert paths == {"seed", "grid_points", "mcmc", "priors", "synthetic.truth"}
 
 
 def test_compare_requires_koh_block():

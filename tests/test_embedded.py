@@ -83,12 +83,26 @@ def test_theta_star_exact_addition_at_knots():
     f1 = make_field(knots, [0.11, -0.04])
     f2 = make_field(knots, [0.0, 0.25])
     ts = ThetaStar(base_theta=np.array([0.5, 0.4]), fields=(f1, f2))
-    out = ts.evaluate([0.2])
+    out = ts.evaluate([[0.2]])[0]
     assert out[0] == 0.5 + 0.11
     assert out[1] == 0.4 + 0.0
-    out = ts.evaluate([0.7])
+    out = ts.evaluate([[0.7]])[0]
     assert out[0] == 0.5 - 0.04
     assert out[1] == 0.4 + 0.25
+
+
+def test_theta_star_rows_match_one_point_at_a_time():
+    knots = np.array([[0.2], [0.5], [0.7]])
+    f1 = make_field(knots, [0.11, 0.03, -0.04])
+    f2 = make_field(knots, [0.0, -0.1, 0.25])
+    ts = ThetaStar(base_theta=np.array([0.5, 0.4]), fields=(f1, f2))
+    X = np.array([[0.0], [0.2], [0.33], [0.5], [0.61], [0.7], [0.95]])
+    rows = ts.evaluate(X)
+    single = np.vstack([ts.evaluate(X[i:i + 1]) for i in range(len(X))])
+    assert rows.shape == (len(X), 2)
+    at_knots = np.isin(X[:, 0], knots[:, 0])
+    assert np.array_equal(rows[at_knots], single[at_knots])
+    assert np.allclose(rows[~at_knots], single[~at_knots], rtol=1e-12, atol=0.0)
 
 
 # -- proposals and acceptance ------------------------------------------------
@@ -468,6 +482,13 @@ def test_log_posterior_audit_passes_during_runs():
     cfg = McmcConfig(iterations=500, burn_in=100, thin=1, chains=1, seed=2,
                      theta0=(0.5,), audit_every=50)
     run_integrated_delta(data, emu, priors, cfg)  # raises on audit failure
+
+
+def test_mcmc_config_burn_in_defaults_to_half_the_iterations_up_to_1500():
+    assert McmcConfig(iterations=1000).burn_in == 500
+    assert McmcConfig().burn_in == 1500
+    assert McmcConfig(iterations=1).burn_in == 0
+    assert McmcConfig(iterations=1000, burn_in=10).burn_in == 10
 
 
 def test_mcmc_config_validation():
