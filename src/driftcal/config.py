@@ -8,6 +8,7 @@ grammar is documented in the repository README.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,14 +98,22 @@ def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
+def _is_finite_number(val) -> bool:
+    """An int, or a float other than the NaN and Infinity that JSON parsing admits."""
+    if isinstance(val, bool):
+        return False
+    return isinstance(val, int) or (isinstance(val, float) and math.isfinite(val))
+
+
 def _number(minimum=None, above=None, integer=False):
-    """A check that a value is a number (an integer if ``integer``), >= ``minimum``, > ``above``.
+    """A check that a value is a finite number (an integer if ``integer``), >= ``minimum``,
+    > ``above``.
 
     The check returns an error message, or None when the value passes.
     """
     def check(val):
-        if not isinstance(val, int if integer else (int, float)) or isinstance(val, bool):
-            return f"expected {'an integer' if integer else 'a number'}, got {val!r}"
+        if not _is_finite_number(val) or (integer and not isinstance(val, int)):
+            return f"expected {'an integer' if integer else 'a finite number'}, got {val!r}"
         if minimum is not None and val < minimum:
             return f"must be >= {minimum}, got {val}"
         if above is not None and val <= above:
@@ -128,7 +137,7 @@ def _boolean_or_null(val):
 
 
 def _is_number_list(val) -> bool:
-    return isinstance(val, list) and all(isinstance(v, (int, float)) for v in val)
+    return isinstance(val, list) and all(_is_finite_number(v) for v in val)
 
 
 class _Checker:
@@ -221,8 +230,9 @@ def _parse_synthetic(chk: _Checker, obj: dict, path: str) -> SyntheticSpec | Non
     else:
         for j, b in enumerate(bounds_raw):
             if (not isinstance(b, list) or len(b) != 2
-                    or not all(isinstance(v, (int, float)) for v in b) or b[0] >= b[1]):
-                chk.fail(f"{path}.domain_bounds[{j}]", f"expected [lo, hi] with lo < hi, got {b!r}")
+                    or not _is_number_list(b) or b[0] >= b[1]):
+                chk.fail(f"{path}.domain_bounds[{j}]",
+                         f"expected finite [lo, hi] with lo < hi, got {b!r}")
             else:
                 bounds.append((float(b[0]), float(b[1])))
     priors_raw = obj.get("theta_priors")
@@ -246,7 +256,7 @@ def _parse_synthetic(chk: _Checker, obj: dict, path: str) -> SyntheticSpec | Non
         drifts_raw = truth_raw.get("drifts")
         ok = True
         if not _is_number_list(theta0):
-            chk.fail(f"{path}.truth.theta0", "required list of numbers")
+            chk.fail(f"{path}.truth.theta0", "required list of finite numbers")
             ok = False
         if not isinstance(drifts_raw, list):
             chk.fail(f"{path}.truth.drifts", "required list of drift objects")
@@ -366,7 +376,7 @@ def parse_config(text: str) -> RunConfig:
         if _is_number_list(theta0):
             shared["theta0"] = tuple(float(v) for v in theta0)
         else:
-            chk.fail("theta0", "expected a list of numbers")
+            chk.fail("theta0", "expected a list of finite numbers")
     mcmc = chk.build(McmcConfig, "mcmc", seed=seed, **shared,
                      **chk.block(raw, "mcmc", _MCMC_CHECKS))
     koh_mcmc = None

@@ -6,8 +6,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
-from scipy.special import ndtri
+from scipy.special import gammaincc, gammainccinv, ndtr, ndtri
 
 __all__ = [
     "Prior",
@@ -108,19 +107,20 @@ class Prior:
         return -math.log(x) - math.log(sig) - 0.5 * _LOG_2PI - 0.5 * z * z
 
     def ppf(self, q) -> np.ndarray | float:
-        """Inverse CDF; quantiles of unbounded kinds are clipped away from {0, 1}."""
+        """Inverse CDF; ``q`` is clipped to [1e-15, 1 - 1e-15] for every kind, uniform included."""
         q = np.clip(np.asarray(q, dtype=float), _PPF_CLIP, 1.0 - _PPF_CLIP)
         if self.kind == "uniform":
             out = self.p1 + q * (self.p2 - self.p1)
         elif self.kind == "normal":
             out = self.p1 + self.p2 * ndtri(q)
         elif self.kind == "inverse_gamma":
-            out = stats.invgamma.ppf(q, self.p1, scale=self.p2)
+            out = self.p2 * (1.0 / gammainccinv(self.p1, q))
         else:
             out = np.exp(self.p1 + self.p2 * ndtri(q))
         return float(out) if np.ndim(out) == 0 else out
 
     def cdf(self, x) -> np.ndarray | float:
+        """CDF, evaluated as ``scipy.stats`` does; NaN stays NaN."""
         x = np.asarray(x, dtype=float)
         if self.kind == "uniform":
             if self.p1 == self.p2:
@@ -128,11 +128,16 @@ class Prior:
             else:
                 out = np.clip((x - self.p1) / (self.p2 - self.p1), 0.0, 1.0)
         elif self.kind == "normal":
-            out = stats.norm.cdf(x, self.p1, self.p2)
-        elif self.kind == "inverse_gamma":
-            out = stats.invgamma.cdf(x, self.p1, scale=self.p2)
+            out = ndtr((x - self.p1) / self.p2)
         else:
-            out = stats.lognorm.cdf(x, self.p2, scale=math.exp(self.p1))
+            z = x / (self.p2 if self.kind == "inverse_gamma" else math.exp(self.p1))
+            # z <= 0 lies outside the support; 1/0 and log(0) there are discarded
+            with np.errstate(divide="ignore", invalid="ignore"):
+                if self.kind == "inverse_gamma":
+                    inside = gammaincc(self.p1, 1.0 / z)
+                else:
+                    inside = ndtr(np.log(z) / self.p2)
+            out = np.where(z <= 0, 0.0, inside)
         return float(out) if np.ndim(out) == 0 else out
 
     def mean(self) -> float:

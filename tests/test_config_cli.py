@@ -155,6 +155,27 @@ def test_each_error_is_reported_where_its_check_lives():
     assert paths == {"seed", "grid_points", "mcmc", "priors", "synthetic.truth"}
 
 
+def test_non_finite_numbers_are_refused_at_their_key():
+    # Python's JSON parser reads NaN, Infinity and -Infinity as floats
+    edits = {
+        "synthetic.noise_sd": lambda raw, v: raw["synthetic"].update(noise_sd=v),
+        "koh.initial_step": lambda raw, v: raw["koh"].update(initial_step=v),
+        "theta0": lambda raw, v: raw.update(theta0=[v, 0.33, 1.7]),
+        "synthetic.domain_bounds[0]":
+            lambda raw, v: raw["synthetic"].update(domain_bounds=[[5.0, v]]),
+        "synthetic.truth.theta0":
+            lambda raw, v: raw["synthetic"]["truth"].update(theta0=[45.0, v, 1.72]),
+    }
+    for path, edit in edits.items():
+        for value in (float("nan"), float("inf"), float("-inf")):
+            raw = json.loads(HEADLINE_CONFIG.read_text())
+            edit(raw, value)
+            with pytest.raises(ConfigError) as err:
+                parse_config(json.dumps(raw))
+            [(where, msg)] = err.value.errors
+            assert where == path and "finite" in msg, (path, value)
+
+
 def test_compare_requires_koh_block():
     raw = base_config(mode="compare")
     with pytest.raises(ConfigError, match="koh"):

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from driftcal.design import (
     DesignSpec,
@@ -161,8 +164,6 @@ def test_prior_validation():
 
 
 def test_prior_logpdf_against_scipy():
-    from scipy import stats
-
     cases = [
         (Prior.uniform(1.0, 3.0), stats.uniform(1.0, 2.0), 2.2),
         (Prior.normal(1.0, 2.0), stats.norm(1.0, 2.0), 0.3),
@@ -171,6 +172,56 @@ def test_prior_logpdf_against_scipy():
     ]
     for prior, ref, x in cases:
         assert prior.logpdf(x) == pytest.approx(ref.logpdf(x), abs=1e-10)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+# signed values from 1e-30 to 1e30 in magnitude
+_many_decades = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-30.0, 30.0)).map(
+    lambda t: t[0] * 10.0 ** t[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=_log_uniform(0.05, 50.0), scale=_log_uniform(1e-4, 20.0),
+    loc=st.floats(-10.0, 10.0), spread=_log_uniform(1e-3, 10.0),
+    q=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+    x=st.lists(_many_decades, min_size=1, max_size=12),
+)
+def test_closed_form_ppf_and_cdf_equal_scipy_stats_bitwise(shape, scale, loc, spread, q, x):
+    q, x = np.array(q), np.array(x)
+    clipped = np.clip(q, 1e-15, 1.0 - 1e-15)  # Prior.ppf clips before inverting
+    pairs = [
+        (Prior.inverse_gamma(shape, scale).ppf(q), stats.invgamma.ppf(clipped, shape, scale=scale)),
+        (Prior.inverse_gamma(shape, scale).cdf(x), stats.invgamma.cdf(x, shape, scale=scale)),
+        (Prior.normal(loc, spread).cdf(x), stats.norm.cdf(x, loc, spread)),
+        (Prior.log_normal(loc, spread).cdf(x), stats.lognorm.cdf(x, spread, scale=math.exp(loc))),
+    ]
+    for ours, ref in pairs:
+        assert np.array_equal(ours, ref, equal_nan=True)
+
+
+@pytest.mark.parametrize("prior,ref", [
+    (Prior.normal(0.5, 2.0), stats.norm(0.5, 2.0)),
+    (Prior.inverse_gamma(3.0, 2.0), stats.invgamma(3.0, scale=2.0)),
+    (Prior.log_normal(0.1, 0.9), stats.lognorm(0.9, scale=math.exp(0.1))),
+])
+def test_closed_form_cdf_support_edges_and_return_types(prior, ref):
+    edges = np.array([-1.0, 0.0, np.inf, np.nan])
+    out = prior.cdf(edges)
+    assert isinstance(out, np.ndarray) and out.shape == (4,)
+    assert np.array_equal(out, ref.cdf(edges), equal_nan=True)
+    if prior.kind != "normal":
+        assert np.array_equal(out, [0.0, 0.0, 1.0, np.nan], equal_nan=True)
+    assert out[2] == 1.0 and np.isnan(out[3])
+    for x in edges:
+        value = prior.cdf(x)
+        assert type(value) is float
+        assert np.array_equal(value, ref.cdf(x), equal_nan=True)
+    assert type(prior.ppf(0.3)) is float
+    assert prior.cdf(np.ones((2, 3))).shape == (2, 3)
 
 
 def test_prior_dict_round_trip():
