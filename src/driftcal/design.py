@@ -31,6 +31,13 @@ _PARAM_NAMES = {
 }
 
 
+def _on_positive_support(z: np.ndarray, cdf) -> np.ndarray:
+    """``cdf(z)`` of a standardized variate on (0, inf): 0.0 where z <= 0, NaN stays NaN."""
+    # 1/z and log(z) at z <= 0 are dropped; 1/z = inf at subnormal z gives the limit 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.where(z <= 0, 0.0, cdf(z))
+
+
 @dataclass(frozen=True)
 class Prior:
     """One-dimensional prior; kind is uniform, normal, inverse_gamma or log_normal.
@@ -129,15 +136,10 @@ class Prior:
                 out = np.clip((x - self.p1) / (self.p2 - self.p1), 0.0, 1.0)
         elif self.kind == "normal":
             out = ndtr((x - self.p1) / self.p2)
+        elif self.kind == "inverse_gamma":
+            out = _on_positive_support(x / self.p2, lambda z: gammaincc(self.p1, 1.0 / z))
         else:
-            z = x / (self.p2 if self.kind == "inverse_gamma" else math.exp(self.p1))
-            # z <= 0 lies outside the support; 1/0 and log(0) there are discarded
-            with np.errstate(divide="ignore", invalid="ignore"):
-                if self.kind == "inverse_gamma":
-                    inside = gammaincc(self.p1, 1.0 / z)
-                else:
-                    inside = ndtr(np.log(z) / self.p2)
-            out = np.where(z <= 0, 0.0, inside)
+            out = _on_positive_support(x / math.exp(self.p1), lambda z: ndtr(np.log(z) / self.p2))
         return float(out) if np.ndim(out) == 0 else out
 
     def mean(self) -> float:

@@ -209,13 +209,13 @@ def test_closed_form_ppf_and_cdf_equal_scipy_stats_bitwise(shape, scale, loc, sp
     (Prior.log_normal(0.1, 0.9), stats.lognorm(0.9, scale=math.exp(0.1))),
 ])
 def test_closed_form_cdf_support_edges_and_return_types(prior, ref):
-    edges = np.array([-1.0, 0.0, np.inf, np.nan])
+    edges = np.array([-1.0, 0.0, 5e-324, np.inf, np.nan])
     out = prior.cdf(edges)
-    assert isinstance(out, np.ndarray) and out.shape == (4,)
+    assert isinstance(out, np.ndarray) and out.shape == (5,)
     assert np.array_equal(out, ref.cdf(edges), equal_nan=True)
     if prior.kind != "normal":
-        assert np.array_equal(out, [0.0, 0.0, 1.0, np.nan], equal_nan=True)
-    assert out[2] == 1.0 and np.isnan(out[3])
+        assert np.array_equal(out, [0.0, 0.0, 0.0, 1.0, np.nan], equal_nan=True)
+    assert out[3] == 1.0 and np.isnan(out[4])
     for x in edges:
         value = prior.cdf(x)
         assert type(value) is float
