@@ -9,6 +9,7 @@ stored for inversion back to physical units.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -335,6 +336,29 @@ def log_marginal_likelihood(model: GPModel) -> float:
     )
 
 
+# glibc's mallopt parameters and the ceiling its adaptive mmap threshold can reach
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_MAX = 32 * 1024 * 1024
+
+
+def _keep_freed_arrays() -> None:
+    """Have glibc keep freed arrays below 32 MiB in the heap instead of unmapping them.
+
+    Every likelihood evaluation of the tuner allocates and frees the same
+    n x d x n kernel temporaries. glibc unmaps or trims such blocks unless an
+    earlier free in the process happened to raise its adaptive thresholds,
+    and when it does not the pages are faulted in afresh on every evaluation.
+    Pinning both thresholds at the ceiling glibc itself adapts to makes the
+    tuner reuse the same pages whatever the process did before. The setting
+    is process-wide; it does nothing where the C library has no ``mallopt``.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+        mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
+
+
 _LOG_BOUNDS_VARIANCE = (math.log(1e-6), math.log(1e4))
 _LOG_BOUNDS_LENGTH = (math.log(1e-3), math.log(1e2))
 
@@ -354,6 +378,7 @@ def optimize_emulator(
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
 
+    _keep_freed_arrays()
     d = init.ndim
     bounds = [_LOG_BOUNDS_VARIANCE] + [_LOG_BOUNDS_LENGTH] * d
 

@@ -1,4 +1,10 @@
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +24,8 @@ from driftcal.gp import (
     predict,
     predict_standardized,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def dense_kernel(a, b, params):
@@ -263,3 +271,31 @@ def test_predict_full_covariance_matches_dense_oracle():
     cov_oracle = dense_kernel(q, q, p) - Ks @ np.linalg.solve(Kn, Ks.T)
     assert np.max(np.abs(cov - cov_oracle)) < 1e-10
     np.linalg.cholesky(cov + 1e-12 * np.eye(3))  # symmetric PSD
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc malloc thresholds")
+def test_optimizer_reuses_heap_pages_between_evaluations():
+    # glibc's start-up thresholds (128 KiB) make it unmap or trim every freed
+    # 160 x 4 x 160 kernel temporary, so each evaluation would fault its pages in anew
+    code = textwrap.dedent("""
+        import resource
+        import numpy as np
+        from driftcal import gp
+        fit_gp, fits = gp.fit_gp, []
+        gp.fit_gp = lambda *a: fits.append(1) or fit_gp(*a)
+        x = np.random.default_rng(0).random((160, 4))
+        train = gp.TrainingSet.from_raw(x, np.sin(6 * x).sum(axis=1))
+        init = gp.KernelParams(1.0, np.full(4, 0.5), nugget=1e-8)
+        gp.optimize_emulator(train, init, budget=40)
+        fits.clear()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        gp.optimize_emulator(train, init, budget=40)
+        print(len(fits), resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """)
+    env = {**os.environ, "PYTHONPATH": str(SRC),
+           "MALLOC_MMAP_THRESHOLD_": "131072", "MALLOC_TRIM_THRESHOLD_": "131072"}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    fits, faults = map(int, out.stdout.split())
+    assert fits >= 40
+    assert faults < 5 * fits
