@@ -15,7 +15,8 @@ import numpy as np
 
 from .design import DesignSpec, Prior
 from .embedded import SUMMARY_MAX_DRAWS, CalibrationPriors, McmcConfig
-from .simulators import AnalyticDipole, DriftFunction, DriftTestbed, DriftTruth
+from .simulators import (DRIFT_KINDS, TESTBED_NAMES, AnalyticDipole, DriftFunction,
+                         DriftTestbed, DriftTruth)
 
 __all__ = ["ConfigError", "RunConfig", "SyntheticSpec", "EmulatorSettings", "parse_config"]
 
@@ -52,15 +53,12 @@ class SyntheticSpec:
     param_names: tuple[str, ...] = ()
 
     def build_simulator(self):
+        settings = {k: v for k, v in self.simulator.items() if k != "kind"}
         kind = self.simulator.get("kind")
         if kind == "analytic_dipole":
-            return AnalyticDipole(
-                amplitude=float(self.simulator.get("amplitude", 1.0)),
-                spread_weight=float(self.simulator.get("spread_weight", 0.5)),
-                spread_length=float(self.simulator.get("spread_length", 8.0)),
-            )
+            return AnalyticDipole(**{k: float(v) for k, v in settings.items()})
         if kind == "drift_testbed":
-            return DriftTestbed.named(self.simulator.get("name", "linear"))
+            return DriftTestbed.named(settings.get("name", "linear"))
         raise ValueError(f"cannot build simulator of kind {kind!r}")
 
     def design_spec(self, seed: int) -> DesignSpec:
@@ -140,6 +138,16 @@ def _is_number_list(val) -> bool:
     return isinstance(val, list) and all(_is_finite_number(v) for v in val)
 
 
+def _number_list(val):
+    return None if _is_number_list(val) else f"expected a list of finite numbers, got {val!r}"
+
+
+def _one_of(options):
+    def check(val):
+        return None if val in options else f"expected one of {list(options)}, got {val!r}"
+    return check
+
+
 class _Checker:
     def __init__(self):
         self.errors: list[tuple[str, str]] = []
@@ -209,6 +217,13 @@ _EMULATOR_CHECKS = {
     "nugget": _number(minimum=0.0), "budget": _integer(1),
 }
 _SYNTHETIC_CHECKS = {"n_sim": _integer(2), "n_obs": _integer(1), "noise_sd": _number(minimum=0.0)}
+# synthetic.simulator: the settings of each simulator kind besides "kind"
+_SIMULATOR_CHECKS = {
+    "analytic_dipole": {"amplitude": _number(), "spread_weight": _number(),
+                        "spread_length": _number(above=0.0)},
+    "drift_testbed": {"name": _one_of(TESTBED_NAMES)},
+}
+_DRIFT_CHECKS = {"kind": _one_of(DRIFT_KINDS), "params": _number_list}
 _SHARED_MCMC_CHECKS = {"grid_points": _integer(1)}  # top-level, for both calibrators
 _RUN_CHECKS = {"trajectories": _integer(0), "predictive_draws": _integer(1)}
 _PRIOR_KEYS = ("field_variance", "field_lengthscale", "eta_variance", "eta_lengthscale", "noise")
@@ -219,10 +234,13 @@ def _parse_synthetic(chk: _Checker, obj: dict, path: str) -> SyntheticSpec | Non
                *_SYNTHETIC_CHECKS}
     chk.known_keys(obj, allowed, path)
     sim = obj.get("simulator")
-    if not isinstance(sim, dict) or sim.get("kind") not in ("analytic_dipole", "drift_testbed"):
+    if not isinstance(sim, dict) or sim.get("kind") not in _SIMULATOR_CHECKS:
         chk.fail(f"{path}.simulator",
                  "required object with kind 'analytic_dipole' or 'drift_testbed'")
         return None
+    sim_checks = _SIMULATOR_CHECKS[sim["kind"]]
+    chk.known_keys(sim, {"kind", *sim_checks}, f"{path}.simulator")
+    sim = {"kind": sim["kind"], **chk.given(sim, f"{path}.simulator", sim_checks)}
     bounds_raw = obj.get("domain_bounds")
     bounds: list[tuple[float, float]] = []
     if not isinstance(bounds_raw, list) or not bounds_raw:
@@ -264,11 +282,9 @@ def _parse_synthetic(chk: _Checker, obj: dict, path: str) -> SyntheticSpec | Non
         drifts = []
         if ok:
             for j, d in enumerate(drifts_raw):
-                try:
-                    drifts.append(DriftFunction.from_dict(d))
-                except (ValueError, TypeError, KeyError) as exc:
-                    chk.fail(f"{path}.truth.drifts[{j}]", str(exc))
-                    ok = False
+                drift = _parse_drift(chk, d, f"{path}.truth.drifts[{j}]")
+                ok = ok and drift is not None
+                drifts.append(drift)
         if ok:
             truth = chk.build(DriftTruth, f"{path}.truth",
                               theta0=np.asarray(theta0, float), drifts=tuple(drifts))
@@ -289,6 +305,19 @@ def _parse_synthetic(chk: _Checker, obj: dict, path: str) -> SyntheticSpec | Non
         param_names=tuple(names),
         **settings,
     )
+
+
+def _parse_drift(chk: _Checker, obj, path: str) -> DriftFunction | None:
+    if not isinstance(obj, dict) or "kind" not in obj:
+        chk.fail(path, f"expected a drift object with a kind, got {obj!r}")
+        return None
+    n_errors = len(chk.errors)
+    chk.known_keys(obj, _DRIFT_CHECKS, path)
+    given = chk.given(obj, path, _DRIFT_CHECKS)
+    if len(chk.errors) > n_errors:
+        return None
+    return chk.build(DriftFunction, path, kind=given["kind"],
+                     params=tuple(given.get("params", ())))
 
 
 def _parse_priors(chk: _Checker, obj: dict, path: str,

@@ -11,13 +11,21 @@ observation noise variance. An optional additive output-discrepancy field
 turns the sampler into the combined formulation; with the drift fields off,
 the theta block on and the additive field present it is the Kennedy &
 O'Hagan baseline of :mod:`driftcal.koh`.
+
+The engine steps all chains of a run in lockstep: each block runs once per
+sweep for every chain, its array work stacked over the chains, while each
+chain keeps its own generator and makes the calls it would make alone, so
+the draws equal those of the chains run one after another.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass, replace
+from functools import lru_cache, partial
+from operator import attrgetter
 
 import numpy as np
 
@@ -48,6 +56,7 @@ log = logging.getLogger("driftcal.embedded")
 
 _LOG_2PI = math.log(2.0 * math.pi)
 FIELD_JITTER = 1e-10
+_STEP = attrgetter("step")
 
 
 def _chol(K: np.ndarray) -> np.ndarray:
@@ -61,6 +70,14 @@ def _chol(K: np.ndarray) -> np.ndarray:
     raise np.linalg.LinAlgError("field covariance not positive definite")
 
 
+@lru_cache(maxsize=8)
+def _jitter_matrix(n: int) -> np.ndarray:
+    """``FIELD_JITTER`` on the diagonal of an n x n zero matrix (read-only)."""
+    J = FIELD_JITTER * np.eye(n)
+    J.setflags(write=False)
+    return J
+
+
 def _knot_chol(knot_diff: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Prior Cholesky factor of a field from raw hyperparameters ``[variance, *lengthscales]``.
 
@@ -68,18 +85,54 @@ def _knot_chol(knot_diff: np.ndarray, h: np.ndarray) -> np.ndarray:
     :func:`build_covariance`'s, with ``FIELD_JITTER`` on the diagonal.
     """
     K = _se_kernel(knot_diff, h[0], h[1:])
-    K.flat[:: K.shape[0] + 1] += FIELD_JITTER
+    K += _jitter_matrix(len(K))  # its zeros leave the non-negative kernel as it is
     return _chol(K)
 
 
-def _mvn_logpdf_zero(values: np.ndarray, L: np.ndarray) -> float:
+def _knot_chols(knot_diff: np.ndarray, H: np.ndarray):
+    """:func:`_knot_chol` of each row of a (C, 1 + dx) stack of hyperparameters.
+
+    Returns the (C, K, K) factors and, per row, whether it factored. The
+    kernels are built and factored in one batched call, each bitwise as
+    alone. When the batch does not factor, each kernel goes through
+    :func:`_chol`'s jitter escalation on its own; one that still does not
+    factor is left NaN.
+    """
+    K = _se_kernel(knot_diff, H[:, :1, None], H[:, 1:])
+    K += _jitter_matrix(K.shape[-1])
+    ok = [True] * len(K)
+    try:
+        return np.linalg.cholesky(K), ok
+    except np.linalg.LinAlgError:
+        pass
+    for i, k in enumerate(K):
+        try:
+            K[i] = _chol(k)
+        except np.linalg.LinAlgError:
+            K[i], ok[i] = np.nan, False
+    return K, ok
+
+
+def _log_diag(L: np.ndarray) -> np.ndarray:
+    """Sum of the log diagonal of each factor in a stack: half its log-determinant."""
+    return np.log(L.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
+
+
+def _mvn_logpdf_zero(values: np.ndarray, L: np.ndarray, log_diag=None) -> float:
+    """N(0, L L^T) log-density of ``values``; ``log_diag`` is ``_log_diag(L)`` when known."""
     w = _solve_lower(L, values)
-    return float(-0.5 * (w @ w) - np.log(L.diagonal()).sum() - 0.5 * values.size * _LOG_2PI)
+    if log_diag is None:
+        log_diag = np.log(L.diagonal()).sum()
+    return float(-0.5 * (w @ w) - log_diag - 0.5 * values.size * _LOG_2PI)
 
 
-def gaussian_loglik(resid: np.ndarray, var: np.ndarray) -> float:
-    """Sum of independent N(0, var_i) log-densities at the residuals."""
-    return float(-0.5 * (resid * resid / var + np.log(2.0 * math.pi * var)).sum())
+def gaussian_loglik(resid: np.ndarray, var: np.ndarray):
+    """Sum of independent N(0, var_i) log-densities at the residuals.
+
+    Sums over the last axis: a float for one residual vector, a list of
+    floats, one per row, for a stack of them.
+    """
+    return (-0.5 * (resid * resid / var + np.log(2.0 * math.pi * var)).sum(axis=-1)).tolist()
 
 
 def _predict_std(emulator, Q: np.ndarray):
@@ -93,9 +146,9 @@ def _predict_std(emulator, Q: np.ndarray):
 
 
 def _box_distances(Q: np.ndarray) -> np.ndarray:
-    """Euclidean distance of each row beyond the training unit box."""
+    """Euclidean distance of each row (last axis) beyond the training unit box."""
     excess = np.maximum(Q - 1.0, 0.0) + np.maximum(-Q, 0.0)
-    return np.sqrt((excess * excess).sum(axis=1))
+    return np.sqrt((excess * excess).sum(axis=-1))
 
 
 def _exact_matches(X: np.ndarray, knots: np.ndarray):
@@ -309,12 +362,14 @@ def _hyper_logprior(h: np.ndarray, var_prior: Prior, len_prior: Prior) -> float:
 
 def _theta_logprior(theta_unit: np.ndarray, priors: CalibrationPriors, theta_bounds) -> float:
     """Theta prior on the unit box: -inf outside it, then the configured priors."""
-    if np.any(theta_unit < 0.0) or np.any(theta_unit > 1.0):
+    unit = theta_unit.tolist()
+    if any(t < 0.0 or t > 1.0 for t in unit):
         return -math.inf
     if priors.theta is None:
         return 0.0
-    phys = from_unit(theta_unit[None, :], theta_bounds)[0]
-    return float(sum(p.logpdf(v) for p, v in zip(priors.theta, phys)))
+    # from_unit's arithmetic, in Python floats
+    return float(sum(p.logpdf(lo + t * (hi - lo))
+                     for p, t, (lo, hi) in zip(priors.theta, unit, theta_bounds)))
 
 
 def embedded_log_posterior(
@@ -363,68 +418,106 @@ class _BlockStats:
         self.accepted = 0
 
 
-def _hyper_proposal(rng, h, step, knot_diff, values, field_prior, hyper_prior,
+def _hyper_proposal(rngs, H, steps, knot_diff, values, field_prior, hyper_prior,
                     var_prior, len_prior):
-    """One log-space random-walk proposal on a field's raw ``[variance, *lengthscales]``.
+    """One log-space random-walk proposal per chain on a field's raw ``[variance, *lengthscales]``.
 
-    Returns ``(log_ratio, h2, chol2, field_prior2, hyper_prior2)``, the log
-    ratio including the log-space Jacobian, or None when a proposed value
-    overflows or underflows or the proposed kernel does not factor: the
-    caller counts that as a rejection.
+    ``H`` (C, 1 + dx) and ``values`` (C, K) stack the chains' hyperparameters
+    and knot values; ``rngs``, ``steps``, ``field_prior`` and ``hyper_prior``
+    hold one entry per chain. Returns one entry per chain: ``(log_ratio, h2,
+    chol2, log_diag2, field_prior2, hyper_prior2)``, the log ratio including
+    the log-space Jacobian, or None when a proposed value overflows or
+    underflows or the proposed kernel does not factor: the caller counts
+    that as a rejection of that chain's proposal alone.
     """
-    logp = np.log(h)
-    logp2 = logp + step * rng.standard_normal(logp.size)
-    try:
-        variance = math.exp(logp2[0])  # raises past 709.78, before np.exp warns
-        h2 = np.exp(logp2)
-        h2[0] = variance
-        if not all(0.0 < v < math.inf for v in h2.tolist()):
-            return None
-        chol2 = _knot_chol(knot_diff, h2)
-    except (OverflowError, np.linalg.LinAlgError):
-        return None
-    fp2 = _mvn_logpdf_zero(values, chol2)
-    hp2 = _hyper_logprior(h2, var_prior, len_prior)
-    log_ratio = (fp2 - field_prior) + (hp2 - hyper_prior) + float(logp2.sum() - logp.sum())
-    return log_ratio, h2, chol2, fp2, hp2
+    logp = np.log(H)
+    logp2 = logp + np.array([step * rng.standard_normal(H.shape[1])
+                             for step, rng in zip(steps, rngs)])
+    H2 = np.exp(logp2)
+    live, rows = [], []
+    for c, lp in enumerate(logp2.tolist()):
+        try:
+            variance = math.exp(lp[0])  # raises past 709.78
+        except OverflowError:
+            continue
+        H2[c, 0] = variance
+        h2 = H2[c].tolist()
+        if 0.0 < min(h2) and max(h2) < math.inf:  # finite logp2: no NaN to compare
+            live.append(c)
+            rows.append(h2)
+    out = [None] * len(rngs)
+    if not live:
+        return out
+    jacobian = (logp2.sum(axis=1) - logp.sum(axis=1)).tolist()
+    chols, factored = _knot_chols(knot_diff, H2 if len(live) == len(rngs) else H2[live])
+    log_diags = _log_diag(chols).tolist()
+    for j, c in enumerate(live):
+        if factored[j]:
+            fp2 = _mvn_logpdf_zero(values[c], chols[j], log_diags[j])
+            hp2 = _hyper_logprior(rows[j], var_prior, len_prior)
+            log_ratio = (fp2 - field_prior[c]) + (hp2 - hyper_prior[c]) + jacobian[c]
+            out[c] = (log_ratio, H2[c], chols[j], log_diags[j], fp2, hp2)
+    return out
 
 
 class _Chain:
-    """Single-chain sampler over its active blocks; owns its state and RNG.
+    """The sampler engine: C chains stepped in lockstep over their active blocks.
 
-    Data are shared read-only between chains.
+    The engine holds the state of all chains as stacked arrays: knot values
+    (C, F, K), hyperparameters ``[variance, *lengthscales]`` (C, F, 1 + dx),
+    prior Cholesky factors (C, F, K, K) (one factorization per
+    hyperparameter change), the emulator queries at the observations
+    (C, n, dx + dtheta), whose last columns are theta*(x), and the cached
+    emulator mean and variance (C, n). Each block runs once per sweep for all
+    chains: proposals, the emulator query, Gaussian likelihoods and kernel
+    factorizations are array work over the stack, while step adaptation,
+    Metropolis decisions (``accept``), noise draws (``gibbs``), prior and
+    knot-value densities stay per chain, in Python floats. Each chain draws
+    from its own generator in ``rngs`` and makes the calls it would make
+    running alone, in the same order, so its draws do not depend on the
+    chains beside it; a proposal that fails numerically is a rejection of
+    that chain's alone.
+
+    A GP emulator is queried through :func:`driftcal.gp.predict_columns`:
+    the observation columns of the query never change, so their kernel
+    planes are computed once, and a drift-field proposal recomputes only
+    its parameter's plane.
 
     The fields are one list: a drift field per parameter when ``drift`` is
     set, then the additive "eta" field when ``additive`` is. Each has its own
-    hyperpriors. Values, hyperparameters ``[variance, *lengthscales]`` and
-    prior Cholesky factors are raw arrays (one factorization per
-    hyperparameter change) so that per-proposal work is a matrix-vector
-    product, an emulator query, and two Gaussian densities.
-    ``sample_theta`` runs the theta block; its draws are stored when it runs
-    and, constant, when ``drift`` is off (the baseline). Every Metropolis
-    decision goes through ``accept`` and every noise draw through ``gibbs``.
+    hyperpriors. ``sample_theta`` runs the theta block; its draws are stored
+    when it runs and, constant, when ``drift`` is off (the baseline). Data
+    are shared read-only.
 
     Sweep order: theta, drift fields, eta, hyperparameters, Gibbs sigma^2.
     """
 
-    def __init__(self, data, emulator, priors, config, rng, knots: np.ndarray,
+    def __init__(self, data, emulator, priors, config, rngs, knots: np.ndarray,
                  obs_idx: np.ndarray, *, drift: bool, additive: bool, sample_theta: bool,
                  accept, gibbs):
         self.data = data
         self.emulator = emulator
         self.priors = priors
         self.cfg = config
-        self.rng = rng
+        self.rngs = list(rngs)
         self.knots = knots
-        self.obs_idx = obs_idx
+        # the observations' knots; a slice when they are the knots in order
+        identity = np.array_equal(obs_idx, np.arange(len(knots)))
+        self.obs_sel = slice(None) if identity else obs_idx
         self.additive = additive
         self.sample_theta = sample_theta
         self.record_theta = sample_theta or not drift
         self.accept = accept
         self.gibbs = gibbs
+        self.is_gp = isinstance(emulator, gp.GPModel)
 
-        self.x_obs_unit = data.obs_x_unit()
-        self.y_std = (data.obs_y - emulator.y_shift) / emulator.y_scale
+        C = len(self.rngs)
+        x_obs_unit = data.obs_x_unit()
+        # observations and noise variances repeated per chain: same-shape array
+        # operations skip numpy's broadcasting set-up, which dominates at these sizes
+        y_std = (data.obs_y - emulator.y_shift) / emulator.y_scale
+        self.y_rows = np.repeat(y_std[None], C, axis=0)
+        self.dx = x_obs_unit.shape[1]
         self.dtheta = data.dtheta
         self.n_drift = self.dtheta if drift else 0
         self.names = list(data.param_names[: self.n_drift]) + (["eta"] if additive else [])
@@ -432,11 +525,12 @@ class _Chain:
         if additive:
             self.field_priors.append((priors.eta_variance, priors.eta_lengthscale))
         self.knot_diff = _se_diff(knots, knots)
-        dx = knots.shape[1]
-        self.values = [np.zeros(len(knots)) for _ in self.names]
-        self.hypers = [np.r_[vp.median(), np.full(dx, lp.median())]
-                       for vp, lp in self.field_priors]
-        self.chols = [_knot_chol(self.knot_diff, h) for h in self.hypers]
+        h0 = np.array([np.r_[vp.median(), np.full(self.dx, lp.median())]
+                       for vp, lp in self.field_priors])
+        self.values = np.zeros((C, len(self.names), len(knots)))
+        self.hypers = np.repeat(h0[None], C, axis=0)
+        self.chols = np.repeat(np.array([_knot_chol(self.knot_diff, h) for h in h0])[None],
+                               C, axis=0)
 
         if config.theta0 is not None:
             t0 = to_unit(np.asarray(config.theta0, float)[None, :], data.theta_bounds)[0]
@@ -445,233 +539,321 @@ class _Chain:
             t0 = to_unit(med[None, :], data.theta_bounds)[0]
         else:
             t0 = np.full(self.dtheta, 0.5)
-        self.base_theta = t0
+        self.base_theta = np.repeat(t0[None], C, axis=0)
+        self.Q = np.empty((C, obs_idx.size, self.dx + self.dtheta))
+        self.Q[:, :, : self.dx] = x_obs_unit
 
         s0 = priors.noise.mean()
-        self.sigma2 = s0 if math.isfinite(s0) else priors.noise.median()
+        self.sigma2 = np.full(C, s0 if math.isfinite(s0) else priors.noise.median())
+        self.noise_rows = np.empty_like(self.y_rows)
 
         self.block_names = ["theta"] if sample_theta else []
         self.block_names += [f"delta:{n}" for n in self.names]
         self.block_names += [f"hyper:{n}" for n in self.names]
+        # per block, one entry per chain
         self.adapters = {
-            n: StepAdapter(config.initial_step, config.adapt_target) for n in self.block_names
+            n: [StepAdapter(config.initial_step, config.adapt_target) for _ in range(C)]
+            for n in self.block_names
         }
-        if "theta" in self.adapters:
+        if sample_theta:
             # theta moves on the unit box; a full-box step would mix poorly
-            self.adapters["theta"].step = min(config.initial_step, 0.15)
-        self.stats = {n: _BlockStats() for n in self.block_names}
-        self.extrap_count = 0
-        self.extrap_max = 0.0
+            for adapter in self.adapters["theta"]:
+                adapter.step = min(config.initial_step, 0.15)
+        self.stats = {n: [_BlockStats() for _ in range(C)] for n in self.block_names}
+        self.extrap_count = [0] * C
+        self.extrap_max = [0.0] * C
+        self.block_ns: dict[str, int] = {}
 
         self._init_parts()
 
     # -- cached log-posterior parts -------------------------------------
 
-    def _emulate(self, Q: np.ndarray):
-        mean, var = _predict_std(self.emulator, Q)
-        d = _box_distances(Q)
-        n_out = int(np.count_nonzero(d > 0))
-        if n_out:
-            self.extrap_count += n_out
-            dmax = float(d.max())
-            if dmax > self.extrap_max:
-                self.extrap_max = dmax
-            log.debug("emulator extrapolation: %d points, max box distance %.3g",
-                      n_out, dmax)
-        ok = bool(np.isfinite(mean).all() and np.isfinite(var).all())
-        return mean, var, ok
+    def _emulate(self, chains, Q: np.ndarray, planes, cols: slice):
+        """Standardized emulator mean and variance (C', n) at the queries ``Q`` of ``chains``.
 
-    def _theta_at_obs(self, base_theta: np.ndarray) -> np.ndarray:
-        """theta*(x) at the observations: ``base_theta`` plus each drift field there."""
-        theta = np.tile(base_theta, (self.obs_idx.size, 1))
-        for k in range(self.n_drift):
-            theta[:, k] += self.values[k][self.obs_idx]
-        return theta
+        ``planes`` are the queries' GP planes, of which columns ``cols`` are
+        refreshed in place. Counts extrapolations beyond the unit box per
+        chain.
+        """
+        if self.is_gp:
+            mean, var = gp.predict_columns(self.emulator, planes, Q, cols)
+        else:
+            mean = np.empty(Q.shape[:2])
+            for j, q in enumerate(Q):
+                mean[j] = self.emulator.mean_at(q)
+            var = np.zeros_like(mean)
+        if not (Q.min() >= 0.0 and Q.max() <= 1.0):
+            for c, d in zip(chains, _box_distances(Q)):
+                n_out = int(np.count_nonzero(d > 0))
+                if n_out:
+                    self.extrap_count[c] += n_out
+                    dmax = float(d.max())
+                    if dmax > self.extrap_max[c]:
+                        self.extrap_max[c] = dmax
+                    log.debug("emulator extrapolation: %d points, max box distance %.3g",
+                              n_out, dmax)
+        return mean, var
+
+    def _loglik(self, mean, eta, var, chains=slice(None)):
+        """Each chain's Gaussian log-likelihood at emulator output ``(mean, var)``,
+        and whether that output is finite (the likelihood of a non-finite one is never read)."""
+        resid = self.y_rows[: len(mean)] - mean
+        if self.additive:
+            resid -= eta
+        loglik = gaussian_loglik(resid, self.noise_rows[chains] + var)
+        if all(map(math.isfinite, loglik)):  # only finite output has a finite likelihood
+            return loglik, [True] * len(loglik)
+        return loglik, (np.isfinite(mean).all(axis=1) & np.isfinite(var).all(axis=1)).tolist()
+
+    def _set_theta(self, Q: np.ndarray, base_theta: np.ndarray, values: np.ndarray) -> None:
+        """Write theta*(x) at the observations, ``base_theta`` plus each drift field there,
+        into the theta columns of ``Q``."""
+        theta = Q[:, :, self.dx:]
+        theta[...] = base_theta[:, None, :]
+        if self.n_drift:
+            theta[:, :, : self.n_drift] += values[:, : self.n_drift, self.obs_sel].transpose(0, 2, 1)
 
     def _init_parts(self) -> None:
-        self.theta_mat = self._theta_at_obs(self.base_theta)
-        mean, var, ok = self._emulate(np.hstack([self.x_obs_unit, self.theta_mat]))
-        if not ok:
+        C = len(self.rngs)
+        self.noise_rows[:] = self.sigma2[:, None]
+        self._set_theta(self.Q, self.base_theta, self.values)
+        self.planes = np.empty((*self.Q.shape, self.emulator.train.n)) if self.is_gp else None
+        mean, var = self._emulate(range(C), self.Q, self.planes, slice(None))
+        self.eta_at_obs = self.values[:, -1, self.obs_sel].copy() if self.additive else 0.0
+        self.loglik, ok = self._loglik(mean, self.eta_at_obs, var)
+        if not all(ok):
             raise RuntimeError("non-finite emulator output at initialization")
         self.emu_mean, self.emu_var = mean, var
-        self.eta_at_obs = self.values[-1][self.obs_idx] if self.additive else 0.0
-        self.loglik = gaussian_loglik(
-            self.y_std - mean - self.eta_at_obs, self.sigma2 + var
-        )
-        self.field_prior = np.array(
-            [_mvn_logpdf_zero(v, L) for v, L in zip(self.values, self.chols)]
-        )
-        self.hyper_prior = np.array(
-            [_hyper_logprior(h, *p) for h, p in zip(self.hypers, self.field_priors)]
-        )
-        self.sigma2_prior = self.priors.noise.logpdf(self.sigma2)
-        self.theta_prior = _theta_logprior(self.base_theta, self.priors, self.data.theta_bounds)
-        if not math.isfinite(self.total()):
-            raise RuntimeError("non-finite log posterior at initialization")
+        # per field, one entry per chain
+        self.log_diag = [_log_diag(self.chols[:, k]).tolist() for k in range(len(self.names))]
+        self.field_prior = [
+            [_mvn_logpdf_zero(self.values[c, k], self.chols[c, k], self.log_diag[k][c])
+             for c in range(C)]
+            for k in range(len(self.names))
+        ]
+        self.hyper_prior = [[_hyper_logprior(h, *p) for h in self.hypers[:, k]]
+                            for k, p in enumerate(self.field_priors)]
+        self.sigma2_prior = list(map(self.priors.noise.logpdf, self.sigma2.tolist()))
+        self.theta_prior = [_theta_logprior(t, self.priors, self.data.theta_bounds)
+                            for t in self.base_theta]
+        for c in range(C):
+            if not math.isfinite(self.total(c)):
+                raise RuntimeError("non-finite log posterior at initialization")
 
-    def total(self) -> float:
+    def total(self, c: int) -> float:
+        """The cached log posterior of chain ``c``."""
         return (
-            self.loglik
-            + float(self.field_prior.sum())
-            + float(self.hyper_prior.sum())
-            + self.sigma2_prior
-            + self.theta_prior
+            self.loglik[c]
+            + sum(fp[c] for fp in self.field_prior)
+            + sum(hp[c] for hp in self.hyper_prior)
+            + self.sigma2_prior[c]
+            + self.theta_prior[c]
         )
 
-    def snapshot(self) -> ChainState:
+    def snapshot(self, c: int) -> ChainState:
         fields = [
             DiscrepancyField(self.knots, v.copy(), _field_params(h))
-            for v, h in zip(self.values, self.hypers)
+            for v, h in zip(self.values[c], self.hypers[c])
         ]
         return ChainState(
-            theta_star=ThetaStar(self.base_theta, fields[: self.n_drift]),
-            noise_var=self.sigma2,
+            theta_star=ThetaStar(self.base_theta[c].copy(), fields[: self.n_drift]),
+            noise_var=float(self.sigma2[c]),
             eta_field=fields[-1] if self.additive else None,
         )
 
     # -- MCMC blocks ------------------------------------------------------
 
-    def _track(self, name: str, accepted: bool, adapting: bool) -> None:
+    def _steps(self, name: str) -> list:
+        return list(map(_STEP, self.adapters[name]))
+
+    def _track(self, name: str, accepted: list, adapting: bool) -> None:
         if adapting:
-            self.adapters[name].update(accepted)
+            for adapter, acc in zip(self.adapters[name], accepted):
+                adapter.update(acc)
         else:
-            st = self.stats[name]
-            st.proposed += 1
-            st.accepted += accepted
+            for st, acc in zip(self.stats[name], accepted):
+                st.proposed += 1
+                st.accepted += acc
+
+    def _field_proposal(self, k: int, name: str):
+        """Prior-preconditioned proposals of field ``k``'s knot values, one per chain."""
+        L = self.chols[:, k]
+        z = np.array([rng.standard_normal(L.shape[-1]) for rng in self.rngs])
+        steps = np.array(self._steps(name))[:, None]
+        return L, self.values[:, k] + steps * np.matmul(L, z[:, :, None])[:, :, 0]
 
     def _update_theta(self, adapting: bool) -> None:
-        step = self.adapters["theta"].step
-        base_new = self.base_theta + step * self.rng.standard_normal(self.dtheta)
-        tp_new = _theta_logprior(base_new, self.priors, self.data.theta_bounds)
-        accepted = False
-        if math.isfinite(tp_new):
-            theta_new = self._theta_at_obs(base_new)
-            mean, var, ok = self._emulate(np.hstack([self.x_obs_unit, theta_new]))
-            if ok:
-                loglik_new = gaussian_loglik(
-                    self.y_std - mean - self.eta_at_obs, self.sigma2 + var
-                )
-                delta = (loglik_new + tp_new) - (self.loglik + self.theta_prior)
-                accepted = self.accept(delta, 0.0, self.rng)
-                if accepted:
-                    self.base_theta = base_new
-                    self.theta_mat = theta_new
-                    self.emu_mean, self.emu_var = mean, var
-                    self.loglik = loglik_new
-                    self.theta_prior = tp_new
+        base_new = self.base_theta + np.array([
+            step * rng.standard_normal(self.dtheta)
+            for step, rng in zip(self._steps("theta"), self.rngs)
+        ])
+        tp_new = [_theta_logprior(b, self.priors, self.data.theta_bounds) for b in base_new]
+        accepted = [False] * len(self.rngs)
+        live = [c for c, tp in enumerate(tp_new) if math.isfinite(tp)]
+        if live:
+            sel = slice(None) if len(live) == len(tp_new) else live
+            Q = self.Q[sel].copy()
+            self._set_theta(Q, base_new[sel], self.values[sel])
+            planes = self.planes[sel].copy() if self.is_gp else None
+            mean, var = self._emulate(live, Q, planes, slice(self.dx, None))
+            eta = self.eta_at_obs[sel] if self.additive else 0.0
+            loglik, ok = self._loglik(mean, eta, var, sel)
+            for j, c in enumerate(live):
+                if not ok[j]:
+                    continue
+                delta = (loglik[j] + tp_new[c]) - (self.loglik[c] + self.theta_prior[c])
+                accepted[c] = self.accept(delta, 0.0, self.rngs[c])
+                if accepted[c]:
+                    self.base_theta[c] = base_new[c]
+                    self.Q[c] = Q[j]
+                    if planes is not None:
+                        self.planes[c] = planes[j]
+                    self.emu_mean[c], self.emu_var[c] = mean[j], var[j]
+                    self.loglik[c] = loglik[j]
+                    self.theta_prior[c] = tp_new[c]
         self._track("theta", accepted, adapting)
 
     def _update_field(self, k: int, adapting: bool) -> None:
         name = f"delta:{self.names[k]}"
-        L = self.chols[k]
-        z = self.rng.standard_normal(len(self.values[k]))
-        vals_new = self.values[k] + self.adapters[name].step * (L @ z)
-        theta_new = self.theta_mat.copy()
-        theta_new[:, k] = self.base_theta[k] + vals_new[self.obs_idx]
-        mean, var, ok = self._emulate(np.hstack([self.x_obs_unit, theta_new]))
-        accepted = False
-        if ok:
-            loglik_new = gaussian_loglik(
-                self.y_std - mean - self.eta_at_obs, self.sigma2 + var
-            )
-            fp_new = _mvn_logpdf_zero(vals_new, L)
-            delta = (loglik_new + fp_new) - (self.loglik + self.field_prior[k])
-            accepted = self.accept(delta, 0.0, self.rng)
-            if accepted:
-                self.values[k] = vals_new
-                self.theta_mat = theta_new
-                self.emu_mean, self.emu_var = mean, var
-                self.loglik = loglik_new
-                self.field_prior[k] = fp_new
+        L, vals_new = self._field_proposal(k, name)
+        j = self.dx + k
+        Q = self.Q.copy()
+        np.add(self.base_theta[:, k, None], vals_new[:, self.obs_sel], out=Q[:, :, j])
+        planes = self.planes.copy() if self.is_gp else None
+        mean, var = self._emulate(range(len(self.rngs)), Q, planes, slice(j, j + 1))
+        loglik, ok = self._loglik(mean, self.eta_at_obs, var)
+        field_prior, log_diag = self.field_prior[k], self.log_diag[k]
+        accepted = [False] * len(self.rngs)
+        for c, rng in enumerate(self.rngs):
+            if not ok[c]:
+                continue
+            fp_new = _mvn_logpdf_zero(vals_new[c], L[c], log_diag[c])
+            delta = (loglik[c] + fp_new) - (self.loglik[c] + field_prior[c])
+            accepted[c] = self.accept(delta, 0.0, rng)
+            if accepted[c]:
+                self.values[c, k] = vals_new[c]
+                self.Q[c] = Q[c]
+                if planes is not None:
+                    self.planes[c] = planes[c]
+                self.emu_mean[c], self.emu_var[c] = mean[c], var[c]
+                self.loglik[c] = loglik[c]
+                field_prior[c] = fp_new
         self._track(name, accepted, adapting)
 
     def _update_eta(self, adapting: bool) -> None:
         """The additive field's values: no emulator query, the cached mean is reused."""
-        L = self.chols[-1]
-        z = self.rng.standard_normal(len(self.values[-1]))
-        vals_new = self.values[-1] + self.adapters["delta:eta"].step * (L @ z)
-        loglik_new = gaussian_loglik(
-            self.y_std - self.emu_mean - vals_new[self.obs_idx], self.sigma2 + self.emu_var
-        )
-        fp_new = _mvn_logpdf_zero(vals_new, L)
-        delta = (loglik_new + fp_new) - (self.loglik + self.field_prior[-1])
-        accepted = self.accept(delta, 0.0, self.rng)
-        if accepted:
-            self.values[-1] = vals_new
-            self.eta_at_obs = vals_new[self.obs_idx]
-            self.loglik = loglik_new
-            self.field_prior[-1] = fp_new
+        L, vals_new = self._field_proposal(-1, "delta:eta")
+        eta_new = vals_new[:, self.obs_sel]
+        loglik = gaussian_loglik(self.y_rows - self.emu_mean - eta_new,
+                                 self.noise_rows + self.emu_var)
+        field_prior, log_diag = self.field_prior[-1], self.log_diag[-1]
+        accepted = [False] * len(self.rngs)
+        for c, rng in enumerate(self.rngs):
+            fp_new = _mvn_logpdf_zero(vals_new[c], L[c], log_diag[c])
+            delta = (loglik[c] + fp_new) - (self.loglik[c] + field_prior[c])
+            accepted[c] = self.accept(delta, 0.0, rng)
+            if accepted[c]:
+                self.values[c, -1] = vals_new[c]
+                self.eta_at_obs[c] = eta_new[c]
+                self.loglik[c] = loglik[c]
+                field_prior[c] = fp_new
         self._track("delta:eta", accepted, adapting)
 
     def _update_hyper(self, k: int, adapting: bool) -> None:
         name = f"hyper:{self.names[k]}"
-        prop = _hyper_proposal(
-            self.rng, self.hypers[k], self.adapters[name].step, self.knot_diff, self.values[k],
-            self.field_prior[k], self.hyper_prior[k], *self.field_priors[k],
-        )
-        accepted = prop is not None and self.accept(prop[0], 0.0, self.rng)
-        if accepted:
-            _, self.hypers[k], self.chols[k], self.field_prior[k], self.hyper_prior[k] = prop
+        field_prior, hyper_prior = self.field_prior[k], self.hyper_prior[k]
+        log_diag = self.log_diag[k]
+        props = _hyper_proposal(self.rngs, self.hypers[:, k], self._steps(name), self.knot_diff,
+                                self.values[:, k], field_prior, hyper_prior,
+                                *self.field_priors[k])
+        accepted = [False] * len(self.rngs)
+        for c, (rng, prop) in enumerate(zip(self.rngs, props)):
+            accepted[c] = prop is not None and self.accept(prop[0], 0.0, rng)
+            if accepted[c]:
+                _, self.hypers[c, k], self.chols[c, k], log_diag[c], fp2, hp2 = prop
+                field_prior[c], hyper_prior[c] = fp2, hp2
         self._track(name, accepted, adapting)
 
-    def _gibbs_sigma2(self) -> None:
-        resid = self.y_std - self.emu_mean - self.eta_at_obs
-        self.sigma2 = self.gibbs(resid, self.priors.noise, self.rng)
-        self.loglik = gaussian_loglik(resid, self.sigma2 + self.emu_var)
-        self.sigma2_prior = self.priors.noise.logpdf(self.sigma2)
+    def _gibbs_sigma2(self, adapting: bool = False) -> None:
+        resid = self.y_rows - self.emu_mean
+        if self.additive:
+            resid -= self.eta_at_obs
+        for c, rng in enumerate(self.rngs):
+            self.sigma2[c] = self.noise_rows[c] = self.gibbs(resid[c], self.priors.noise, rng)
+        self.loglik = gaussian_loglik(resid, self.noise_rows + self.emu_var)
+        self.sigma2_prior = list(map(self.priors.noise.logpdf, self.sigma2.tolist()))
 
-    def _audit(self) -> None:
-        recomputed = embedded_log_posterior(self.snapshot(), self.data, self.emulator, self.priors)
-        cached = self.total()
+    def _audit(self, c: int) -> None:
+        recomputed = embedded_log_posterior(self.snapshot(c), self.data, self.emulator,
+                                            self.priors)
+        cached = self.total(c)
         if abs(recomputed - cached) > 1e-9:
             raise RuntimeError(
                 f"log-posterior audit failed: cached {cached!r} vs recomputed {recomputed!r}"
             )
 
-    def run(self):
-        cfg = self.cfg
-        n_stored = (cfg.iterations - cfg.burn_in + cfg.thin - 1) // cfg.thin
-        K = len(self.knots)
-        dx = self.knots.shape[1]
-        out_delta = {n: np.empty((n_stored, K)) for n in self.names}
-        out_hyper = {n: np.empty((n_stored, 1 + dx)) for n in self.names}
-        out_sigma2 = np.empty(n_stored)
-        out_theta = np.empty((n_stored, self.dtheta)) if self.record_theta else None
+    def _block_steps(self) -> list:
+        """(name, step) of each active block in sweep order; ``step(adapting)`` runs it."""
+        steps = [("theta", self._update_theta)] if self.sample_theta else []
+        steps += [(f"delta:{n}", partial(self._update_field, k))
+                  for k, n in enumerate(self.names[: self.n_drift])]
+        if self.additive:
+            steps.append(("delta:eta", self._update_eta))
+        if self.cfg.sample_hyper:
+            steps += [(f"hyper:{n}", partial(self._update_hyper, k))
+                      for k, n in enumerate(self.names)]
+        if self.cfg.sample_sigma2:
+            steps.append(("sigma2", self._gibbs_sigma2))
+        return steps
 
+    def block_us(self) -> dict[str, float]:
+        """Mean wall time of one step of each block, all chains together, in microseconds."""
+        return {name: ns / 1e3 / self.cfg.iterations for name, ns in self.block_ns.items()}
+
+    def run(self) -> list[dict]:
+        """Run the configured sweeps; returns one result dict per chain."""
+        cfg = self.cfg
+        C = len(self.rngs)
+        n_stored = (cfg.iterations - cfg.burn_in + cfg.thin - 1) // cfg.thin
+        out_delta = {n: np.empty((C, n_stored, len(self.knots))) for n in self.names}
+        out_hyper = {n: np.empty((C, n_stored, 1 + self.dx)) for n in self.names}
+        out_sigma2 = np.empty((C, n_stored))
+        out_theta = np.empty((C, n_stored, self.dtheta)) if self.record_theta else None
+
+        steps = self._block_steps()
+        ns = self.block_ns = dict.fromkeys((name for name, _ in steps), 0)
+        clock = time.perf_counter_ns
         stored = 0
         for it in range(cfg.iterations):
             adapting = it < cfg.burn_in
-            if self.sample_theta:
-                self._update_theta(adapting)
-            for k in range(self.n_drift):
-                self._update_field(k, adapting)
-            if self.additive:
-                self._update_eta(adapting)
-            if cfg.sample_hyper:
-                for k in range(len(self.names)):
-                    self._update_hyper(k, adapting)
-            if cfg.sample_sigma2:
-                self._gibbs_sigma2()
+            for name, step in steps:
+                t = clock()
+                step(adapting)
+                ns[name] += clock() - t
             if cfg.audit_every and (it + 1) % cfg.audit_every == 0:
-                self._audit()
+                for c in range(C):
+                    self._audit(c)
             if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
                 for k, n in enumerate(self.names):
-                    out_delta[n][stored] = self.values[k]
-                    out_hyper[n][stored] = self.hypers[k]
-                out_sigma2[stored] = self.sigma2
+                    out_delta[n][:, stored] = self.values[:, k]
+                    out_hyper[n][:, stored] = self.hypers[:, k]
+                out_sigma2[:, stored] = self.sigma2
                 if out_theta is not None:
-                    out_theta[stored] = self.base_theta
+                    out_theta[:, stored] = self.base_theta
                 stored += 1
-        return {
-            "delta": out_delta,
-            "hyper": out_hyper,
-            "sigma2": out_sigma2,
-            "theta": out_theta,
-            "stats": self.stats,
-            "extrap_count": self.extrap_count,
-            "extrap_max": self.extrap_max,
-            "base_theta": self.base_theta,
-        }
+        return [
+            {
+                "delta": {n: out_delta[n][c] for n in self.names},
+                "hyper": {n: out_hyper[n][c] for n in self.names},
+                "sigma2": out_sigma2[c],
+                "theta": None if out_theta is None else out_theta[c],
+                "stats": {n: stats[c] for n, stats in self.stats.items()},
+                "extrap_count": self.extrap_count[c],
+                "extrap_max": self.extrap_max[c],
+                "base_theta": self.base_theta[c].copy(),
+            }
+            for c in range(C)
+        ]
 
 
 def _build_knots(data: CalibrationDataset):
@@ -684,12 +866,15 @@ def _build_knots(data: CalibrationDataset):
     return knots, obs_idx
 
 
-def _run_chains(data, emulator, priors, config, kind: str, **blocks) -> PosteriorSamples:
-    """Run ``config.chains`` seeded chains of :class:`_Chain` one after another and merge them.
+def _run_chains(data, emulator, priors, config, kind: str, timing: dict | None = None,
+                **blocks) -> PosteriorSamples:
+    """Run ``config.chains`` seeded chains in lockstep through one :class:`_Chain` and merge them.
 
-    ``blocks`` are the chain's keyword-only block settings. Each chain draws
-    from its own ``SeedSequence`` child of ``config.seed``. Raises when the
-    theta priors or ``config.theta0`` do not give one entry per parameter.
+    ``blocks`` are the engine's keyword-only block settings. Each chain draws
+    from its own ``SeedSequence`` child of ``config.seed``. A ``timing`` dict
+    receives the chain count and the mean wall time of each block step in
+    microseconds. Raises when the theta priors or ``config.theta0`` do not
+    give one entry per parameter.
     """
     if priors.theta is not None and len(priors.theta) != data.dtheta:
         raise ValueError(
@@ -701,11 +886,12 @@ def _run_chains(data, emulator, priors, config, kind: str, **blocks) -> Posterio
             f"theta0 has {len(config.theta0)} entries, dataset has {data.dtheta} parameters"
         )
     knots, obs_idx = _build_knots(data)
-    results = [
-        _Chain(data, emulator, priors, config, np.random.default_rng(seed), knots, obs_idx,
-               **blocks).run()
-        for seed in np.random.SeedSequence(config.seed).spawn(config.chains)
-    ]
+    rngs = [np.random.default_rng(seed)
+            for seed in np.random.SeedSequence(config.seed).spawn(config.chains)]
+    engine = _Chain(data, emulator, priors, config, rngs, knots, obs_idx, **blocks)
+    results = engine.run()
+    if timing is not None:
+        timing.update(chains=config.chains, us_per_step=engine.block_us())
 
     names = list(results[0]["delta"])
     delta = {n: np.vstack([r["delta"][n] for r in results]) for n in names}
@@ -766,6 +952,7 @@ def run_integrated_delta(
     emulator,
     priors: CalibrationPriors,
     mcmc_config: McmcConfig,
+    timing: dict | None = None,
 ) -> PosteriorSamples:
     """Run the embedded-discrepancy sampler.
 
@@ -775,9 +962,12 @@ def run_integrated_delta(
     (variance, lengthscale), and a conjugate Gibbs draw of the noise
     variance. Step sizes adapt toward the target
     acceptance rate during burn-in only; draws after burn-in are stored
-    with the configured stride. Deterministic for a fixed seed.
+    with the configured stride. Deterministic for a fixed seed. A ``timing``
+    dict receives the chain count and each block's mean step time in
+    microseconds.
     """
-    return _run_embedded(data, emulator, priors, mcmc_config, "integrated_delta", additive=False)
+    return _run_embedded(data, emulator, priors, mcmc_config, "integrated_delta", timing,
+                         additive=False)
 
 
 def run_combined(
@@ -785,6 +975,7 @@ def run_combined(
     emulator,
     priors: CalibrationPriors,
     mcmc_config: McmcConfig,
+    timing: dict | None = None,
 ) -> PosteriorSamples:
     """Embedded drift fields plus one additive output-discrepancy field.
 
@@ -792,14 +983,16 @@ def run_combined(
     classic additive discrepancy; everything else matches
     :func:`run_integrated_delta`. Experimental.
     """
-    return _run_embedded(data, emulator, priors, mcmc_config, "combined", additive=True)
+    return _run_embedded(data, emulator, priors, mcmc_config, "combined", timing, additive=True)
 
 
-def _run_embedded(data, emulator, priors, config, kind: str, additive: bool) -> PosteriorSamples:
+def _run_embedded(data, emulator, priors, config, kind: str, timing: dict | None,
+                  additive: bool) -> PosteriorSamples:
     """The drift-field calibrators: theta is sampled and stored only when configured."""
     theta = bool(config.sample_theta)
-    return _run_chains(data, emulator, priors, config, kind, drift=True, additive=additive,
-                       sample_theta=theta, accept=mh_accept, gibbs=gibbs_sigma2)
+    return _run_chains(data, emulator, priors, config, kind, timing, drift=True,
+                       additive=additive, sample_theta=theta, accept=mh_accept,
+                       gibbs=gibbs_sigma2)
 
 
 def _draw_subset(n_draws: int, max_draws: int | None) -> np.ndarray:

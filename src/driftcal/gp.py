@@ -30,6 +30,7 @@ __all__ = [
     "fit_gp",
     "predict",
     "predict_standardized",
+    "predict_columns",
     "log_marginal_likelihood",
     "optimize_emulator",
 ]
@@ -205,9 +206,9 @@ class GPModel:
         return predict(self, query, want_cov)
 
 
-def _se_diff(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Differences ``A[g, d] - B[i, d]`` in dimension-major (G, D, n) layout."""
-    return A[:, :, None] - np.ascontiguousarray(B.T)
+def _se_diff(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Differences ``A[..., g, d] - B[i, d]`` in dimension-major (..., G, D, n) layout."""
+    return np.subtract(A[..., None], np.ascontiguousarray(B.T), out=out)
 
 
 def _se_kernel(diff: np.ndarray, variance, lengthscales: np.ndarray,
@@ -223,10 +224,23 @@ def _se_kernel(diff: np.ndarray, variance, lengthscales: np.ndarray,
     in its last bits, which exp turns into a relative difference of the
     kernel that grows with the exponent. ``diff`` is scaled in place when
     ``overwrite`` is set.
+
+    A (C, D) stack of lengthscales, with ``variance`` broadcast as (C, 1, 1),
+    gives a (C, G, n) stack of kernels, each bitwise the one built alone.
     """
-    z = np.divide(diff, lengthscales[:, None], out=diff if overwrite else None)
+    return _se_sum(_se_planes(diff, lengthscales, overwrite), variance)
+
+
+def _se_planes(diff: np.ndarray, lengthscales: np.ndarray, overwrite: bool = False):
+    """The squared scaled differences ``(diff_d / ls_d)^2``: :func:`_se_kernel`'s D planes."""
+    z = np.divide(diff, lengthscales[..., None, :, None], out=diff if overwrite else None)
     z *= z
-    K = z.sum(axis=1)
+    return z
+
+
+def _se_sum(planes: np.ndarray, variance) -> np.ndarray:
+    """:func:`_se_kernel` from its planes: their sum in sequence, negated, exponentiated, scaled."""
+    K = planes.sum(axis=-2)
     np.negative(K, out=K)
     np.exp(K, out=K)
     K *= variance
@@ -314,6 +328,34 @@ def predict_standardized(model: GPModel, query, want_cov: bool = False):
         cov -= v.T @ v
         cov = 0.5 * (cov + cov.T)
     return mean, var, cov
+
+
+def predict_columns(model: GPModel, planes: np.ndarray, Q: np.ndarray, cols: slice):
+    """:func:`predict_standardized`'s mean and variance at C stacked queries, from cached planes.
+
+    ``Q`` is a (C, G, D) stack of queries and ``planes`` their (C, G, D, N)
+    squared scaled differences to the N training inputs, as
+    :func:`_se_kernel` forms them. Only the planes of columns ``cols`` are
+    recomputed from ``Q``, in place; the others are reused, so a sampler
+    whose queries share fixed columns pays for the columns it moves. The
+    planes are summed in :func:`_se_kernel`'s order, the means are one
+    batched matrix-vector product and the variances one triangular solve
+    over all C * G columns, so each ``[c]`` of the (C, G) results is bitwise
+    ``predict_standardized(model, Q[c])``. (LAPACK solves a lone right-hand
+    side by another path, so single-row queries are solved one by one.)
+    """
+    p = model.params
+    moved = _se_diff(Q[..., cols], model.train.inputs[:, cols], out=planes[:, :, cols])
+    _se_planes(moved, p.lengthscales[cols], overwrite=True)
+    Ks = _se_sum(planes, p.variance_scale)
+    C, G, N = Ks.shape
+    mean = np.matmul(Ks, model.alpha)
+    if G == 1:
+        v = np.asfortranarray(np.hstack([_solve_lower(model.chol, k.T) for k in Ks]))
+    else:
+        v = _solve_lower(model.chol, Ks.reshape(C * G, N).T)
+    var = np.maximum(p.variance_scale - np.einsum("ij,ij->j", v, v), 0.0)
+    return mean, var.reshape(C, G)
 
 
 def predict(model: GPModel, query, want_cov: bool = False) -> PredictiveDistribution:

@@ -23,6 +23,7 @@ def run_koh(
     emulator,
     priors: CalibrationPriors,
     mcmc_config: McmcConfig,
+    timing: dict | None = None,
 ) -> PosteriorSamples:
     """MH-within-Gibbs sweep for the baseline model.
 
@@ -33,10 +34,12 @@ def run_koh(
     Deterministic for a fixed seed; emits the same sample layout as the
     embedded calibrator with theta draws always stored (the engine stores
     them whenever the drift fields are off) and the discrepancy under "eta".
+    A ``timing`` dict receives the chain count and each block's mean step
+    time in microseconds.
     """
     # this module's mh_accept/gibbs_sigma2 bindings make every decision
     return _run_chains(
-        data, emulator, priors, mcmc_config, "koh", drift=False, additive=True,
+        data, emulator, priors, mcmc_config, "koh", timing, drift=False, additive=True,
         sample_theta=mcmc_config.sample_theta is not False,
         accept=mh_accept, gibbs=gibbs_sigma2,
     )

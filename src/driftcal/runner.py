@@ -62,11 +62,14 @@ class RunReport:
     extrapolation_count: int = 0
     wall_clock_s: float = 0.0
     stage_s: dict[str, float] = field(default_factory=dict)
+    # per calibrator: chain count and mean microseconds per step of each block
+    block_us: dict[str, dict] = field(default_factory=dict)
     outputs: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
         body = asdict(self)
-        del body["wall_clock_s"], body["stage_s"]  # in timing.json: reports stay byte-stable
+        # in timing.json: reports stay byte-stable
+        del body["wall_clock_s"], body["stage_s"], body["block_us"]
         body["format"] = REPORT_FORMAT
         return json.dumps(body, indent=2, sort_keys=True) + "\n"
 
@@ -246,8 +249,9 @@ _RUNNERS = {
 
 
 @_stage("calibration")
-def _run_calibrator(mode: str, ds, emulator, config: RunConfig, mcmc: McmcConfig):
-    return _RUNNERS[mode](ds, emulator, config.priors, mcmc)
+def _run_calibrator(mode: str, ds, emulator, config: RunConfig, mcmc: McmcConfig,
+                    timing: dict):
+    return _RUNNERS[mode](ds, emulator, config.priors, mcmc, timing=timing)
 
 
 @_stage("predictive")
@@ -306,7 +310,8 @@ def orchestrate(config: RunConfig) -> RunReport:
         mcmc = config.mcmc
         if mode == "koh" and config.koh_mcmc is not None:
             mcmc = config.koh_mcmc
-        samples = _run_calibrator(mode, ds, emulator, config, mcmc)
+        samples = _run_calibrator(mode, ds, emulator, config, mcmc,
+                                  report.block_us.setdefault(mode, {}))
         t = _lap(report.stage_s, f"calibration:{mode}", t)
         per_mode[mode] = samples
         sub_dir = os.path.join(out_dir, mode) if config.mode == "compare" else out_dir
@@ -353,7 +358,8 @@ def _finish(report: RunReport, out_dir: str, t0: float) -> None:
         fh.write(report.to_json())
     report.outputs.append("report.json")
     with open(os.path.join(out_dir, "timing.json"), "w") as fh:
-        json.dump({"wall_clock_s": report.wall_clock_s, "stage_s": report.stage_s}, fh)
+        json.dump({"wall_clock_s": report.wall_clock_s, "stage_s": report.stage_s,
+                   "block_us": report.block_us}, fh)
         fh.write("\n")
 
 

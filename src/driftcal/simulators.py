@@ -89,6 +89,7 @@ _TESTBED_FUNCTIONS: dict[str, Callable[[np.ndarray, np.ndarray], float]] = {
     "linear": lambda x, th: float(th[0] + th[1] * x[0]),
     "quadratic": lambda x, th: float(th[0] + th[1] * x[0] + th[2] * x[0] ** 2),
 }
+TESTBED_NAMES = tuple(_TESTBED_FUNCTIONS)
 
 
 @dataclass(frozen=True)
@@ -210,7 +211,9 @@ def bisection_critical_search(
     return 0.5 * (lo + hi)
 
 
-_DRIFT_KINDS = ("zero", "exp_decay", "linear", "gaussian_bump")
+# each drift kind and its parameter count
+_DRIFT_ARITY = {"zero": 0, "exp_decay": 2, "linear": 2, "gaussian_bump": 3}
+DRIFT_KINDS = tuple(_DRIFT_ARITY)
 
 
 @dataclass(frozen=True)
@@ -222,8 +225,11 @@ class DriftFunction:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        if self.kind not in _DRIFT_KINDS:
+        if self.kind not in _DRIFT_ARITY:
             raise ValueError(f"unknown drift kind {self.kind!r}")
+        if len(self.params) != _DRIFT_ARITY[self.kind]:
+            raise ValueError(f"drift kind {self.kind!r} takes {_DRIFT_ARITY[self.kind]} "
+                             f"params, got {len(self.params)}")
 
     @classmethod
     def zero(cls) -> "DriftFunction":

@@ -61,6 +61,14 @@ def ref_knot_chol(knots):
     return knot_chol
 
 
+def ref_knot_chols(knots):
+    """``embedded._knot_chols`` as one ``ref_knot_chol`` per row."""
+    def knot_chols(knot_diff, H):
+        return np.array([ref_knot_chol(knots)(knot_diff, h) for h in H]), [True] * len(H)
+
+    return knot_chols
+
+
 def ref_conditional_curves(knots, X, values_rows, hyper_rows):
     """``embedded._conditional_curves`` with the broadcast kernel and scipy solvers."""
     diff_xk = X[:, None, :] - knots[None, :, :]
@@ -143,6 +151,39 @@ def test_se_kernel_non_finite_inputs_land_in_the_same_places(case, data):
             X[i, data.draw(st.integers(0, X.shape[1] - 1))] = value
     with np.errstate(invalid="ignore"):
         assert_kernels_bitwise(A, B, params)
+
+
+@st.composite
+def chain_query_case(draw):
+    """A GP on 1-60 runs in D = 2-5, C = 1-4 stacked queries of 1-8 rows reaching
+    outside the unit box, and a sequence of column blocks to replace."""
+    d, n, chains, rows = (draw(st.integers(2, 5)), draw(st.integers(1, 60)),
+                          draw(st.integers(1, 4)), draw(st.integers(1, 8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.random((n, d))
+    params = KernelParams(rng.uniform(0.1, 3.0), np.exp(rng.uniform(-2.0, 1.0, d)), 1e-8)
+    model = gp.fit_gp(TrainingSet.from_raw(X, rng.standard_normal(n)), params)
+    Q = rng.uniform(-0.5, 1.5, (chains, rows, d))
+    blocks = draw(st.lists(st.tuples(st.integers(0, d - 1), st.integers(1, d)), max_size=5))
+    moves = [(slice(lo, min(lo + w, d)), rng.uniform(-0.5, 1.5, (chains, rows, min(w, d - lo))))
+             for lo, w in blocks]
+    return model, Q, moves
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain_query_case())
+def test_chain_query_matches_predict_standardized_bitwise(case):
+    model, Q, moves = case
+    planes = np.empty((*Q.shape, model.train.n))
+    mean, var = gp.predict_columns(model, planes, Q, slice(None))
+    for cols, values in [(None, None)] + moves:
+        if cols is not None:
+            Q[:, :, cols] = values
+            mean, var = gp.predict_columns(model, planes, Q, cols)
+        for c in range(Q.shape[0]):
+            ref_mean, ref_var, _ = gp.predict_standardized(model, Q[c])
+            assert np.array_equal(mean[c], ref_mean)
+            assert np.array_equal(var[c], ref_var)
 
 
 def spd_matrix(rng, n):
@@ -267,6 +308,7 @@ def assert_draws_unchanged_with_reference_helpers(runner, emu, monkeypatch):
 
     knots, _ = _build_knots(data)
     monkeypatch.setattr(embedded, "_knot_chol", ref_knot_chol(knots))
+    monkeypatch.setattr(embedded, "_knot_chols", ref_knot_chols(knots))
     for mod in (embedded, gp):
         monkeypatch.setattr(mod, "_solve_lower", ref_solve_lower)
         monkeypatch.setattr(mod, "_cho_solve", ref_cho_solve)

@@ -92,11 +92,11 @@ def test_chain_starts_at_prior_medians_not_at_the_synthetic_truth():
                           param_names=spec.param_names)
     knots, obs_idx = _build_knots(ds)
     chain = _Chain(ds, ExactEmulator(lambda row: 0.0), cfg.priors, cfg.mcmc,
-                   np.random.default_rng(0), knots, obs_idx, drift=True, additive=False,
+                   [np.random.default_rng(0)], knots, obs_idx, drift=True, additive=False,
                    sample_theta=False, accept=mh_accept, gibbs=gibbs_sigma2)
     medians = np.array([[p.median() for p in spec.theta_priors]])
-    assert np.array_equal(chain.base_theta, to_unit(medians, ds.theta_bounds)[0])
-    assert not np.array_equal(chain.base_theta, to_unit(spec.truth.theta0[None, :],
+    assert np.array_equal(chain.base_theta[0], to_unit(medians, ds.theta_bounds)[0])
+    assert not np.array_equal(chain.base_theta[0], to_unit(spec.truth.theta0[None, :],
                                                          ds.theta_bounds)[0])
 
 
@@ -176,6 +176,27 @@ def test_non_finite_numbers_are_refused_at_their_key():
             assert where == path and "finite" in msg, (path, value)
 
 
+def test_simulator_settings_and_drift_params_are_checked_at_their_key():
+    def simulator(**kv):
+        return lambda raw: raw["synthetic"]["simulator"].update(kv)
+
+    def first_drift(**kv):
+        return lambda raw: raw["synthetic"]["truth"]["drifts"][0].update(kv)
+
+    cases = [
+        ("synthetic.simulator.amplitude", simulator(amplitude=float("nan"))),
+        ("synthetic.simulator.amplitude", simulator(amplitude="abc")),
+        ("synthetic.simulator.typo", simulator(typo=1)),
+        ("synthetic.truth.drifts[0].params", first_drift(params=[float("nan"), 0.2])),
+    ]
+    for path, edit in cases:
+        raw = json.loads(HEADLINE_CONFIG.read_text())
+        edit(raw)
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(raw))
+        assert [where for where, _ in err.value.errors] == [path]
+
+
 def test_compare_requires_koh_block():
     raw = base_config(mode="compare")
     with pytest.raises(ConfigError, match="koh"):
@@ -233,7 +254,7 @@ def small_run(tmp_path_factory):
 
 
 def test_orchestrate_writes_declared_outputs(small_run):
-    out, _raw, report = small_run
+    out, raw, report = small_run
     for name in ("config_echo.json", "dataset.csv", "emulator.json", "report.json",
                  "timing.json", "predictive.csv", "predictive_obs.csv"):
         assert (out / name).exists(), name
@@ -247,6 +268,12 @@ def test_orchestrate_writes_declared_outputs(small_run):
                               "outputs:integrated_delta"]
     assert all(s >= 0.0 for s in stages.values())
     assert sum(stages.values()) <= timing["wall_clock_s"]
+    [(mode, blocks)] = timing["block_us"].items()
+    assert mode == "integrated_delta" and blocks["chains"] == raw["mcmc"]["chains"]
+    assert sorted(blocks["us_per_step"]) == ["delta:l_c", "delta:mu", "delta:nu", "hyper:l_c",
+                                             "hyper:mu", "hyper:nu", "sigma2"]
+    assert all(us > 0.0 for us in blocks["us_per_step"].values())
+    assert "block_us" not in (out / "report.json").read_text()
     loaded = load_samples(out / "samples")
     assert loaded.kind == "integrated_delta"
 

@@ -112,7 +112,7 @@ def field_chain(data, emu, priors, cfg=None, additive=False, seed=5):
     """The production chain with drift fields on, theta fixed, decisions by ``embedded``."""
     cfg = cfg or McmcConfig(iterations=2, burn_in=1, theta0=(0.5,))
     knots, obs_idx = _build_knots(data)
-    return _Chain(data, emu, priors, cfg, np.random.default_rng(seed), knots, obs_idx,
+    return _Chain(data, emu, priors, cfg, [np.random.default_rng(seed)], knots, obs_idx,
                   drift=True, additive=additive, sample_theta=False,
                   accept=embedded.mh_accept, gibbs=embedded.gibbs_sigma2)
 
@@ -120,11 +120,11 @@ def field_chain(data, emu, priors, cfg=None, additive=False, seed=5):
 def test_propose_zero_step_is_identity():
     data = unit_dataset([[0.1], [0.6]], [0.5, 0.5])
     chain = field_chain(data, ExactEmulator(lambda row: row[1]), CalibrationPriors(), seed=0)
-    chain.values[0] = np.array([0.2, -0.3])
+    chain.values[0, 0] = np.array([0.2, -0.3])
     chain._init_parts()
-    chain.adapters["delta:p0"].step = 0.0
+    chain.adapters["delta:p0"][0].step = 0.0
     chain._update_field(0, adapting=False)
-    assert np.array_equal(chain.values[0], [0.2, -0.3])
+    assert np.array_equal(chain.values[0, 0], [0.2, -0.3])
 
 
 def test_propose_covariance_matches_prior(monkeypatch):
@@ -133,14 +133,14 @@ def test_propose_covariance_matches_prior(monkeypatch):
     data = unit_dataset([[0.1], [0.5], [0.9]], np.zeros(3))
     emu = ExactEmulator(lambda Q: np.zeros(len(Q)), vectorized=True)
     chain = field_chain(data, emu, CalibrationPriors(), seed=1)
-    chain.adapters["delta:p0"].step = 1.0
+    chain.adapters["delta:p0"][0].step = 1.0
     draws = np.empty((100_000, 3))
     for i in range(draws.shape[0]):
-        before = chain.values[0]
+        before = chain.values[0, 0].copy()
         chain._update_field(0, adapting=False)
-        draws[i] = chain.values[0] - before
+        draws[i] = chain.values[0, 0] - before
     sample_cov = np.cov(draws.T)
-    h = chain.hypers[0]
+    h = chain.hypers[0, 0]
     K = make_field(data.obs_x, np.zeros(3), variance=h[0], lengthscale=h[1]).prior_cov()
     rel = np.linalg.norm(sample_cov - K) / np.linalg.norm(K)
     assert rel < 0.05
@@ -307,13 +307,13 @@ def test_hyper_chain_matches_quadrature_conditional():
     priors = CalibrationPriors(field_variance=vp, field_lengthscale=lp)
     data = unit_dataset(knots, np.zeros(3))
     chain = field_chain(data, ExactEmulator(lambda row: row[1]), priors, seed=0)
-    chain.adapters["hyper:p0"].step = 0.5
+    chain.adapters["hyper:p0"][0].step = 0.5
     vs, ls = [], []
     for _ in range(30_000):
         chain._update_hyper(0, adapting=False)
-        vs.append(chain.hypers[0][0])
-        ls.append(chain.hypers[0][1])
-    assert np.array_equal(chain.values[0], np.zeros(3))
+        vs.append(chain.hypers[0, 0, 0])
+        ls.append(chain.hypers[0, 0, 1])
+    assert np.array_equal(chain.values[0, 0], np.zeros(3))
     vs = np.array(vs[2000:])
     ls = np.array(ls[2000:])
 
@@ -357,10 +357,10 @@ def test_hyper_proposal_outside_float_range_is_refused(z):
     priors = CalibrationPriors()
     knots = np.array([[0.1], [0.5], [0.9]])
     prop = _hyper_proposal(
-        FixedNormals(z), np.array([0.05, 0.3]), 800.0, knots[:, None, :] - knots[None, :, :],
-        np.zeros(3), 0.0, 0.0, priors.field_variance, priors.field_lengthscale,
+        [FixedNormals(z)], np.array([[0.05, 0.3]]), [800.0], knots[:, None, :] - knots[None, :, :],
+        np.zeros((1, 3)), [0.0], [0.0], priors.field_variance, priors.field_lengthscale,
     )
-    assert prop is None
+    assert prop == [None]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -371,7 +371,7 @@ def test_overflowing_hyper_proposals_are_counted_rejections(additive):
     data, emu, priors, _, _ = gaussian_rig([0.6, 0.45])
     cfg = McmcConfig(iterations=300, burn_in=0, thin=1, chains=1, seed=5,
                      initial_step=1e3, theta0=(0.5,), audit_every=50)
-    out = field_chain(data, emu, priors, cfg, additive=additive).run()
+    out = field_chain(data, emu, priors, cfg, additive=additive).run()[0]
     blocks = ["hyper:p0"] + (["hyper:eta"] if additive else [])
     for block in blocks:
         assert out["stats"][block].proposed == cfg.iterations

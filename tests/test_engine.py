@@ -16,7 +16,7 @@ from driftcal.embedded import (
     _Chain,
     run_integrated_delta,
 )
-from driftcal.gp import ExactEmulator
+from driftcal.gp import ExactEmulator, KernelParams, TrainingSet, fit_gp
 from driftcal.koh import run_koh
 from driftcal.simulators import CalibrationDataset
 
@@ -76,15 +76,15 @@ def test_extreme_steps_are_counted_rejections(config, theta0, theta_step, hyper_
     cfg = McmcConfig(iterations=40, burn_in=10, thin=1, chains=1, seed=seed,
                      theta0=theta0, audit_every=5)
     knots, obs_idx = _build_knots(data)
-    chain = _Chain(data, EMULATOR, PRIORS, cfg, np.random.default_rng(seed), knots, obs_idx,
+    chain = _Chain(data, EMULATOR, PRIORS, cfg, [np.random.default_rng(seed)], knots, obs_idx,
                    accept=embedded.mh_accept, gibbs=embedded.gibbs_sigma2,
                    **CONFIGURATIONS[config])
-    for name, adapter in chain.adapters.items():
+    for name, [adapter] in chain.adapters.items():
         if name == "theta":
             adapter.step = theta_step
         elif name.startswith("hyper:"):
             adapter.step = hyper_step
-    out = chain.run()
+    out = chain.run()[0]
 
     for name in chain.block_names:  # every block here runs
         assert out["stats"][name].proposed == cfg.iterations - cfg.burn_in, name
@@ -94,7 +94,7 @@ def test_extreme_steps_are_counted_rejections(config, theta0, theta_step, hyper_
     assert np.all(np.isfinite(out["sigma2"])) and np.all(out["sigma2"] > 0)
     if out["theta"] is not None:
         assert np.all((out["theta"] >= 0.0) & (out["theta"] <= 1.0))
-    assert math.isfinite(chain.total())
+    assert math.isfinite(chain.total(0))
 
 
 @pytest.mark.parametrize("calibrator", [run_integrated_delta, run_koh])
@@ -108,3 +108,105 @@ def test_theta_inputs_must_match_the_parameter_count(calibrator, n):
         calibrator(data, EMULATOR, priors, cfg)
     with pytest.raises(ValueError, match=f"theta0 has {n} entries, dataset has 2"):
         calibrator(data, EMULATOR, PRIORS, McmcConfig(iterations=4, burn_in=2, theta0=(0.5,) * n))
+
+
+# -- lockstep chains ----------------------------------------------------------
+
+
+def gp_emulator():
+    X = np.random.default_rng(5).random((30, 3))
+    return fit_gp(TrainingSet.from_raw(X, response(X)), KernelParams(1.0, [0.4, 0.4, 0.4], 1e-8))
+
+
+def engine(config, emulator, rngs, **mcmc):
+    """The engine on ``rngs`` in a block configuration, on the edge dataset."""
+    data = edge_dataset(0.4 + 0.3 * np.linspace(0.1, 0.9, 4))
+    knots, obs_idx = _build_knots(data)
+    settings = dict(iterations=60, burn_in=20, thin=2, theta0=(0.6, 0.4), audit_every=20)
+    settings.update(mcmc)
+    cfg = McmcConfig(chains=len(rngs), **settings)
+    return _Chain(data, emulator, PRIORS, cfg, rngs, knots, obs_idx,
+                  accept=embedded.mh_accept, gibbs=embedded.gibbs_sigma2,
+                  **CONFIGURATIONS[config])
+
+
+def generators(seed):
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
+
+
+def lockstep_runs(config, emulator, seed, hyper_steps=None, **mcmc):
+    """One 3-chain engine and three 1-chain engines on the same generators.
+
+    ``hyper_steps`` maps a chain index to the hyperparameter step it keeps
+    (with no burn-in, steps do not adapt).
+    """
+    together = engine(config, emulator, generators(seed), **mcmc)
+    alone = [engine(config, emulator, [rng], **mcmc) for rng in generators(seed)]
+    for c, step in (hyper_steps or {}).items():
+        for name in together.adapters:
+            if name.startswith("hyper:"):
+                together.adapters[name][c].step = step
+                alone[c].adapters[name][0].step = step
+    return together.run(), [chain.run()[0] for chain in alone]
+
+
+def assert_same_chain(a, b):
+    assert a["delta"].keys() == b["delta"].keys()
+    for name in a["delta"]:
+        assert np.array_equal(a["delta"][name], b["delta"][name]), name
+        assert np.array_equal(a["hyper"][name], b["hyper"][name]), name
+    assert np.array_equal(a["sigma2"], b["sigma2"])
+    assert (a["theta"] is None) == (b["theta"] is None)
+    if a["theta"] is not None:
+        assert np.array_equal(a["theta"], b["theta"])
+    assert np.array_equal(a["base_theta"], b["base_theta"])
+    assert {n: (s.proposed, s.accepted) for n, s in a["stats"].items()} == \
+        {n: (s.proposed, s.accepted) for n, s in b["stats"].items()}
+    assert (a["extrap_count"], a["extrap_max"]) == (b["extrap_count"], b["extrap_max"])
+
+
+@pytest.mark.parametrize("emulator", [EMULATOR, gp_emulator()], ids=["exact", "gp"])
+@pytest.mark.parametrize("config", sorted(CONFIGURATIONS))
+def test_lockstep_chains_equal_chains_run_alone(config, emulator):
+    together, alone = lockstep_runs(config, emulator, seed=21, initial_step=1.5)
+    for a, b in zip(together, alone):
+        assert_same_chain(a, b)
+    # the chains differ, so the comparison is not of three copies of one chain
+    assert not np.array_equal(together[0]["sigma2"], together[1]["sigma2"])
+    if config != "koh":  # drift fields push theta*(x) out of the box at this step size
+        assert sum(r["extrap_count"] for r in together) > 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("config", sorted(CONFIGURATIONS))
+def test_one_chains_overflowing_hyper_proposals_reject_only_its_own(config):
+    # chain 1 keeps a log-space step of 1e3, so its proposals overflow or
+    # underflow; chains 0 and 2 keep a small one
+    together, alone = lockstep_runs(config, gp_emulator(), seed=8, burn_in=0,
+                                    hyper_steps={0: 0.3, 1: 1e3, 2: 0.3})
+    for a, b in zip(together, alone):
+        assert_same_chain(a, b)
+    rates = [{n: s.accepted / s.proposed for n, s in r["stats"].items() if n.startswith("hyper:")}
+             for r in together]
+    assert max(rates[1].values()) < 0.1 < min(min(rates[0].values()), min(rates[2].values()))
+
+
+def test_non_finite_output_for_one_chain_rejects_only_its_proposal():
+    def nan_emulator(flags):
+        def mean(Q):
+            # NaN wherever theta*(x) of the first parameter passes 0.7
+            flags.append(bool(np.any(Q[:, 1] > 0.7)))
+            return np.full(len(Q), np.nan) if flags[-1] else response(Q)
+
+        return ExactEmulator(mean, vectorized=True)
+
+    mcmc = dict(seed=3, initial_step=1.0)
+    together = engine("embedded_theta", nan_emulator([]), generators(3), **mcmc).run()
+    flags = [[], [], []]
+    alone = [engine("embedded_theta", nan_emulator(f), [rng], **mcmc).run()[0]
+             for f, rng in zip(flags, generators(3))]
+    for a, b in zip(together, alone):
+        assert_same_chain(a, b)
+    # every chain met NaN output, each on its own proposals
+    assert all(any(f) and not all(f) for f in flags)
+    assert len({tuple(f) for f in flags}) == 3
