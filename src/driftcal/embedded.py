@@ -113,13 +113,9 @@ def _knot_chols(knot_diff: np.ndarray, H: np.ndarray):
     return K, ok
 
 
-def _log_diag(L: np.ndarray) -> np.ndarray:
-    """Sum of the log diagonal of each factor in a stack: half its log-determinant."""
-    return np.log(L.diagonal(axis1=-2, axis2=-1)).sum(axis=-1)
-
-
 def _mvn_logpdf_zero(values: np.ndarray, L: np.ndarray, log_diag=None) -> float:
-    """N(0, L L^T) log-density of ``values``; ``log_diag`` is ``_log_diag(L)`` when known."""
+    """N(0, L L^T) log-density of ``values``; ``log_diag`` is the sum of the log of
+    ``L``'s diagonal when known."""
     w = _solve_lower(L, values)
     if log_diag is None:
         log_diag = np.log(L.diagonal()).sum()
@@ -418,20 +414,20 @@ class _BlockStats:
         self.accepted = 0
 
 
-def _hyper_proposal(rngs, H, steps, knot_diff, values, field_prior, hyper_prior,
+def _hyper_proposal(rngs, logp, logp_sum, steps, knot_diff, values, field_prior, hyper_prior,
                     var_prior, len_prior):
     """One log-space random-walk proposal per chain on a field's raw ``[variance, *lengthscales]``.
 
-    ``H`` (C, 1 + dx) and ``values`` (C, K) stack the chains' hyperparameters
-    and knot values; ``rngs``, ``steps``, ``field_prior`` and ``hyper_prior``
-    hold one entry per chain. Returns one entry per chain: ``(log_ratio, h2,
-    chol2, log_diag2, field_prior2, hyper_prior2)``, the log ratio including
-    the log-space Jacobian, or None when a proposed value overflows or
-    underflows or the proposed kernel does not factor: the caller counts
-    that as a rejection of that chain's proposal alone.
+    ``logp`` (C, 1 + dx) is the log of the chains' hyperparameters and
+    ``values`` (C, K) their knot values; ``rngs``, ``logp_sum`` (each row's
+    sum), ``steps``, ``field_prior`` and ``hyper_prior`` hold one entry per
+    chain. Returns one entry per chain: ``(log_ratio, h2, chol2, log_diag2,
+    field_prior2, hyper_prior2)``, the log ratio including the log-space
+    Jacobian, or None when a proposed value overflows or underflows or the
+    proposed kernel does not factor: the caller counts that as a rejection
+    of that chain's proposal alone.
     """
-    logp = np.log(H)
-    logp2 = logp + np.array([step * rng.standard_normal(H.shape[1])
+    logp2 = logp + np.array([step * rng.standard_normal(logp.shape[1])
                              for step, rng in zip(steps, rngs)])
     H2 = np.exp(logp2)
     live, rows = [], []
@@ -448,15 +444,17 @@ def _hyper_proposal(rngs, H, steps, knot_diff, values, field_prior, hyper_prior,
     out = [None] * len(rngs)
     if not live:
         return out
-    jacobian = (logp2.sum(axis=1) - logp.sum(axis=1)).tolist()
+    logp2_sum = logp2.sum(axis=1).tolist()
     chols, factored = _knot_chols(knot_diff, H2 if len(live) == len(rngs) else H2[live])
-    log_diags = _log_diag(chols).tolist()
     for j, c in enumerate(live):
         if factored[j]:
-            fp2 = _mvn_logpdf_zero(values[c], chols[j], log_diags[j])
+            chol2 = chols[j]
+            log_diag2 = np.log(chol2.diagonal()).sum()
+            fp2 = _mvn_logpdf_zero(values[c], chol2, log_diag2)
             hp2 = _hyper_logprior(rows[j], var_prior, len_prior)
-            log_ratio = (fp2 - field_prior[c]) + (hp2 - hyper_prior[c]) + jacobian[c]
-            out[c] = (log_ratio, H2[c], chols[j], log_diags[j], fp2, hp2)
+            jacobian = logp2_sum[c] - logp_sum[c]
+            log_ratio = (fp2 - field_prior[c]) + (hp2 - hyper_prior[c]) + jacobian
+            out[c] = (log_ratio, H2[c], chol2, log_diag2, fp2, hp2)
     return out
 
 
@@ -625,7 +623,8 @@ class _Chain:
             raise RuntimeError("non-finite emulator output at initialization")
         self.emu_mean, self.emu_var = mean, var
         # per field, one entry per chain
-        self.log_diag = [_log_diag(self.chols[:, k]).tolist() for k in range(len(self.names))]
+        self.log_diag = [[np.log(L.diagonal()).sum() for L in self.chols[:, k]]
+                         for k in range(len(self.names))]
         self.field_prior = [
             [_mvn_logpdf_zero(self.values[c, k], self.chols[c, k], self.log_diag[k][c])
              for c in range(C)]
@@ -633,6 +632,10 @@ class _Chain:
         ]
         self.hyper_prior = [[_hyper_logprior(h, *p) for h in self.hypers[:, k]]
                             for k, p in enumerate(self.field_priors)]
+        # the log of each chain's hyperparameters and its sum: a proposal's start
+        self.log_hypers = np.log(self.hypers)
+        self.log_hyper_sum = [self.log_hypers[:, k].sum(axis=1).tolist()
+                              for k in range(len(self.names))]
         self.sigma2_prior = list(map(self.priors.noise.logpdf, self.sigma2.tolist()))
         self.theta_prior = [_theta_logprior(t, self.priors, self.data.theta_bounds)
                             for t in self.base_theta]
@@ -762,16 +765,20 @@ class _Chain:
     def _update_hyper(self, k: int, adapting: bool) -> None:
         name = f"hyper:{self.names[k]}"
         field_prior, hyper_prior = self.field_prior[k], self.hyper_prior[k]
-        log_diag = self.log_diag[k]
-        props = _hyper_proposal(self.rngs, self.hypers[:, k], self._steps(name), self.knot_diff,
-                                self.values[:, k], field_prior, hyper_prior,
+        log_diag, log_sum = self.log_diag[k], self.log_hyper_sum[k]
+        props = _hyper_proposal(self.rngs, self.log_hypers[:, k], log_sum, self._steps(name),
+                                self.knot_diff, self.values[:, k], field_prior, hyper_prior,
                                 *self.field_priors[k])
         accepted = [False] * len(self.rngs)
         for c, (rng, prop) in enumerate(zip(self.rngs, props)):
             accepted[c] = prop is not None and self.accept(prop[0], 0.0, rng)
             if accepted[c]:
-                _, self.hypers[c, k], self.chols[c, k], log_diag[c], fp2, hp2 = prop
+                _, h2, self.chols[c, k], log_diag[c], fp2, hp2 = prop
                 field_prior[c], hyper_prior[c] = fp2, hp2
+                self.hypers[c, k] = h2
+                # the log of h2, not the proposal's logp2, whose exp rounded
+                log_h2 = self.log_hypers[c, k] = np.log(h2)
+                log_sum[c] = log_h2.sum()
         self._track(name, accepted, adapting)
 
     def _gibbs_sigma2(self, adapting: bool = False) -> None:

@@ -240,7 +240,8 @@ def _se_planes(diff: np.ndarray, lengthscales: np.ndarray, overwrite: bool = Fal
 
 def _se_sum(planes: np.ndarray, variance) -> np.ndarray:
     """:func:`_se_kernel` from its planes: their sum in sequence, negated, exponentiated, scaled."""
-    K = planes.sum(axis=-2)
+    # the planes are squares, never -0.0, so a sum of one plane is that plane
+    K = planes[..., 0, :].copy() if planes.shape[-2] == 1 else planes.sum(axis=-2)
     np.negative(K, out=K)
     np.exp(K, out=K)
     K *= variance

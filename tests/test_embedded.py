@@ -357,8 +357,9 @@ def test_hyper_proposal_outside_float_range_is_refused(z):
     priors = CalibrationPriors()
     knots = np.array([[0.1], [0.5], [0.9]])
     prop = _hyper_proposal(
-        [FixedNormals(z)], np.array([[0.05, 0.3]]), [800.0], knots[:, None, :] - knots[None, :, :],
-        np.zeros((1, 3)), [0.0], [0.0], priors.field_variance, priors.field_lengthscale,
+        [FixedNormals(z)], np.log([[0.05, 0.3]]), [math.log(0.05 * 0.3)], [800.0],
+        knots[:, None, :] - knots[None, :, :], np.zeros((1, 3)), [0.0], [0.0],
+        priors.field_variance, priors.field_lengthscale,
     )
     assert prop == [None]
 
