@@ -609,7 +609,8 @@ class _Chain:
         theta = Q[:, :, self.dx:]
         theta[...] = base_theta[:, None, :]
         if self.n_drift:
-            theta[:, :, : self.n_drift] += values[:, : self.n_drift, self.obs_sel].transpose(0, 2, 1)
+            drift = values[:, : self.n_drift, self.obs_sel]
+            theta[:, :, : self.n_drift] += drift.transpose(0, 2, 1)
 
     def _init_parts(self) -> None:
         C = len(self.rngs)
