@@ -9,14 +9,16 @@ stored for inversion back to physical units.
 
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dpotrs, dtrtrs
 from scipy.optimize import minimize
+
+from .process_settings import keep_freed_arrays, one_blas_thread
 
 __all__ = [
     "DimensionMismatchError",
@@ -114,6 +116,8 @@ class TrainingSet:
     ``shift``/``scale`` store the affine transform between raw and
     standardized targets so that predictions can be mapped back to the
     original units. Use :meth:`from_raw` to build one from physical data.
+    The inputs are fixed once the set is built: what :func:`fit_gp` derives
+    from them alone is computed once per set.
     """
 
     inputs: np.ndarray
@@ -151,6 +155,19 @@ class TrainingSet:
     @property
     def dim(self) -> int:
         return int(self.inputs.shape[1])
+
+    @cached_property
+    def _lower_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat positions in an (n, n) array of the P pairs ``i >= j`` of the lower
+        triangle, and their (1, D, P) differences ``inputs[i] - inputs[j]`` in
+        :func:`_se_diff`'s dimension-major layout."""
+        rows, cols = np.tril_indices(self.n)
+        X = self.inputs
+        return rows * self.n + cols, np.ascontiguousarray((X[rows] - X[cols]).T[None])
+
+    @cached_property
+    def _has_duplicate_rows(self) -> bool:
+        return np.unique(self.inputs, axis=0).shape[0] < self.n
 
     def destandardize(self, z) -> np.ndarray:
         return self.shift + self.scale * np.asarray(z, dtype=float)
@@ -270,8 +287,19 @@ def build_covariance(a, b, params: KernelParams) -> np.ndarray:
     return K
 
 
-def _has_duplicate_rows(X: np.ndarray) -> bool:
-    return np.unique(X, axis=0).shape[0] < X.shape[0]
+def _self_covariance(train: TrainingSet, params: KernelParams) -> np.ndarray:
+    """``build_covariance(train.inputs, None, params)`` in the lower triangle, zeros above.
+
+    ``np.linalg.cholesky`` reads the lower triangle alone, so the factor is
+    bitwise the one of the full matrix, for half the kernel work.
+    """
+    flat, diff = train._lower_pairs
+    n = train.n
+    K = np.zeros((n, n))
+    K.ravel()[flat] = _se_kernel(diff, params.variance_scale, params.lengthscales)[0]
+    if params.nugget > 0:
+        K.flat[:: n + 1] += params.nugget
+    return K
 
 
 def fit_gp(train: TrainingSet, params: KernelParams) -> GPModel:
@@ -280,33 +308,38 @@ def fit_gp(train: TrainingSet, params: KernelParams) -> GPModel:
     The nugget starts at the configured value and is raised stepwise
     (floor 1e-8, factor 10, ceiling 1e-4) until the kernel matrix factors;
     beyond the ceiling a :class:`SingularKernelError` is raised.
+
+    The kernel is factored and solved on one BLAS thread (see
+    :func:`~driftcal.process_settings.one_blas_thread`): the factor of a
+    large kernel would otherwise depend in its last bits on the host's core
+    count, and with it every output downstream of the emulator.
     """
     if train.dim != params.ndim:
         raise DimensionMismatchError(
             f"training dimension {train.dim} does not match {params.ndim} lengthscales"
         )
-    if params.nugget == 0 and _has_duplicate_rows(train.inputs):
+    if params.nugget == 0 and train._has_duplicate_rows:
         raise SingularKernelError(
             "duplicate training inputs make the kernel singular at nugget=0; "
             "set a positive nugget"
         )
     nugget = params.nugget
-    while True:
-        p = replace(params, nugget=nugget)
-        K = build_covariance(train.inputs, None, p)
-        try:
-            L = np.linalg.cholesky(K)
-            break
-        except np.linalg.LinAlgError:
-            if nugget < NUGGET_FLOOR:
-                nugget = NUGGET_FLOOR
-            elif nugget * 10 <= NUGGET_CEILING:
-                nugget *= 10
-            else:
-                raise SingularKernelError(
-                    f"kernel not positive definite even at nugget={nugget:g}"
-                ) from None
-    alpha = _cho_solve(L, train.targets)
+    with one_blas_thread():
+        while True:
+            p = replace(params, nugget=nugget)
+            try:
+                L = np.linalg.cholesky(_self_covariance(train, p))
+                break
+            except np.linalg.LinAlgError:
+                if nugget < NUGGET_FLOOR:
+                    nugget = NUGGET_FLOOR
+                elif nugget * 10 <= NUGGET_CEILING:
+                    nugget *= 10
+                else:
+                    raise SingularKernelError(
+                        f"kernel not positive definite even at nugget={nugget:g}"
+                    ) from None
+        alpha = _cho_solve(L, train.targets)
     return GPModel(params=p, train=train, chol=L, alpha=alpha)
 
 
@@ -379,29 +412,6 @@ def log_marginal_likelihood(model: GPModel) -> float:
     )
 
 
-# glibc's mallopt parameters and the ceiling its adaptive mmap threshold can reach
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_MMAP_THRESHOLD_MAX = 32 * 1024 * 1024
-
-
-def _keep_freed_arrays() -> None:
-    """Have glibc keep freed arrays below 32 MiB in the heap instead of unmapping them.
-
-    Every likelihood evaluation of the tuner allocates and frees the same
-    n x d x n kernel temporaries. glibc unmaps or trims such blocks unless an
-    earlier free in the process happened to raise its adaptive thresholds,
-    and when it does not the pages are faulted in afresh on every evaluation.
-    Pinning both thresholds at the ceiling glibc itself adapts to makes the
-    tuner reuse the same pages whatever the process did before. The setting
-    is process-wide; it does nothing where the C library has no ``mallopt``.
-    """
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is not None:
-        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
-        mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
-
-
 _LOG_BOUNDS_VARIANCE = (math.log(1e-6), math.log(1e4))
 _LOG_BOUNDS_LENGTH = (math.log(1e-3), math.log(1e2))
 
@@ -416,12 +426,14 @@ def optimize_emulator(
 
     Runs Nelder-Mead over log hyperparameters from the initial point plus a
     couple of seeded restarts when the budget allows, and returns whichever
-    candidate scores best; the result never scores below ``init``.
+    candidate scores best; the result never scores below ``init``. The
+    whole search runs on the one BLAS thread each fit pins, so that its
+    fits do not switch the thread pools back and forth.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
 
-    _keep_freed_arrays()
+    keep_freed_arrays()
     d = init.ndim
     bounds = [_LOG_BOUNDS_VARIANCE] + [_LOG_BOUNDS_LENGTH] * d
 
@@ -448,17 +460,18 @@ def optimize_emulator(
         rng = np.random.default_rng(seed)
         starts += [x0 + 0.5 * rng.standard_normal(x0.size) for _ in range(2)]
 
-    best_x, best_f = x0, neg_lml(x0)
-    for s in starts:
-        res = minimize(
-            neg_lml,
-            s,
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={"maxiter": budget, "xatol": 1e-4, "fatol": 1e-8, "adaptive": d > 2},
-        )
-        if res.fun < best_f:
-            best_x, best_f = res.x, res.fun
+    with one_blas_thread():
+        best_x, best_f = x0, neg_lml(x0)
+        for s in starts:
+            res = minimize(
+                neg_lml,
+                s,
+                method="Nelder-Mead",
+                bounds=bounds,
+                options={"maxiter": budget, "xatol": 1e-4, "fatol": 1e-8, "adaptive": d > 2},
+            )
+            if res.fun < best_f:
+                best_x, best_f = res.x, res.fun
     return unpack(best_x)
 
 

@@ -186,6 +186,47 @@ def test_chain_query_matches_predict_standardized_bitwise(case):
             assert np.array_equal(var[c], ref_var)
 
 
+@st.composite
+def fit_case(draw):
+    """A training set of 1-60 runs in D = 1-7, some of them repeated where the
+    nugget is positive, and kernel parameters from rough kernels that factor at
+    once to smooth ones whose nugget must be escalated."""
+    d, n = draw(st.integers(1, 7)), draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nugget = draw(st.sampled_from([0.0, 1e-8, 1e-6]))
+    X = rng.random((n, d))
+    if nugget > 0 and draw(st.booleans()):
+        X[rng.random(n) < 0.2] = X[0]
+    smooth = draw(st.booleans())
+    ls = np.exp(rng.uniform(np.log(10.0), np.log(200.0), d) if smooth
+                else rng.uniform(np.log(0.05), np.log(2.0), d))
+    return TrainingSet.from_raw(X, rng.standard_normal(n)), KernelParams(rng.uniform(0.1, 3.0), ls, nugget)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fit_case())
+def test_fit_gp_matches_full_kernel_factor_bitwise(case):
+    """``fit_gp`` builds only the kernel's lower triangle; the factor is that of the full one."""
+    train, params = case
+    model = gp.fit_gp(train, params)
+    L = np.linalg.cholesky(ref_build_covariance(train.inputs, None, model.params))
+    assert np.array_equal(model.chol, L)
+    assert np.array_equal(model.alpha, ref_cho_solve(L, train.targets))
+
+
+def test_fit_gp_escalated_nugget_matches_full_kernel_factor():
+    X = np.random.default_rng(2).random((40, 3))
+    train = TrainingSet.from_raw(X, np.sin(X).sum(axis=1))
+    params = KernelParams(1.0, [100.0, 100.0, 100.0], nugget=0.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(ref_build_covariance(X, None, params))
+    model = gp.fit_gp(train, params)
+    assert model.params.nugget == gp.NUGGET_FLOOR
+    L = np.linalg.cholesky(ref_build_covariance(X, None, model.params))
+    assert np.array_equal(model.chol, L)
+    assert np.array_equal(model.alpha, ref_cho_solve(L, train.targets))
+
+
 def spd_matrix(rng, n):
     A = rng.standard_normal((n, n + 3))
     return A @ A.T + 1e-3 * np.eye(n)

@@ -119,8 +119,12 @@ def test_noise_free_interpolation_within_1e6():
 
 def test_duplicate_rows_zero_nugget_is_singular():
     train = TrainingSet.from_raw([[0.2], [0.2], [0.8]], [1.0, 1.0, 2.0])
-    with pytest.raises(SingularKernelError):
-        fit_gp(train, KernelParams(1.0, [0.3], nugget=0.0))
+    for _ in range(2):  # the duplicate check is made once per training set
+        with pytest.raises(SingularKernelError):
+            fit_gp(train, KernelParams(1.0, [0.3], nugget=0.0))
+    assert fit_gp(train, KernelParams(1.0, [0.3], nugget=1e-4)).params.nugget == 1e-4
+    distinct = TrainingSet.from_raw([[0.2], [0.5], [0.8]], [1.0, 1.0, 2.0])
+    assert fit_gp(distinct, KernelParams(1.0, [0.3], nugget=0.0)).params.nugget == 0.0
 
 
 def test_cholesky_reconstructs_kernel():
@@ -299,3 +303,25 @@ def test_optimizer_reuses_heap_pages_between_evaluations():
     fits, faults = map(int, out.stdout.split())
     assert fits >= 40
     assert faults < 5 * fits
+
+
+def test_fit_gp_bytes_do_not_depend_on_blas_threads():
+    # the training set of the combined_dense benchmark workload (160 x 4): OpenBLAS
+    # factors a kernel of 128 rows or more in an order set by its thread count
+    code = textwrap.dedent("""
+        import hashlib
+        from driftcal import gp
+        from driftcal.problems import dipole_dataset
+        ds = dipole_dataset(n_sim=160, n_obs=20, seed=0)
+        train = gp.TrainingSet.from_raw(ds.sim_inputs_unit(), ds.sim_y)
+        model = gp.fit_gp(train, gp.KernelParams(1.4, [0.17, 3.8, 6.9, 42.1], nugget=1e-8))
+        print(model.chol.shape, hashlib.sha256(model.chol.tobytes()).hexdigest(),
+              hashlib.sha256(model.alpha.tobytes()).hexdigest())
+    """)
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": threads}
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                   capture_output=True, text=True).stdout)
+    assert outs[0].startswith("(160, 160)")
+    assert outs[0] == outs[1]

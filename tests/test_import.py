@@ -6,10 +6,37 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def test_import_does_not_load_scipy_stats():
-    # scipy.stats costs about as much to import as the rest of driftcal together
-    code = "import sys, driftcal, driftcal.cli; print('scipy.stats' in sys.modules)"
+def run_fresh(code: str) -> str:
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats costs about as much to import as the rest of driftcal together
+    assert run_fresh("import sys, driftcal, driftcal.cli; print('scipy.stats' in sys.modules)") \
+        == "False"
+
+
+def test_import_leaves_blas_pool_sizes_alone():
+    # both OpenBLAS pools are set to two threads before driftcal is imported; the
+    # controls are found as driftcal.process_settings finds them, but without importing it
+    code = """
+import ctypes, pathlib, numpy, scipy, scipy.linalg
+pools = []
+for package, suffix in ((numpy, "64_"), (scipy, "")):
+    libs = pathlib.Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+    for path in libs.glob("libscipy_openblas*.so*"):
+        lib = ctypes.CDLL(str(path))
+        pools.append((getattr(lib, f"scipy_openblas_get_num_threads{suffix}"),
+                      getattr(lib, f"scipy_openblas_set_num_threads{suffix}")))
+for _, set_ in pools:
+    set_(2)
+before = [get() for get, _ in pools]
+import driftcal, driftcal.cli
+print(len(pools), before == [get() for get, _ in pools] == [2] * len(pools))
+"""
+    count, unchanged = run_fresh(code).split()
+    assert unchanged == "True"
+    assert int(count) in (0, 2)
