@@ -1,6 +1,9 @@
 import types
+from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 from driftcal import process_settings
 from driftcal.process_settings import one_blas_thread
@@ -23,24 +26,26 @@ def pools_at_two():
 
 
 def test_finds_the_numpy_and_scipy_pools():
-    if not process_settings._blas_pools():
-        pytest.skip("no OpenBLAS thread controls in this numpy/scipy build")
+    bundled = [Path(p.__file__).parent.parent / f"{p.__name__}.libs" for p in (np, scipy)]
+    if not all(any(libs.glob("libscipy_openblas*.so*")) for libs in bundled):
+        pytest.skip("numpy or scipy does not bundle its own OpenBLAS here")
     assert len(process_settings._blas_pools()) == 2
 
 
 def test_pin_restores_the_previous_pool_sizes_and_nests(pools_at_two):
+    ones, twos = [1] * len(pool_sizes()), [2] * len(pool_sizes())
     with one_blas_thread():
-        assert pool_sizes() == [1, 1]
+        assert pool_sizes() == ones
         with one_blas_thread():
-            assert pool_sizes() == [1, 1]
-        assert pool_sizes() == [1, 1]
-    assert pool_sizes() == [2, 2]
+            assert pool_sizes() == ones
+        assert pool_sizes() == ones
+    assert pool_sizes() == twos
 
 
 def test_pin_restores_the_pool_sizes_when_the_block_raises(pools_at_two):
     with pytest.raises(ZeroDivisionError), one_blas_thread():
         1 / 0
-    assert pool_sizes() == [2, 2]
+    assert pool_sizes() == [2] * len(pool_sizes())
 
 
 def test_pin_does_nothing_without_thread_controls(tmp_path, monkeypatch, pools_at_two):
@@ -52,5 +57,5 @@ def test_pin_does_nothing_without_thread_controls(tmp_path, monkeypatch, pools_a
     real = process_settings._blas_pools()
     monkeypatch.setattr(process_settings, "_blas_pools", lambda: found)
     with one_blas_thread():
-        assert [get() for get, _ in real] == [2, 2]
-    assert [get() for get, _ in real] == [2, 2]
+        assert [get() for get, _ in real] == [2] * len(real)
+    assert [get() for get, _ in real] == [2] * len(real)
