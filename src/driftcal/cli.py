@@ -18,7 +18,7 @@ import json
 import sys
 
 from .config import ConfigError, parse_config
-from .runner import StageError, orchestrate, recompute_report
+from .runner import _RUNNERS, StageError, orchestrate, recompute_report
 
 
 def _load_config(args, forced_mode: str | None):
@@ -36,9 +36,9 @@ def _load_config(args, forced_mode: str | None):
 
 def _cmd_run(args, forced_mode: str | None) -> int:
     config = _load_config(args, forced_mode)
-    if forced_mode is None and config.mode not in ("koh", "integrated_delta", "combined"):
+    if forced_mode is None and config.mode not in _RUNNERS:
         raise ConfigError(
-            [("mode", f"'calibrate' needs mode koh/integrated_delta/combined, got {config.mode!r}")]
+            [("mode", f"'calibrate' needs mode {'/'.join(_RUNNERS)}, got {config.mode!r}")]
         )
     report = orchestrate(config)
     print(f"mode={report.mode} seed={report.seed} out={config.out_dir}")

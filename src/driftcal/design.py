@@ -6,15 +6,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc, gammainccinv, ndtr, ndtri
+from scipy.special import gammainccinv, ndtri
 
 __all__ = [
     "Prior",
     "DesignSpec",
     "latin_hypercube",
     "scale_design",
-    "unscale_design",
-    "sample_prior",
     "to_unit",
     "from_unit",
 ]
@@ -29,13 +27,6 @@ _PARAM_NAMES = {
     "inverse_gamma": ("shape", "scale"),
     "log_normal": ("mu", "sigma"),
 }
-
-
-def _on_positive_support(z: np.ndarray, cdf) -> np.ndarray:
-    """``cdf(z)`` of a standardized variate on (0, inf): 0.0 where z <= 0, NaN stays NaN."""
-    # 1/z and log(z) at z <= 0 are dropped; 1/z = inf at subnormal z gives the limit 0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.where(z <= 0, 0.0, cdf(z))
 
 
 @dataclass(frozen=True)
@@ -126,22 +117,6 @@ class Prior:
             out = np.exp(self.p1 + self.p2 * ndtri(q))
         return float(out) if np.ndim(out) == 0 else out
 
-    def cdf(self, x) -> np.ndarray | float:
-        """CDF, evaluated as ``scipy.stats`` does; NaN stays NaN."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == "uniform":
-            if self.p1 == self.p2:
-                out = np.where(x >= self.p1, 1.0, 0.0)
-            else:
-                out = np.clip((x - self.p1) / (self.p2 - self.p1), 0.0, 1.0)
-        elif self.kind == "normal":
-            out = ndtr((x - self.p1) / self.p2)
-        elif self.kind == "inverse_gamma":
-            out = _on_positive_support(x / self.p2, lambda z: gammaincc(self.p1, 1.0 / z))
-        else:
-            out = _on_positive_support(x / math.exp(self.p1), lambda z: ndtr(np.log(z) / self.p2))
-        return float(out) if np.ndim(out) == 0 else out
-
     def mean(self) -> float:
         if self.kind == "uniform":
             return 0.5 * (self.p1 + self.p2)
@@ -154,10 +129,6 @@ class Prior:
     def median(self) -> float:
         return float(self.ppf(0.5))
 
-    def to_dict(self) -> dict:
-        names = _PARAM_NAMES[self.kind]
-        return {"kind": self.kind, names[0]: self.p1, names[1]: self.p2}
-
     @classmethod
     def from_dict(cls, d: dict) -> "Prior":
         kind = d.get("kind")
@@ -168,11 +139,6 @@ class Prior:
         if missing:
             raise ValueError(f"prior {kind!r} missing parameters {missing}")
         return cls(kind, d[names[0]], d[names[1]])
-
-
-def sample_prior(p: Prior, rng: np.random.Generator) -> float:
-    """Draw a single variate from ``p`` using the supplied generator."""
-    return p.sample(rng)
 
 
 @dataclass(frozen=True)
@@ -232,16 +198,6 @@ def scale_design(unit: np.ndarray, spec: DesignSpec) -> np.ndarray:
     out[:, : spec.dx] = from_unit(U[:, : spec.dx], spec.domain_bounds)
     for k, prior in enumerate(spec.theta_priors):
         out[:, spec.dx + k] = prior.ppf(U[:, spec.dx + k])
-    return out
-
-
-def unscale_design(physical: np.ndarray, spec: DesignSpec) -> np.ndarray:
-    """Inverse of :func:`scale_design` through the stored bounds and prior CDFs."""
-    P = np.atleast_2d(np.asarray(physical, dtype=float))
-    out = np.empty_like(P)
-    out[:, : spec.dx] = to_unit(P[:, : spec.dx], spec.domain_bounds)
-    for k, prior in enumerate(spec.theta_priors):
-        out[:, spec.dx + k] = prior.cdf(P[:, spec.dx + k])
     return out
 
 

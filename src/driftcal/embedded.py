@@ -135,8 +135,7 @@ def _predict_std(emulator, Q: np.ndarray):
     """Mean/variance of a ``GPModel`` or ``ExactEmulator`` on its standardized target scale."""
     if isinstance(emulator, gp.GPModel):
         # looked up at call time, so a rebound gp.predict_standardized is used
-        mean, var, _ = gp.predict_standardized(emulator, Q)
-        return mean, var
+        return gp.predict_standardized(emulator, Q)
     mean = emulator.mean_at(Q)
     return mean, np.zeros_like(mean)
 
@@ -974,8 +973,10 @@ def run_integrated_delta(
     dict receives the chain count and each block's mean step time in
     microseconds.
     """
-    return _run_embedded(data, emulator, priors, mcmc_config, "integrated_delta", timing,
-                         additive=False)
+    return _run_chains(
+        data, emulator, priors, mcmc_config, "integrated_delta", timing, drift=True, additive=False,
+        sample_theta=bool(mcmc_config.sample_theta), accept=mh_accept, gibbs=gibbs_sigma2,
+    )
 
 
 def run_combined(
@@ -991,16 +992,10 @@ def run_combined(
     classic additive discrepancy; everything else matches
     :func:`run_integrated_delta`. Experimental.
     """
-    return _run_embedded(data, emulator, priors, mcmc_config, "combined", timing, additive=True)
-
-
-def _run_embedded(data, emulator, priors, config, kind: str, timing: dict | None,
-                  additive: bool) -> PosteriorSamples:
-    """The drift-field calibrators: theta is sampled and stored only when configured."""
-    theta = bool(config.sample_theta)
-    return _run_chains(data, emulator, priors, config, kind, timing, drift=True,
-                       additive=additive, sample_theta=theta, accept=mh_accept,
-                       gibbs=gibbs_sigma2)
+    return _run_chains(
+        data, emulator, priors, mcmc_config, "combined", timing, drift=True, additive=True,
+        sample_theta=bool(mcmc_config.sample_theta), accept=mh_accept, gibbs=gibbs_sigma2,
+    )
 
 
 def _draw_subset(n_draws: int, max_draws: int | None) -> np.ndarray:
@@ -1067,7 +1062,7 @@ def posterior_predictive(
     query_x,
     max_draws: int | None = None,
 ) -> PredictiveDistribution:
-    """Monte-Carlo posterior predictive at physical query inputs.
+    """Monte-Carlo posterior predictive at physical query inputs, one row per point.
 
     For every stored draw the drift fields are conditioned on their knot
     values, the emulator is queried at (x, theta + d(x)), and the noise and
@@ -1081,10 +1076,7 @@ def posterior_predictive(
         raise ValueError("posterior_predictive needs at least one stored draw")
     sel = _draw_subset(T, max_draws)
 
-    X = np.atleast_2d(np.asarray(query_x, dtype=float))
-    if X.shape[1] != len(samples.domain_bounds):
-        X = X.T if X.shape[0] == len(samples.domain_bounds) else X
-    x_unit = to_unit(X, samples.domain_bounds)
+    x_unit = to_unit(query_x, samples.domain_bounds)
     G = x_unit.shape[0]
 
     # drift fields shift theta, the additive "eta" field adds to the mean

@@ -178,11 +178,10 @@ class TrainingSet:
 
 @dataclass(frozen=True)
 class PredictiveDistribution:
-    """Pointwise predictive mean/variance, optionally a full covariance."""
+    """Pointwise predictive mean and variance."""
 
     mean: np.ndarray
     variance: np.ndarray
-    covariance: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         m = np.atleast_1d(np.asarray(self.mean, dtype=float))
@@ -218,9 +217,6 @@ class GPModel:
     @property
     def y_scale(self) -> float:
         return self.train.scale
-
-    def predict(self, query, want_cov: bool = False) -> PredictiveDistribution:
-        return predict(self, query, want_cov)
 
 
 def _se_diff(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -343,7 +339,7 @@ def fit_gp(train: TrainingSet, params: KernelParams) -> GPModel:
     return GPModel(params=p, train=train, chol=L, alpha=alpha)
 
 
-def predict_standardized(model: GPModel, query, want_cov: bool = False):
+def predict_standardized(model: GPModel, query):
     """Conditional mean/variance at ``query`` in standardized target units."""
     Q = _as_matrix(query)
     if Q.shape[1] != model.train.dim:
@@ -355,13 +351,7 @@ def predict_standardized(model: GPModel, query, want_cov: bool = False):
     mean = Ks @ model.alpha
     v = _solve_lower(model.chol, Ks.T)
     var = np.maximum(model.params.variance_scale - np.einsum("ij,ij->j", v, v), 0.0)
-    cov = None
-    if want_cov:
-        p = model.params
-        cov = _se_kernel(_se_diff(Q, Q), p.variance_scale, p.lengthscales, overwrite=True)
-        cov -= v.T @ v
-        cov = 0.5 * (cov + cov.T)
-    return mean, var, cov
+    return mean, var
 
 
 def predict_columns(model: GPModel, planes: np.ndarray, Q: np.ndarray, cols: slice):
@@ -392,13 +382,12 @@ def predict_columns(model: GPModel, planes: np.ndarray, Q: np.ndarray, cols: sli
     return mean, var.reshape(C, G)
 
 
-def predict(model: GPModel, query, want_cov: bool = False) -> PredictiveDistribution:
+def predict(model: GPModel, query) -> PredictiveDistribution:
     """GP conditional at ``query``, de-standardized to original target units."""
-    mean, var, cov = predict_standardized(model, query, want_cov)
+    mean, var = predict_standardized(model, query)
     return PredictiveDistribution(
         mean=model.train.destandardize(mean),
         variance=model.train.destandardize_variance(var),
-        covariance=None if cov is None else model.train.destandardize_variance(cov),
     )
 
 
@@ -478,11 +467,11 @@ def optimize_emulator(
 class ExactEmulator:
     """Emulator stand-in that evaluates an exact function with zero variance.
 
-    Mirrors the :class:`GPModel` prediction surface, which makes it usable
-    wherever an emulator is expected: when the simulator is cheap enough to
-    query directly, and in oracle tests that must bypass GP approximation
-    error. Operates in raw units (shift 0, scale 1). Pass ``vectorized=True``
-    when ``fn`` maps a whole (M, D) array to an (M,) vector.
+    Usable wherever an emulator is expected: when the simulator is cheap
+    enough to query directly, and in oracle tests that must bypass GP
+    approximation error. Operates in raw units (shift 0, scale 1). Pass
+    ``vectorized=True`` when ``fn`` maps a whole (M, D) array to an (M,)
+    vector.
     """
 
     y_shift = 0.0
@@ -496,10 +485,3 @@ class ExactEmulator:
         if self.vectorized:
             return np.asarray(self.fn(Q), dtype=float)
         return np.array([float(self.fn(row)) for row in Q])
-
-    def predict(self, query, want_cov: bool = False) -> PredictiveDistribution:
-        Q = _as_matrix(query)
-        mean = self.mean_at(Q)
-        var = np.zeros_like(mean)
-        cov = np.zeros((Q.shape[0], Q.shape[0])) if want_cov else None
-        return PredictiveDistribution(mean=mean, variance=var, covariance=cov)

@@ -3,8 +3,7 @@
 The analytic dipole surrogate mimics a critical-stress response that decays
 like 1/h in the domain variable with a bounded core-spreading correction,
 so the full calibration pipeline can be exercised without an external
-physics code. A user-table simulator ingests externally computed runs
-unchanged.
+physics code. Externally computed runs arrive as a dataset file.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ __all__ = [
     "ResolutionError",
     "AnalyticDipole",
     "DriftTestbed",
-    "UserTable",
     "DriftFunction",
     "DriftTruth",
     "CriticalSearchSpec",
@@ -60,8 +58,6 @@ class AnalyticDipole:
     spread_weight: float = 0.5
     spread_length: float = 8.0
 
-    kind = "analytic_dipole"
-
     def simulate(self, x: np.ndarray, theta: np.ndarray) -> float:
         h = float(x[0])
         mu, nu, l_c = (float(t) for t in theta[:3])
@@ -70,19 +66,6 @@ class AnalyticDipole:
         lead = self.amplitude * mu / ((1.0 - nu) * h)
         spread = self.spread_weight * l_c * math.exp(-h / self.spread_length)
         return lead + spread
-
-    def leading_term(self, x: np.ndarray, theta: np.ndarray) -> float:
-        h = float(x[0])
-        mu, nu = float(theta[0]), float(theta[1])
-        return self.amplitude * mu / ((1.0 - nu) * h)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "amplitude": self.amplitude,
-            "spread_weight": self.spread_weight,
-            "spread_length": self.spread_length,
-        }
 
 
 _TESTBED_FUNCTIONS: dict[str, Callable[[np.ndarray, np.ndarray], float]] = {
@@ -100,8 +83,6 @@ class DriftTestbed:
     fn: Callable[[np.ndarray, np.ndarray], float]
     name: str = "custom"
 
-    kind = "drift_testbed"
-
     @classmethod
     def named(cls, name: str) -> "DriftTestbed":
         if name not in _TESTBED_FUNCTIONS:
@@ -112,32 +93,6 @@ class DriftTestbed:
 
     def simulate(self, x: np.ndarray, theta: np.ndarray) -> float:
         return float(self.fn(np.asarray(x, float), np.asarray(theta, float)))
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "name": self.name}
-
-
-@dataclass(frozen=True)
-class UserTable:
-    """Precomputed (x, theta, y) triples; evaluation is exact-row lookup."""
-
-    x: np.ndarray
-    theta: np.ndarray
-    y: np.ndarray
-    match_tol: float = 1e-9
-
-    kind = "user_table"
-
-    def simulate(self, x: np.ndarray, theta: np.ndarray) -> float:
-        row = np.concatenate([np.atleast_1d(x), np.atleast_1d(theta)]).astype(float)
-        table = np.hstack([np.atleast_2d(self.x), np.atleast_2d(self.theta)])
-        hits = np.where(np.all(np.abs(table - row) <= self.match_tol, axis=1))[0]
-        if hits.size == 0:
-            raise KeyError(f"no tabulated run matches x={x}, theta={theta}")
-        return float(np.atleast_1d(self.y)[hits[0]])
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "n": int(np.atleast_1d(self.y).size)}
 
 
 def eval_simulator(sim, x, theta) -> float:

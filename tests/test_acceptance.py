@@ -135,7 +135,7 @@ def test_criterion_1_gp_oracles():
                 Ks[i, j] = p.variance_scale * math.exp(-s)
         mean_oracle = Ks @ np.linalg.solve(Kn, train.targets)
         var_oracle = p.variance_scale - np.einsum("ij,ji->i", Ks, np.linalg.solve(Kn, Ks.T))
-        mean, var, _ = predict_standardized(model, q)
+        mean, var = predict_standardized(model, q)
         assert np.max(np.abs(mean - mean_oracle)) < 1e-10
         assert np.max(np.abs(var - var_oracle)) < 1e-10
 

@@ -390,6 +390,15 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "configuration errors" in capsys.readouterr().err
 
 
+def test_cli_calibrate_refuses_a_mode_without_a_calibrator(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(out_dir=str(tmp_path / "run"), mode="generate")))
+    assert main(["calibrate", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "'calibrate' needs mode koh/integrated_delta/combined, got 'generate'" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_cli_overrides_apply_before_the_config_is_checked(tmp_path, capsys):
     raw = json.loads(HEADLINE_CONFIG.read_text())
     del raw["out_dir"]  # --out supplies it

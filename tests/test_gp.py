@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftcal.embedded import _predict_std
 from driftcal.gp import (
     DimensionMismatchError,
     ExactEmulator,
@@ -145,7 +146,7 @@ def test_predict_on_training_point_and_prior_reversion():
     model = fit_gp(train, KernelParams(1.0, [0.1], nugget=1e-8))
     at_train = predict(model, x[:1])
     assert at_train.mean[0] == pytest.approx(y[0], abs=1e-5)
-    mean_std, var_std, _ = predict_standardized(model, x[:1])
+    mean_std, var_std = predict_standardized(model, x[:1])
     assert var_std[0] <= 1e-8 * model.params.variance_scale + 1e-12
 
     far = predict_standardized(model, [[50.0]])
@@ -168,7 +169,7 @@ def test_predict_matches_dense_inverse_oracle():
     mean_oracle = Ks @ Kinv @ train.targets
     var_oracle = p.variance_scale - np.einsum("ij,ij->i", Ks @ Kinv, Ks)
 
-    mean, var, _ = predict_standardized(model, q)
+    mean, var = predict_standardized(model, q)
     assert np.max(np.abs(mean - mean_oracle)) < 1e-10
     assert np.max(np.abs(var - var_oracle)) < 1e-10
 
@@ -248,33 +249,18 @@ def test_predictive_variance_never_exceeds_prior(seed):
     train = TrainingSet.from_raw(x, rng.standard_normal(6))
     p = KernelParams(float(rng.uniform(0.2, 3.0)), [float(rng.uniform(0.05, 1.5))], nugget=1e-8)
     model = fit_gp(train, p)
-    _, var, _ = predict_standardized(model, rng.uniform(-1, 2, size=(10, 1)))
+    _, var = predict_standardized(model, rng.uniform(-1, 2, size=(10, 1)))
     assert np.all(var <= model.params.variance_scale + model.params.nugget + 1e-8)
 
 
 def test_exact_emulator_matches_function():
+    Q = np.array([[0.5, 1.0], [2.0, 0.0]])
     emu = ExactEmulator(lambda row: row[0] ** 2 + 3.0 * row[1])
-    pred = emu.predict([[0.5, 1.0], [2.0, 0.0]])
-    assert np.allclose(pred.mean, [3.25, 4.0])
-    assert np.all(pred.variance == 0.0)
+    mean, var = _predict_std(emu, Q)
+    assert np.allclose(mean, [3.25, 4.0])
+    assert np.all(var == 0.0)
     vec = ExactEmulator(lambda Q: Q[:, 0] ** 2 + 3.0 * Q[:, 1], vectorized=True)
-    assert np.allclose(vec.predict([[0.5, 1.0], [2.0, 0.0]]).mean, pred.mean)
-
-
-def test_predict_full_covariance_matches_dense_oracle():
-    rng = np.random.default_rng(8)
-    x = rng.uniform(size=(4, 1))
-    train = TrainingSet.from_raw(x, rng.standard_normal(4))
-    p = KernelParams(0.9, [0.3], nugget=1e-4)
-    model = fit_gp(train, p)
-    q = rng.uniform(size=(3, 1))
-    _, var, cov = predict_standardized(model, q, want_cov=True)
-    assert np.allclose(np.diag(cov), var, atol=1e-10)
-    Kn = dense_kernel(x, x, p) + p.nugget * np.eye(4)
-    Ks = dense_kernel(q, x, p)
-    cov_oracle = dense_kernel(q, q, p) - Ks @ np.linalg.solve(Kn, Ks.T)
-    assert np.max(np.abs(cov - cov_oracle)) < 1e-10
-    np.linalg.cholesky(cov + 1e-12 * np.eye(3))  # symmetric PSD
+    assert np.allclose(vec.mean_at(Q), mean)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc malloc thresholds")

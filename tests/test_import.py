@@ -1,4 +1,6 @@
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -40,3 +42,16 @@ print(len(pools), before == [get() for get, _ in pools] == [2] * len(pools))
     count, unchanged = run_fresh(code).split()
     assert unchanged == "True"
     assert int(count) in (0, 2)
+
+
+def test_every_name_in_a_module_all_resolves():
+    # a deletion that leaves its name in an __all__ fails here, not at a user's import
+    import driftcal
+    exported = {}
+    for info in pkgutil.iter_modules(driftcal.__path__):
+        if info.name != "__main__":  # runs the command line on import
+            module = importlib.import_module(f"driftcal.{info.name}")
+            exported[info.name] = [n for n in getattr(module, "__all__", ())
+                                   if not hasattr(module, n)]
+    assert {"design", "embedded", "gp", "simulators"} <= set(exported)
+    assert not any(exported.values()), exported

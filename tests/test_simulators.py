@@ -13,7 +13,6 @@ from driftcal.simulators import (
     DriftTestbed,
     DriftTruth,
     ResolutionError,
-    UserTable,
     bisection_critical_search,
     eval_simulator,
     generate_dataset,
@@ -32,9 +31,9 @@ def test_dipole_halves_with_doubled_height():
 
 
 def test_dipole_linear_in_first_parameter():
-    sim = AnalyticDipole(spread_weight=0.5)
-    base = sim.leading_term(np.array([8.0]), np.array([50.0, 0.3, 1.0]))
-    scaled = sim.leading_term(np.array([8.0]), np.array([45.0, 0.3, 1.0]))
+    sim = AnalyticDipole(spread_weight=0.0)  # the leading term alone
+    base = sim.simulate(np.array([8.0]), np.array([50.0, 0.3, 1.0]))
+    scaled = sim.simulate(np.array([8.0]), np.array([45.0, 0.3, 1.0]))
     assert scaled == pytest.approx(0.9 * base, rel=1e-14)
 
 
@@ -55,17 +54,6 @@ def test_drift_testbed_quadratic_and_unknown_name():
     assert eval_simulator(sim, [2.0], [1.0, 2.0, 3.0]) == pytest.approx(1 + 4 + 12)
     with pytest.raises(ValueError, match="unknown testbed"):
         DriftTestbed.named("nope")
-
-
-def test_user_table_lookup():
-    table = UserTable(
-        x=np.array([[1.0], [2.0]]),
-        theta=np.array([[0.1], [0.2]]),
-        y=np.array([10.0, 20.0]),
-    )
-    assert eval_simulator(table, [2.0], [0.2]) == 20.0
-    with pytest.raises(KeyError):
-        eval_simulator(table, [3.0], [0.3])
 
 
 def test_eval_simulator_rejects_non_finite():
