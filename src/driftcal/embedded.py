@@ -20,6 +20,7 @@ the draws equal those of the chains run one after another.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import math
 import time
@@ -941,11 +942,19 @@ SUMMARY_MAX_DRAWS = 2000
 
 
 def _attach_summaries(samples: PosteriorSamples, emulator) -> None:
+    """Fill ``samples.summaries`` with the grid bands of every field and the grid predictive.
+
+    Each uses at most ``SUMMARY_MAX_DRAWS`` draws. This is the summary pass
+    that later calls reuse: :func:`delta_field_curves` and
+    :func:`posterior_predictive` remember their results on ``samples``, so a
+    later call on ``samples.grid`` that selects the same draws (as
+    ``runner.emit_plot_data`` does at its default ``predictive_draws``)
+    reads them back instead of computing them again.
+    """
     grid = samples.grid
     samples.summaries["x_norm"] = grid
     for name in samples.delta_draws:
-        mean, sd = _curve_band(*delta_field_curves(samples, name, grid,
-                                                  max_draws=SUMMARY_MAX_DRAWS))
+        mean, sd = delta_field_curves(samples, name, grid, max_draws=SUMMARY_MAX_DRAWS)
         samples.summaries[f"delta_mean:{name}"] = mean
         samples.summaries[f"delta_sd:{name}"] = sd
     query = from_unit(grid[:, None], samples.domain_bounds)
@@ -1029,31 +1038,88 @@ def _conditional_curves(knots, X, values_rows, hyper_rows):
     return means, vars_
 
 
+def _conditional_means(knots, X, values_rows, hyper_rows):
+    """The means of :func:`_conditional_curves`, bitwise, without the variances' solves."""
+    diff_xk = _se_diff(X, knots)
+    knot_diff = _se_diff(knots, knots)
+    rows, cols = _exact_matches(X, knots)
+    means = np.empty((values_rows.shape[0], X.shape[0]))
+    for t in range(values_rows.shape[0]):
+        kxk = _se_kernel(diff_xk, hyper_rows[t, 0], hyper_rows[t, 1:])
+        means[t] = kxk @ _cho_solve(_knot_chol(knot_diff, hyper_rows[t]), values_rows[t])
+        means[t, rows] = values_rows[t, cols]
+    return means
+
+
+def _summary_key(samples: PosteriorSamples, emulator, X: np.ndarray, sel: np.ndarray,
+                 tag) -> tuple:
+    """What a grid summary reads: the emulator's identity and a blake2b digest of the rest.
+
+    The digest covers ``tag``, the query ``X`` in unit coordinates, the
+    selected draw indices ``sel``, every draw array (knots, field values and
+    hyperparameters, sigma^2, theta draws) with its name, dtype and shape,
+    ``base_theta``, ``param_names``, ``y_shift`` and ``y_scale``.
+    """
+    h = hashlib.blake2b(repr((tag, samples.param_names, samples.y_shift,
+                              samples.y_scale)).encode())
+    parts = [("x", X), ("sel", sel), ("knots", samples.knots), ("sigma2", samples.sigma2_draws),
+             ("theta", samples.theta_draws), ("base_theta", samples.base_theta)]
+    parts += [(f"delta:{n}", a) for n, a in samples.delta_draws.items()]
+    parts += [(f"hyper:{n}", a) for n, a in samples.hyper_draws.items()]
+    for label, a in parts:
+        if a is None:
+            h.update(f"{label}:None;".encode())
+            continue
+        a = np.ascontiguousarray(a)
+        h.update(f"{label}:{a.dtype.str}{a.shape};".encode())
+        h.update(a)
+    return id(emulator), h.digest()
+
+
+def _remembered(samples: PosteriorSamples, emulator, X, sel, tag, compute):
+    """``compute()``, once per :func:`_summary_key` of a sample set.
+
+    The entry keeps a reference to ``emulator``, so no other object can take
+    its id while the entry lives.
+    """
+    key = _summary_key(samples, emulator, X, sel, tag)
+    entry = samples._summary_memo.get(key)
+    if entry is None:
+        entry = samples._summary_memo[key] = (emulator, compute())
+    return entry[1]
+
+
+def _read_only(*arrays: np.ndarray) -> tuple:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 def delta_field_curves(
     samples: PosteriorSamples,
     name: str,
     grid_norm: np.ndarray,
     max_draws: int | None = None,
-):
-    """Per-draw conditional mean and variance of one field on a normalized grid.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior band ``(mean, sd)`` of one field on a normalized grid: two read-only G-vectors.
 
-    Returns two (T, G) arrays (optionally a strided subset of draws).
+    Over the draws (optionally a strided subset), the mean averages each
+    draw's conditional mean, and the sd adds the spread of those means to
+    the average conditional variance. The band is remembered on ``samples``
+    as :func:`posterior_predictive`'s results are.
     """
     X = np.atleast_1d(np.asarray(grid_norm, dtype=float))[:, None]
     if samples.knots.shape[1] != 1:
         raise ValueError("grid summaries require a 1-D domain")
     sel = _draw_subset(samples.n_draws, max_draws)
-    return _conditional_curves(
-        samples.knots, X, samples.delta_draws[name][sel], samples.hyper_draws[name][sel]
-    )
 
+    def band():
+        mean_c, var_c = _conditional_curves(
+            samples.knots, X, samples.delta_draws[name][sel], samples.hyper_draws[name][sel]
+        )
+        return _read_only(mean_c.mean(axis=0), np.sqrt(mean_c.var(axis=0) + var_c.mean(axis=0)))
 
-def _curve_band(mean_c: np.ndarray, var_c: np.ndarray):
-    """Posterior mean and sd of a field from its (T, G) per-draw conditional curves.
-
-    The sd adds the spread of the per-draw means to the average per-draw variance.
-    """
-    return mean_c.mean(axis=0), np.sqrt(mean_c.var(axis=0) + var_c.mean(axis=0))
+    return _remembered(samples, None, X, sel, ("band", name), band)
 
 
 def posterior_predictive(
@@ -1070,21 +1136,31 @@ def posterior_predictive(
     of the per-draw means with the average per-draw variance. KOH-style
     sample sets (constant theta draws plus an additive field) are handled
     with the same integral.
+
+    Results are remembered per sample set: a call with the same emulator
+    object, the same query in unit coordinates and the same selected draws,
+    on sample arrays and metadata whose digest is unchanged (see
+    :func:`_summary_key`), returns the stored distribution. Its arrays are
+    read-only.
     """
     T = samples.n_draws
     if T == 0:
         raise ValueError("posterior_predictive needs at least one stored draw")
     sel = _draw_subset(T, max_draws)
-
     x_unit = to_unit(query_x, samples.domain_bounds)
-    G = x_unit.shape[0]
+    return _remembered(samples, emulator, x_unit, sel, "predictive",
+                       partial(_predictive, samples, emulator, x_unit, sel))
 
+
+def _predictive(samples: PosteriorSamples, emulator, x_unit: np.ndarray,
+                sel: np.ndarray) -> PredictiveDistribution:
+    G = x_unit.shape[0]
     # drift fields shift theta, the additive "eta" field adds to the mean
     curves = {
-        name: _conditional_curves(
+        name: _conditional_means(
             samples.knots, x_unit, samples.delta_draws[name][sel],
             samples.hyper_draws[name][sel],
-        )[0]
+        )
         for name in samples.delta_draws
     }
     means = np.empty((sel.size, G))
@@ -1103,7 +1179,9 @@ def posterior_predictive(
 
     mean_std = means.mean(axis=0)
     var_std = means.var(axis=0) + vars_.mean(axis=0)
-    return PredictiveDistribution(
+    pred = PredictiveDistribution(
         mean=samples.y_shift + samples.y_scale * mean_std,
         variance=(samples.y_scale**2) * var_std,
     )
+    _read_only(pred.mean, pred.variance)
+    return pred

@@ -22,7 +22,7 @@ from .design import from_unit
 from .diagnostics import coverage_2sd, effective_sample_size, rmse, split_rhat
 from .embedded import (
     McmcConfig,
-    _curve_band,
+    _conditional_means,
     _draw_subset,
     delta_field_curves,
     posterior_predictive,
@@ -151,7 +151,11 @@ def emit_plot_data(samples: PosteriorSamples, grid: np.ndarray, out_dir, emulato
     ``grid`` is a normalized evaluation grid. The drift files carry the
     posterior mean/sd in normalized and physical units plus a configurable
     number of sampled trajectories (conditional-mean curves of strided
-    posterior draws). Raises when the sample set holds no draws.
+    posterior draws, picked among the ``predictive_draws`` ones). The bands
+    come from :func:`posterior_predictive` and :func:`delta_field_curves`,
+    which return what the sampler's summary pass stored when the grid and
+    the selected draws are the same. Raises when the sample set holds no
+    draws.
     """
     if samples.n_draws == 0:
         raise ValueError("emit_plot_data needs at least one stored draw")
@@ -175,15 +179,17 @@ def emit_plot_data(samples: PosteriorSamples, grid: np.ndarray, out_dir, emulato
         name: samples.theta_bounds[k][1] - samples.theta_bounds[k][0]
         for k, name in enumerate(samples.param_names)
     }
+    sel = _draw_subset(samples.n_draws, predictive_draws)
+    traj = sel[_draw_subset(sel.size, trajectories)]
     for name in sorted(samples.delta_draws):
-        mean_c, var_c = delta_field_curves(samples, name, grid, max_draws=predictive_draws)
-        mean, sd = _curve_band(mean_c, var_c)
+        mean, sd = delta_field_curves(samples, name, grid, max_draws=predictive_draws)
         scale = widths.get(name, samples.y_scale)  # additive field scales with y
         cols = [grid, mean, sd, mean * scale, sd * scale]
+        cols += list(_conditional_means(samples.knots, grid[:, None],
+                                        samples.delta_draws[name][traj],
+                                        samples.hyper_draws[name][traj]))
         headers = ["x_norm", "mean", "sd", "mean_phys", "sd_phys"]
-        for j, t in enumerate(_draw_subset(mean_c.shape[0], trajectories)):
-            cols.append(mean_c[t])
-            headers.append(f"traj_{j:03d}")
+        headers += [f"traj_{j:03d}" for j in range(traj.size)]
         path = os.path.join(out_dir, f"drift_{name}.csv")
         np.savetxt(path, np.column_stack(cols), fmt=_FMT, delimiter=",",
                    header=",".join(headers), comments="# ")

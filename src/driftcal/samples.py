@@ -48,6 +48,9 @@ class PosteriorSamples:
     extrapolation_count: int = 0
     extrapolation_max_distance: float = 0.0
     seed: int = 0
+    # reduced grid summaries already computed from these draws, keyed by what
+    # they read (see driftcal.embedded._remembered); never saved
+    _summary_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.sigma2_draws = np.atleast_1d(np.asarray(self.sigma2_draws, dtype=float))

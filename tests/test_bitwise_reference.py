@@ -88,6 +88,11 @@ def ref_conditional_curves(knots, X, values_rows, hyper_rows):
     return means, vars_
 
 
+def ref_conditional_means(knots, X, values_rows, hyper_rows):
+    """``embedded._conditional_means``: the means of ``ref_conditional_curves``."""
+    return ref_conditional_curves(knots, X, values_rows, hyper_rows)[0]
+
+
 def ulp_distance(a, b):
     """Units in the last place between equal-signed doubles."""
     return np.abs(a.view(np.int64) - b.view(np.int64))
@@ -351,6 +356,7 @@ def assert_draws_unchanged_with_reference_helpers(runner, emu, monkeypatch):
         monkeypatch.setattr(mod, "_cho_solve", ref_cho_solve)
         monkeypatch.setattr(mod, "build_covariance", ref_build_covariance)
     monkeypatch.setattr(embedded, "_conditional_curves", ref_conditional_curves)
+    monkeypatch.setattr(embedded, "_conditional_means", ref_conditional_means)
     ref = runner(data, emu, priors, cfg)
 
     for name in fast.delta_draws:

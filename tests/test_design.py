@@ -86,7 +86,7 @@ def test_scale_design_rejects_out_of_range():
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000))
-def test_scale_design_monotone_and_invertible(seed):
+def test_scale_design_monotone(seed):
     spec = _spec()
     rng = np.random.default_rng(seed)
     u = np.sort(rng.uniform(0.01, 0.99, size=(6, 3)), axis=0)
@@ -178,7 +178,7 @@ def _log_uniform(lo, hi):
     loc=st.floats(-10.0, 10.0), spread=_log_uniform(1e-3, 10.0),
     q=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
 )
-def test_closed_form_ppf_and_cdf_equal_scipy_stats_bitwise(shape, scale, loc, spread, q):
+def test_closed_form_ppf_equals_scipy_stats_bitwise(shape, scale, loc, spread, q):
     q = np.array(q)
     clipped = np.clip(q, 1e-15, 1.0 - 1e-15)  # Prior.ppf clips before inverting
     ref = stats.invgamma.ppf(clipped, shape, scale=scale)
@@ -188,7 +188,7 @@ def test_closed_form_ppf_and_cdf_equal_scipy_stats_bitwise(shape, scale, loc, sp
         assert type(prior.ppf(0.3)) is float
 
 
-def test_prior_dict_round_trip():
+def test_prior_from_dict_builds_each_kind():
     for d, p in [({"kind": "uniform", "lo": 0, "hi": 1}, Prior.uniform(0, 1)),
                  ({"kind": "normal", "mean": 2, "sd": 3}, Prior.normal(2, 3)),
                  ({"kind": "inverse_gamma", "shape": 4, "scale": 5}, Prior.inverse_gamma(4, 5)),

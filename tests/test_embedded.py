@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from driftcal import embedded
+from driftcal import embedded, gp
 from driftcal.design import Prior
 from driftcal.embedded import (
     FIELD_JITTER,
@@ -15,6 +15,7 @@ from driftcal.embedded import (
     McmcConfig,
     StepAdapter,
     ThetaStar,
+    delta_field_curves,
     embedded_log_posterior,
     gibbs_sigma2,
     mh_accept,
@@ -24,8 +25,10 @@ from driftcal.embedded import (
     _Chain,
     _hyper_proposal,
 )
-from driftcal.gp import ExactEmulator, KernelParams
+from driftcal.gp import ExactEmulator, KernelParams, TrainingSet
 from driftcal.koh import run_koh
+from driftcal.runner import emit_plot_data
+from driftcal.samples import PosteriorSamples, load_samples, save_samples
 from driftcal.simulators import CalibrationDataset
 
 UNIT_BOUNDS = ((0.0, 1.0),)
@@ -518,3 +521,118 @@ def test_step_adapter_moves_toward_target():
     for _ in range(200):
         down.update(False)
     assert up.step > 0.5 > down.step
+
+
+# -- grid summaries, remembered per sample set -----------------------------------
+
+
+def two_field_samples(T=6, K=3):
+    rng = np.random.default_rng(8)
+    return PosteriorSamples(
+        kind="integrated_delta",
+        param_names=("a", "b"),
+        knots=np.linspace(0.1, 0.9, K)[:, None],
+        delta_draws={n: 0.1 * rng.standard_normal((T, K)) for n in "ab"},
+        hyper_draws={n: rng.uniform(0.2, 0.6, (T, 2)) for n in "ab"},
+        sigma2_draws=rng.uniform(0.01, 0.02, T),
+        theta_draws=rng.uniform(0.3, 0.7, (T, 2)),
+        base_theta=np.array([0.5, 0.5]),
+        acceptance_rates={},
+        chains=2,
+        domain_bounds=UNIT_BOUNDS,
+        theta_bounds=((0.0, 1.0), (0.0, 1.0)),
+        y_shift=0.25,
+        y_scale=2.0,
+        grid=np.linspace(0.0, 1.0, 9),
+    )
+
+
+def drift_response(Q):
+    return Q[:, 1] + 0.5 * Q[:, 2] * Q[:, 0]
+
+
+def counting_emulator():
+    """An exact emulator that records the row count of each query in ``rows``."""
+    emu = ExactEmulator(lambda Q: emu.rows.append(len(Q)) or drift_response(Q), vectorized=True)
+    emu.rows = []
+    return emu
+
+
+def test_summaries_are_remembered_until_anything_they_read_changes(monkeypatch):
+    s = two_field_samples()
+    band_passes = []
+    curves = embedded._conditional_curves
+    monkeypatch.setattr(embedded, "_conditional_curves",
+                        lambda *a: band_passes.append(1) or curves(*a))
+    emu = counting_emulator()
+    query, grid = np.linspace(0.0, 1.0, 7)[:, None], s.grid
+
+    def summaries(samples, emulator=emu, q=query, max_draws=4):
+        return (posterior_predictive(samples, emulator, q, max_draws=max_draws),
+                delta_field_curves(samples, "a", grid, max_draws=max_draws))
+
+    def assert_fresh(got, samples, **kw):
+        """``got`` equals, bitwise, the summaries of a copy of ``samples`` with nothing remembered."""
+        (pred, band), (ref_pred, ref_band) = got, summaries(replace(samples), **kw)
+        assert np.array_equal(pred.mean, ref_pred.mean)
+        assert np.array_equal(pred.variance, ref_pred.variance)
+        assert np.array_equal(band[0], ref_band[0]) and np.array_equal(band[1], ref_band[1])
+
+    def assert_miss(samples, *, band=True, **kw):
+        queried = kw.get("emulator", emu).rows
+        n_rows, n_bands = len(queried), len(band_passes)
+        got = summaries(samples, **kw)
+        assert len(queried) > n_rows and len(band_passes) == n_bands + band
+        assert_fresh(got, samples, **kw)
+        return got
+
+    first = summaries(s)
+    n_rows, n_bands = len(emu.rows), len(band_passes)
+    again = summaries(s)
+    assert (len(emu.rows), len(band_passes)) == (n_rows, n_bands)  # both hits
+    assert again[0] is first[0] and again[1] is first[1]
+    assert_fresh(first, s)
+    for a in (first[0].mean, first[0].variance, *first[1]):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+    s.delta_draws["a"][1, 0] += 0.05  # an in-place write to a selected draw
+    moved = assert_miss(s)
+    assert not np.array_equal(moved[0].mean, first[0].mean)
+    assert not np.array_equal(moved[1][0], first[1][0])
+    s.hyper_draws["a"] = s.hyper_draws["a"] * 1.5  # a rebound draw array
+    assert not np.array_equal(assert_miss(s)[1][1], moved[1][1])
+    assert_miss(s, band=False, q=query[::2])  # another query
+    assert_miss(s, max_draws=None)  # another draw selection
+    assert_miss(s, band=False, emulator=counting_emulator())  # another emulator object
+
+
+def test_plot_files_reuse_the_sampler_summary_pass(tmp_path, monkeypatch):
+    data = unit_dataset(np.linspace(0.1, 0.9, 5)[:, None],
+                        0.4 + 0.3 * np.linspace(0.1, 0.9, 5), dtheta=2)
+    X = np.random.default_rng(5).random((30, 3))
+    emu = gp.fit_gp(TrainingSet.from_raw(X, drift_response(X)),
+                    KernelParams(1.0, [0.4, 0.4, 0.4], nugget=1e-8))
+    priors = CalibrationPriors(noise=Prior.inverse_gamma(3.0, 2.0 * 0.05**2))
+    cfg = McmcConfig(iterations=200, burn_in=100, thin=2, chains=2, seed=3,
+                     theta0=(0.5, 0.5), grid_points=11)
+    samples = run_integrated_delta(data, emu, priors, cfg)
+
+    rows = []
+    predict = gp.predict_standardized
+    monkeypatch.setattr(gp, "predict_standardized",
+                        lambda model, Q: rows.append(len(Q)) or predict(model, Q))
+    emit_plot_data(samples, samples.grid, tmp_path / "reused", emu)
+    assert rows == []  # the sampler's summary pass answered every grid query
+
+    save_samples(samples, tmp_path / "samples")
+    loaded = load_samples(tmp_path / "samples")  # nothing remembered
+    emit_plot_data(loaded, loaded.grid, tmp_path / "recomputed", emu)
+    assert rows == [samples.grid.size] * samples.n_draws
+    names = sorted(p.name for p in (tmp_path / "reused").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "recomputed").iterdir())
+    assert len(names) == 3  # predictive.csv and one drift file per field
+    for name in names:
+        assert (tmp_path / "reused" / name).read_bytes() == (
+            tmp_path / "recomputed" / name).read_bytes(), name

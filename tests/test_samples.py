@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -48,11 +50,11 @@ def test_round_trip(tmp_path):
 def test_validation_catches_bad_shapes():
     s = make_samples()
     with pytest.raises(ValueError, match="rows"):
-        PosteriorSamples(**{**s.__dict__, "delta_draws": {"a": np.zeros((2, 3))}})
+        replace(s, delta_draws={"a": np.zeros((2, 3))})
     with pytest.raises(ValueError, match="acceptance"):
-        PosteriorSamples(**{**s.__dict__, "acceptance_rates": {"x": 1.4}})
+        replace(s, acceptance_rates={"x": 1.4})
     with pytest.raises(ValueError, match="chains"):
-        PosteriorSamples(**{**s.__dict__, "chains": 4})
+        replace(s, chains=4)
 
 
 def test_per_chain_reshape():
