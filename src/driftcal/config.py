@@ -33,8 +33,6 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class EmulatorSettings:
-    init_variance: float = 1.0
-    init_lengthscale: float = 0.4
     nugget: float = 1e-8
     budget: int = 150
 
@@ -185,6 +183,15 @@ class _Checker:
         self.known_keys(obj, checks, key)
         return self.given(obj, key, checks)
 
+    def one_per_parameter(self, values, n_theta: int | None, path: str) -> bool:
+        """Whether ``values`` has ``n_theta`` entries, or no count is declared; reports a
+        mismatch at ``path``."""
+        if n_theta is None or len(values) == n_theta:
+            return True
+        self.fail(path, f"expected {n_theta} entries, one per synthetic.theta_priors entry, "
+                        f"got {len(values)}")
+        return False
+
     def build(self, cls, path: str, **kwargs):
         """``cls(**kwargs)``, or None with its ValueError reported at ``path``."""
         try:
@@ -205,17 +212,13 @@ class _Checker:
 
 
 # The keys of each block and their per-key checks. The dataclasses hold the
-# defaults; McmcConfig checks burn_in against iterations and adapt_target.
+# defaults; McmcConfig checks burn_in against iterations.
 _MCMC_CHECKS = {
     "iterations": _integer(1), "burn_in": _integer(0), "thin": _integer(1),
-    "chains": _integer(1), "adapt_target": _number(),
-    "initial_step": _number(above=0.0), "sample_hyper": _boolean,
+    "chains": _integer(1), "initial_step": _number(above=0.0), "sample_hyper": _boolean,
     "sample_sigma2": _boolean, "sample_theta": _boolean_or_null, "audit_every": _integer(0),
 }
-_EMULATOR_CHECKS = {
-    "init_variance": _number(above=0.0), "init_lengthscale": _number(above=0.0),
-    "nugget": _number(minimum=0.0), "budget": _integer(1),
-}
+_EMULATOR_CHECKS = {"nugget": _number(minimum=0.0), "budget": _integer(1)}
 _SYNTHETIC_CHECKS = {"n_sim": _integer(2), "n_obs": _integer(1), "noise_sd": _number(minimum=0.0)}
 # synthetic.simulator: the settings of each simulator kind besides "kind"
 _SIMULATOR_CHECKS = {
@@ -229,7 +232,9 @@ _RUN_CHECKS = {"trajectories": _integer(0), "predictive_draws": _integer(1)}
 _PRIOR_KEYS = ("field_variance", "field_lengthscale", "eta_variance", "eta_lengthscale", "noise")
 
 
-def _parse_synthetic(chk: _Checker, obj: dict, path: str) -> SyntheticSpec | None:
+def _parse_synthetic(chk: _Checker, obj: dict, path: str):
+    """The spec, or None after an error, and the declared parameter count: the number of
+    ``theta_priors`` entries, or None when there is no such list."""
     allowed = {"simulator", "domain_bounds", "theta_priors", "param_names", "truth",
                *_SYNTHETIC_CHECKS}
     chk.known_keys(obj, allowed, path)
@@ -262,6 +267,7 @@ def _parse_synthetic(chk: _Checker, obj: dict, path: str) -> SyntheticSpec | Non
             prior = chk.prior(p, f"{path}.theta_priors[{j}]")
             if prior is not None:
                 theta_priors.append(prior)
+    n_theta = len(priors_raw) if isinstance(priors_raw, list) and priors_raw else None
     settings = chk.given(obj, path, _SYNTHETIC_CHECKS)
 
     truth_raw = obj.get("truth")
@@ -275,6 +281,8 @@ def _parse_synthetic(chk: _Checker, obj: dict, path: str) -> SyntheticSpec | Non
         ok = True
         if not _is_number_list(theta0):
             chk.fail(f"{path}.truth.theta0", "required list of finite numbers")
+            ok = False
+        elif not chk.one_per_parameter(theta0, n_theta, f"{path}.truth.theta0"):
             ok = False
         if not isinstance(drifts_raw, list):
             chk.fail(f"{path}.truth.drifts", "required list of drift objects")
@@ -293,7 +301,7 @@ def _parse_synthetic(chk: _Checker, obj: dict, path: str) -> SyntheticSpec | Non
         chk.fail(f"{path}.param_names", "expected a list of strings")
         names = []
     if truth is None or not bounds or len(theta_priors) != len(priors_raw or []):
-        return None
+        return None, n_theta
     if names and len(names) != len(theta_priors):
         chk.fail(f"{path}.param_names",
                  f"expected {len(theta_priors)} names, got {len(names)}")
@@ -304,7 +312,7 @@ def _parse_synthetic(chk: _Checker, obj: dict, path: str) -> SyntheticSpec | Non
         truth=truth,
         param_names=tuple(names),
         **settings,
-    )
+    ), n_theta
 
 
 def _parse_drift(chk: _Checker, obj, path: str) -> DriftFunction | None:
@@ -320,8 +328,8 @@ def _parse_drift(chk: _Checker, obj, path: str) -> DriftFunction | None:
                      params=tuple(given.get("params", ())))
 
 
-def _parse_priors(chk: _Checker, obj: dict, path: str,
-                  theta_default: tuple[Prior, ...] | None) -> CalibrationPriors | None:
+def _parse_priors(chk: _Checker, obj: dict, path: str, theta_default: tuple[Prior, ...] | None,
+                  n_theta: int | None) -> CalibrationPriors | None:
     chk.known_keys(obj, {*_PRIOR_KEYS, "theta"}, path)
     given = {}
     for key in _PRIOR_KEYS:
@@ -336,7 +344,8 @@ def _parse_priors(chk: _Checker, obj: dict, path: str,
             chk.fail(f"{path}.theta", "expected a list of prior objects")
         else:
             parsed = [chk.prior(p, f"{path}.theta[{j}]") for j, p in enumerate(raw)]
-            if all(p is not None for p in parsed):
+            if (chk.one_per_parameter(raw, n_theta, f"{path}.theta")
+                    and all(p is not None for p in parsed)):
                 theta = tuple(parsed)
     return chk.build(CalibrationPriors, path, theta=theta, **given)
 
@@ -371,18 +380,18 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(out_dir, str) or not out_dir:
         chk.fail("out_dir", "required non-empty string")
         out_dir = "."
-    seed = chk.given(raw, "", {"seed": _integer()}).get("seed", 0)
+    seed = chk.given(raw, "", {"seed": _integer(0)}).get("seed", 0)
 
     dataset_path = raw.get("dataset")
     if dataset_path is not None and not isinstance(dataset_path, str):
         chk.fail("dataset", f"expected a file path string, got {dataset_path!r}")
         dataset_path = None
-    synthetic = None
+    synthetic = n_theta = None
     if "synthetic" in raw:
         if not isinstance(raw["synthetic"], dict):
             chk.fail("synthetic", "expected an object")
         else:
-            synthetic = _parse_synthetic(chk, raw["synthetic"], "synthetic")
+            synthetic, n_theta = _parse_synthetic(chk, raw["synthetic"], "synthetic")
     if dataset_path is None and "synthetic" not in raw:
         chk.fail("dataset", "either 'dataset' or 'synthetic' must be provided")
     if mode == "generate" and "synthetic" not in raw:
@@ -397,15 +406,15 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(priors_raw, dict):
         chk.fail("priors", "expected an object")
         priors_raw = {}
-    priors = _parse_priors(chk, priors_raw, "priors", theta_default)
+    priors = _parse_priors(chk, priors_raw, "priors", theta_default, n_theta)
 
     shared = chk.given(raw, "", _SHARED_MCMC_CHECKS)
     theta0 = raw.get("theta0")
     if theta0 is not None:
-        if _is_number_list(theta0):
-            shared["theta0"] = tuple(float(v) for v in theta0)
-        else:
+        if not _is_number_list(theta0):
             chk.fail("theta0", "expected a list of finite numbers")
+        elif chk.one_per_parameter(theta0, n_theta, "theta0"):
+            shared["theta0"] = tuple(float(v) for v in theta0)
     mcmc = chk.build(McmcConfig, "mcmc", seed=seed, **shared,
                      **chk.block(raw, "mcmc", _MCMC_CHECKS))
     koh_mcmc = None

@@ -268,7 +268,6 @@ class McmcConfig:
     thin: int = 2
     chains: int = 2
     seed: int = 0
-    adapt_target: float = 0.3
     initial_step: float = 0.5
     sample_hyper: bool = True
     sample_sigma2: bool = True
@@ -291,25 +290,25 @@ class McmcConfig:
             raise ValueError("thin must be >= 1")
         if self.chains < 1:
             raise ValueError("chains must be >= 1")
-        if not 0.0 < self.adapt_target < 1.0:
-            raise ValueError("adapt_target must lie in (0, 1)")
         if self.grid_points < 1:
             raise ValueError("grid_points must be >= 1")
 
 
-class StepAdapter:
-    """Robbins-Monro scaling of a proposal step toward a target acceptance rate."""
+ADAPT_TARGET = 0.3  # the acceptance rate the step adaptation aims at
+ADAPT_DECAY = 0.66  # the adaptation gain falls as n ** -ADAPT_DECAY
 
-    def __init__(self, step: float, target: float = 0.3, decay: float = 0.66):
+
+class StepAdapter:
+    """Robbins-Monro scaling of a proposal step toward ``ADAPT_TARGET`` acceptance."""
+
+    def __init__(self, step: float):
         self.step = float(step)
-        self.target = float(target)
-        self.decay = float(decay)
         self._n = 0
 
     def update(self, accepted: bool) -> None:
         self._n += 1
-        gain = self._n ** (-self.decay)
-        self.step *= math.exp(gain * ((1.0 if accepted else 0.0) - self.target))
+        gain = self._n ** (-ADAPT_DECAY)
+        self.step *= math.exp(gain * ((1.0 if accepted else 0.0) - ADAPT_TARGET))
         self.step = min(max(self.step, 1e-6), 1e3)
 
 
@@ -406,58 +405,6 @@ def embedded_log_posterior(
     return total + priors.noise.logpdf(state.noise_var) + theta_prior
 
 
-class _BlockStats:
-    __slots__ = ("proposed", "accepted")
-
-    def __init__(self) -> None:
-        self.proposed = 0
-        self.accepted = 0
-
-
-def _hyper_proposal(rngs, logp, logp_sum, steps, knot_diff, values, field_prior, hyper_prior,
-                    var_prior, len_prior):
-    """One log-space random-walk proposal per chain on a field's raw ``[variance, *lengthscales]``.
-
-    ``logp`` (C, 1 + dx) is the log of the chains' hyperparameters and
-    ``values`` (C, K) their knot values; ``rngs``, ``logp_sum`` (each row's
-    sum), ``steps``, ``field_prior`` and ``hyper_prior`` hold one entry per
-    chain. Returns one entry per chain: ``(log_ratio, h2, chol2, log_diag2,
-    field_prior2, hyper_prior2)``, the log ratio including the log-space
-    Jacobian, or None when a proposed value overflows or underflows or the
-    proposed kernel does not factor: the caller counts that as a rejection
-    of that chain's proposal alone.
-    """
-    logp2 = logp + np.array([step * rng.standard_normal(logp.shape[1])
-                             for step, rng in zip(steps, rngs)])
-    H2 = np.exp(logp2)
-    live, rows = [], []
-    for c, lp in enumerate(logp2.tolist()):
-        try:
-            variance = math.exp(lp[0])  # raises past 709.78
-        except OverflowError:
-            continue
-        H2[c, 0] = variance
-        h2 = H2[c].tolist()
-        if 0.0 < min(h2) and max(h2) < math.inf:  # finite logp2: no NaN to compare
-            live.append(c)
-            rows.append(h2)
-    out = [None] * len(rngs)
-    if not live:
-        return out
-    logp2_sum = logp2.sum(axis=1).tolist()
-    chols, factored = _knot_chols(knot_diff, H2 if len(live) == len(rngs) else H2[live])
-    for j, c in enumerate(live):
-        if factored[j]:
-            chol2 = chols[j]
-            log_diag2 = np.log(chol2.diagonal()).sum()
-            fp2 = _mvn_logpdf_zero(values[c], chol2, log_diag2)
-            hp2 = _hyper_logprior(rows[j], var_prior, len_prior)
-            jacobian = logp2_sum[c] - logp_sum[c]
-            log_ratio = (fp2 - field_prior[c]) + (hp2 - hyper_prior[c]) + jacobian
-            out[c] = (log_ratio, H2[c], chol2, log_diag2, fp2, hp2)
-    return out
-
-
 class _Chain:
     """The sampler engine: C chains stepped in lockstep over their active blocks.
 
@@ -550,14 +497,17 @@ class _Chain:
         self.block_names += [f"hyper:{n}" for n in self.names]
         # per block, one entry per chain
         self.adapters = {
-            n: [StepAdapter(config.initial_step, config.adapt_target) for _ in range(C)]
+            n: [StepAdapter(config.initial_step) for _ in range(C)]
             for n in self.block_names
         }
         if sample_theta:
             # theta moves on the unit box; a full-box step would mix poorly
             for adapter in self.adapters["theta"]:
                 adapter.step = min(config.initial_step, 0.15)
-        self.stats = {n: [_BlockStats() for _ in range(C)] for n in self.block_names}
+        # after burn-in: each block's proposal count, the same for every chain, and each
+        # chain's accepted count
+        self.proposed = dict.fromkeys(self.block_names, 0)
+        self.accepted = {n: [0] * C for n in self.block_names}
         self.extrap_count = [0] * C
         self.extrap_max = [0.0] * C
         self.block_ns: dict[str, int] = {}
@@ -675,9 +625,10 @@ class _Chain:
             for adapter, acc in zip(self.adapters[name], accepted):
                 adapter.update(acc)
         else:
-            for st, acc in zip(self.stats[name], accepted):
-                st.proposed += 1
-                st.accepted += acc
+            self.proposed[name] += 1
+            counts = self.accepted[name]
+            for c, acc in enumerate(accepted):
+                counts[c] += acc
 
     def _field_proposal(self, k: int, name: str):
         """Prior-preconditioned proposals of field ``k``'s knot values, one per chain."""
@@ -764,22 +715,53 @@ class _Chain:
         self._track("delta:eta", accepted, adapting)
 
     def _update_hyper(self, k: int, adapting: bool) -> None:
+        """A log-space random walk on field ``k``'s raw ``[variance, *lengthscales]``.
+
+        The log ratio includes the log-space Jacobian. A proposed value that
+        overflows or underflows, or a proposed kernel that does not factor,
+        is a rejection of that chain's proposal alone.
+        """
         name = f"hyper:{self.names[k]}"
         field_prior, hyper_prior = self.field_prior[k], self.hyper_prior[k]
         log_diag, log_sum = self.log_diag[k], self.log_hyper_sum[k]
-        props = _hyper_proposal(self.rngs, self.log_hypers[:, k], log_sum, self._steps(name),
-                                self.knot_diff, self.values[:, k], field_prior, hyper_prior,
-                                *self.field_priors[k])
+        logp = self.log_hypers[:, k]
+        logp2 = logp + np.array([step * rng.standard_normal(logp.shape[1])
+                                 for step, rng in zip(self._steps(name), self.rngs)])
+        H2 = np.exp(logp2)
+        live, rows = [], []
+        for c, lp in enumerate(logp2.tolist()):
+            try:
+                variance = math.exp(lp[0])  # raises past 709.78
+            except OverflowError:
+                continue
+            H2[c, 0] = variance
+            h2 = H2[c].tolist()
+            if 0.0 < min(h2) and max(h2) < math.inf:  # finite logp2: no NaN to compare
+                live.append(c)
+                rows.append(h2)
         accepted = [False] * len(self.rngs)
-        for c, (rng, prop) in enumerate(zip(self.rngs, props)):
-            accepted[c] = prop is not None and self.accept(prop[0], 0.0, rng)
-            if accepted[c]:
-                _, h2, self.chols[c, k], log_diag[c], fp2, hp2 = prop
-                field_prior[c], hyper_prior[c] = fp2, hp2
-                self.hypers[c, k] = h2
-                # the log of h2, not the proposal's logp2, whose exp rounded
-                log_h2 = self.log_hypers[c, k] = np.log(h2)
-                log_sum[c] = log_h2.sum()
+        if live:
+            logp2_sum = logp2.sum(axis=1).tolist()
+            chols, factored = _knot_chols(self.knot_diff,
+                                          H2 if len(live) == len(self.rngs) else H2[live])
+            var_prior, len_prior = self.field_priors[k]
+            for j, c in enumerate(live):
+                if not factored[j]:
+                    continue
+                chol2 = chols[j]
+                log_diag2 = np.log(chol2.diagonal()).sum()
+                fp2 = _mvn_logpdf_zero(self.values[c, k], chol2, log_diag2)
+                hp2 = _hyper_logprior(rows[j], var_prior, len_prior)
+                jacobian = logp2_sum[c] - log_sum[c]
+                log_ratio = (fp2 - field_prior[c]) + (hp2 - hyper_prior[c]) + jacobian
+                accepted[c] = self.accept(log_ratio, 0.0, self.rngs[c])
+                if accepted[c]:
+                    self.chols[c, k], log_diag[c] = chol2, log_diag2
+                    field_prior[c], hyper_prior[c] = fp2, hp2
+                    self.hypers[c, k] = H2[c]
+                    # the log of H2, not logp2, whose exp rounded
+                    log_h2 = self.log_hypers[c, k] = np.log(H2[c])
+                    log_sum[c] = log_h2.sum()
         self._track(name, accepted, adapting)
 
     def _gibbs_sigma2(self, adapting: bool = False) -> None:
@@ -818,8 +800,14 @@ class _Chain:
         """Mean wall time of one step of each block, all chains together, in microseconds."""
         return {name: ns / 1e3 / self.cfg.iterations for name, ns in self.block_ns.items()}
 
-    def run(self) -> list[dict]:
-        """Run the configured sweeps; returns one result dict per chain."""
+    def run(self) -> dict:
+        """Run the configured sweeps; returns the stored draws, stacked over the chains.
+
+        The dict holds ``delta`` and ``hyper`` (field name to (C, S, K) knot
+        values and (C, S, 1 + dx) hyperparameters), ``sigma2`` (C, S) and
+        ``theta`` (C, S, dtheta), None when theta is not recorded. The
+        acceptance counts and extrapolation figures stay on the engine.
+        """
         cfg = self.cfg
         C = len(self.rngs)
         n_stored = (cfg.iterations - cfg.burn_in + cfg.thin - 1) // cfg.thin
@@ -849,19 +837,8 @@ class _Chain:
                 if out_theta is not None:
                     out_theta[:, stored] = self.base_theta
                 stored += 1
-        return [
-            {
-                "delta": {n: out_delta[n][c] for n in self.names},
-                "hyper": {n: out_hyper[n][c] for n in self.names},
-                "sigma2": out_sigma2[c],
-                "theta": None if out_theta is None else out_theta[c],
-                "stats": {n: stats[c] for n, stats in self.stats.items()},
-                "extrap_count": self.extrap_count[c],
-                "extrap_max": self.extrap_max[c],
-                "base_theta": self.base_theta[c].copy(),
-            }
-            for c in range(C)
-        ]
+        return {"delta": out_delta, "hyper": out_hyper, "sigma2": out_sigma2,
+                "theta": out_theta}
 
 
 def _build_knots(data: CalibrationDataset):
@@ -876,9 +853,10 @@ def _build_knots(data: CalibrationDataset):
 
 def _run_chains(data, emulator, priors, config, kind: str, timing: dict | None = None,
                 **blocks) -> PosteriorSamples:
-    """Run ``config.chains`` seeded chains in lockstep through one :class:`_Chain` and merge them.
+    """Run ``config.chains`` seeded chains in lockstep through one :class:`_Chain`.
 
-    ``blocks`` are the engine's keyword-only block settings. Each chain draws
+    The sample set holds the draws chain-major, chain 0's first. ``blocks``
+    are the engine's keyword-only block settings. Each chain draws
     from its own ``SeedSequence`` child of ``config.seed``. A ``timing`` dict
     receives the chain count and the mean wall time of each block step in
     microseconds. Raises when the theta priors or ``config.theta0`` do not
@@ -897,32 +875,27 @@ def _run_chains(data, emulator, priors, config, kind: str, timing: dict | None =
     rngs = [np.random.default_rng(seed)
             for seed in np.random.SeedSequence(config.seed).spawn(config.chains)]
     engine = _Chain(data, emulator, priors, config, rngs, knots, obs_idx, **blocks)
-    results = engine.run()
+    draws = engine.run()
     if timing is not None:
         timing.update(chains=config.chains, us_per_step=engine.block_us())
 
-    names = list(results[0]["delta"])
-    delta = {n: np.vstack([r["delta"][n] for r in results]) for n in names}
-    hyper = {n: np.vstack([r["hyper"][n] for r in results]) for n in names}
-    sigma2 = np.concatenate([r["sigma2"] for r in results])
-    theta = (
-        np.vstack([r["theta"] for r in results]) if results[0]["theta"] is not None else None
-    )
-    acceptance = {}
-    for block in results[0]["stats"]:
-        proposed = sum(r["stats"][block].proposed for r in results)
-        accepted = sum(r["stats"][block].accepted for r in results)
-        acceptance[block] = accepted / proposed if proposed else 0.0
+    def chain_major(a):  # (C, S, ...) to (C * S, ...), chain 0's draws first
+        return a.reshape(-1, *a.shape[2:])
+
+    acceptance = {
+        block: sum(engine.accepted[block]) / (proposed * config.chains) if proposed else 0.0
+        for block, proposed in engine.proposed.items()
+    }
 
     samples = PosteriorSamples(
         kind=kind,
         param_names=data.param_names,
         knots=knots,
-        delta_draws=delta,
-        hyper_draws=hyper,
-        sigma2_draws=sigma2,
-        theta_draws=theta,
-        base_theta=results[0]["base_theta"],
+        delta_draws={n: chain_major(a) for n, a in draws["delta"].items()},
+        hyper_draws={n: chain_major(a) for n, a in draws["hyper"].items()},
+        sigma2_draws=chain_major(draws["sigma2"]),
+        theta_draws=None if draws["theta"] is None else chain_major(draws["theta"]),
+        base_theta=engine.base_theta[0].copy(),
         acceptance_rates=acceptance,
         chains=config.chains,
         domain_bounds=data.domain_bounds,
@@ -930,8 +903,8 @@ def _run_chains(data, emulator, priors, config, kind: str, timing: dict | None =
         y_shift=float(emulator.y_shift),
         y_scale=float(emulator.y_scale),
         grid=np.linspace(0.0, 1.0, config.grid_points),
-        extrapolation_count=sum(r["extrap_count"] for r in results),
-        extrapolation_max_distance=max(r["extrap_max"] for r in results),
+        extrapolation_count=sum(engine.extrap_count),
+        extrapolation_max_distance=max(engine.extrap_max),
         seed=config.seed,
     )
     _attach_summaries(samples, emulator)

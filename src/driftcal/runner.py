@@ -116,12 +116,8 @@ def _obtain_dataset(config: RunConfig, out_dir: str, outputs: list[str]) -> Cali
 def _train_emulator(config: RunConfig, ds: CalibrationDataset, out_dir: str,
                     outputs: list[str]) -> GPModel:
     train = TrainingSet.from_raw(ds.sim_inputs_unit(), ds.sim_y)
-    d = train.dim
-    init = KernelParams(
-        config.emulator.init_variance,
-        np.full(d, config.emulator.init_lengthscale),
-        nugget=config.emulator.nugget,
-    )
+    # the tuner starts at unit variance and lengthscale 0.4 of the unit box in every input
+    init = KernelParams(1.0, np.full(train.dim, 0.4), nugget=config.emulator.nugget)
     tuned = optimize_emulator(train, init, budget=config.emulator.budget, seed=config.seed)
     model = fit_gp(train, tuned)
     path = os.path.join(out_dir, "emulator.json")

@@ -167,7 +167,7 @@ def bisection_critical_search(
 
 
 # each drift kind and its parameter count
-_DRIFT_ARITY = {"zero": 0, "exp_decay": 2, "linear": 2, "gaussian_bump": 3}
+_DRIFT_ARITY = {"zero": 0, "exp_decay": 2}
 DRIFT_KINDS = tuple(_DRIFT_ARITY)
 
 
@@ -194,27 +194,13 @@ class DriftFunction:
     def exp_decay(cls, amplitude: float, length: float) -> "DriftFunction":
         return cls("exp_decay", (amplitude, length))
 
-    @classmethod
-    def linear(cls, intercept: float, slope: float) -> "DriftFunction":
-        return cls("linear", (intercept, slope))
-
-    @classmethod
-    def gaussian_bump(cls, amplitude: float, center: float, width: float) -> "DriftFunction":
-        return cls("gaussian_bump", (amplitude, center, width))
-
     def __call__(self, x_norm) -> np.ndarray | float:
         x = np.asarray(x_norm, dtype=float)
         if self.kind == "zero":
             out = np.zeros_like(x)
-        elif self.kind == "exp_decay":
+        else:
             a, ell = self.params
             out = a * np.exp(-x / ell)
-        elif self.kind == "linear":
-            a, b = self.params
-            out = a + b * x
-        else:
-            a, c, w = self.params
-            out = a * np.exp(-((x - c) / w) ** 2)
         return float(out) if np.ndim(out) == 0 else out
 
     def to_dict(self) -> dict:
@@ -362,15 +348,14 @@ def generate_dataset(
     noise_sd: float,
     seed: int,
     n_obs: int = 5,
-    obs_x: np.ndarray | None = None,
     param_names: tuple[str, ...] = (),
 ) -> CalibrationDataset:
     """Assemble a synthetic calibration dataset.
 
     Simulator runs come from a Latin-hypercube design over (x, theta);
     observations are the simulator at the drifted truth theta0 + d(x) plus
-    N(0, noise_sd^2) noise. Observation inputs default to a uniform grid
-    over the domain (first dimension only; pass ``obs_x`` otherwise).
+    N(0, noise_sd^2) noise, at ``n_obs`` inputs evenly spaced over the
+    domain, which must be 1-D.
     """
     if noise_sd < 0:
         raise ValueError("noise_sd must be non-negative")
@@ -384,12 +369,10 @@ def generate_dataset(
     sim_y = np.array([eval_simulator(sim, x, th) for x, th in zip(sim_x, sim_theta)])
 
     theta_bounds = theta_bounds_from_priors(spec.theta_priors)
-    if obs_x is None:
-        if spec.dx != 1:
-            raise ValueError("default observation grid requires a 1-D domain")
-        lo, hi = spec.domain_bounds[0]
-        obs_x = np.linspace(lo, hi, n_obs)[:, None]
-    obs_x = np.atleast_2d(np.asarray(obs_x, dtype=float))
+    if spec.dx != 1:
+        raise ValueError("the observation grid requires a 1-D domain")
+    lo, hi = spec.domain_bounds[0]
+    obs_x = np.linspace(lo, hi, n_obs)[:, None]
 
     rng = np.random.default_rng(noise_seed)
     obs_y = np.empty(obs_x.shape[0])
@@ -458,6 +441,11 @@ def load_dataset(path) -> CalibrationDataset:
                 rows.append(line.split(","))
     if headers.get("format") != DATASET_FORMAT:
         raise ValueError(f"unrecognized dataset format tag {headers.get('format')!r}")
+    missing = [key for key in ("domain_bounds", "theta_bounds") if key not in headers]
+    if missing:
+        raise ValueError(f"dataset file has no {' or '.join(missing)} header")
+    if not rows:
+        raise ValueError("dataset file has no column header or record rows")
     domain_bounds = tuple(tuple(b) for b in json.loads(headers["domain_bounds"]))
     theta_bounds = tuple(tuple(b) for b in json.loads(headers["theta_bounds"]))
     noise_sd = float(headers.get("noise_sd", "0.0"))

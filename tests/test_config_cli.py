@@ -59,7 +59,6 @@ def base_config(out_dir="out", mode="integrated_delta", **extra):
 def test_minimal_config_fills_defaults():
     cfg = parse_config(json.dumps(base_config()))
     assert cfg.mode == "integrated_delta"
-    assert cfg.mcmc.adapt_target == 0.3
     assert cfg.mcmc.seed == 3
     assert cfg.priors.noise.kind == "inverse_gamma"
     assert cfg.priors.theta is not None and len(cfg.priors.theta) == 3
@@ -146,13 +145,60 @@ def test_each_error_is_reported_where_its_check_lives():
     raw = base_config()
     raw["seed"] = None
     raw["grid_points"] = 0
-    raw["mcmc"]["adapt_target"] = 1.5
+    raw["mcmc"]["burn_in"] = raw["mcmc"]["iterations"]
     raw["priors"] = {"noise": {"kind": "normal", "mean": 0.0, "sd": 1.0}}
     raw["synthetic"]["truth"]["drifts"].pop()
     with pytest.raises(ConfigError) as err:
         parse_config(json.dumps(raw))
     paths = {p for p, _ in err.value.errors}
     assert paths == {"seed", "grid_points", "mcmc", "priors", "synthetic.truth"}
+
+
+def test_parameter_counts_are_checked_against_the_theta_priors_at_parse_time():
+    # the dipole has three theta priors; each list below has two entries
+    raw = base_config()
+    raw["synthetic"]["truth"]["theta0"] = [45.0, 0.33]
+    raw["theta0"] = [45.0, 0.33]
+    raw["priors"] = {"theta": [{"kind": "uniform", "lo": 35.0, "hi": 55.0}] * 2}
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(raw))
+    assert {p: msg for p, msg in err.value.errors} == dict.fromkeys(
+        ["synthetic.truth.theta0", "theta0", "priors.theta"],
+        "expected 3 entries, one per synthetic.theta_priors entry, got 2")
+
+
+def test_negative_seed_is_refused_at_parse_time(tmp_path, capsys):
+    raw = base_config(out_dir=str(tmp_path / "run"), seed=-1)
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(raw))
+    assert [p for p, _ in err.value.errors] == ["seed"]
+    raw["seed"] = 3
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["generate", "--config", str(cfg_path), "--seed", "-1"]) == 2
+    assert "seed: must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("path, edit", [
+    ("mcmc.adapt_target", lambda raw: raw["mcmc"].update(adapt_target=0.3)),
+    ("koh.adapt_target", lambda raw: raw["koh"].update(adapt_target=0.3)),
+    ("emulator.init_variance", lambda raw: raw["emulator"].update(init_variance=1.0)),
+    ("emulator.init_lengthscale", lambda raw: raw["emulator"].update(init_lengthscale=0.4)),
+    ("synthetic.truth.drifts[0].kind",
+     lambda raw: raw["synthetic"]["truth"]["drifts"][0].update(kind="linear")),
+    ("synthetic.truth.drifts[0].kind",
+     lambda raw: raw["synthetic"]["truth"]["drifts"][0].update(kind="gaussian_bump",
+                                                               params=[0.1, 0.5, 0.2])),
+])
+def test_removed_settings_are_refused_at_their_key(path, edit):
+    raw = json.loads(HEADLINE_CONFIG.read_text())
+    edit(raw)
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(raw))
+    [(where, msg)] = err.value.errors
+    assert where == path
+    assert msg == "unknown key" or msg.startswith("expected one of ['zero', 'exp_decay']")
 
 
 def test_non_finite_numbers_are_refused_at_their_key():

@@ -1,3 +1,4 @@
+import copy
 import math
 from dataclasses import replace
 
@@ -23,7 +24,6 @@ from driftcal.embedded import (
     run_integrated_delta,
     _build_knots,
     _Chain,
-    _hyper_proposal,
 )
 from driftcal.gp import ExactEmulator, KernelParams, TrainingSet
 from driftcal.koh import run_koh
@@ -353,18 +353,23 @@ class FixedNormals:
         return self.z[:n].copy()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("z", [[1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
 def test_hyper_proposal_outside_float_range_is_refused(z):
     # a log-space step of 800 overflows the variance past 1.8e308 or
     # underflows the variance or the lengthscale to zero
-    priors = CalibrationPriors()
-    knots = np.array([[0.1], [0.5], [0.9]])
-    prop = _hyper_proposal(
-        [FixedNormals(z)], np.log([[0.05, 0.3]]), [math.log(0.05 * 0.3)], [800.0],
-        knots[:, None, :] - knots[None, :, :], np.zeros((1, 3)), [0.0], [0.0],
-        priors.field_variance, priors.field_lengthscale,
-    )
-    assert prop == [None]
+    data = unit_dataset([[0.1], [0.5], [0.9]], [0.5, 0.5, 0.5])
+    chain = field_chain(data, ExactEmulator(lambda row: row[1]), CalibrationPriors())
+    chain.rngs = [FixedNormals(z)]
+    [adapter] = chain.adapters["hyper:p0"]
+    adapter.step = 800.0
+    state = ("hypers", "log_hypers", "chols", "log_hyper_sum", "log_diag", "field_prior",
+             "hyper_prior")
+    before = {name: copy.deepcopy(getattr(chain, name)) for name in state}
+    chain._update_hyper(0, adapting=False)
+    assert (chain.proposed["hyper:p0"], chain.accepted["hyper:p0"]) == (1, [0])
+    for name in state:
+        assert np.array_equal(np.asarray(getattr(chain, name)), np.asarray(before[name])), name
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -375,10 +380,11 @@ def test_overflowing_hyper_proposals_are_counted_rejections(additive):
     data, emu, priors, _, _ = gaussian_rig([0.6, 0.45])
     cfg = McmcConfig(iterations=300, burn_in=0, thin=1, chains=1, seed=5,
                      initial_step=1e3, theta0=(0.5,), audit_every=50)
-    out = field_chain(data, emu, priors, cfg, additive=additive).run()[0]
+    chain = field_chain(data, emu, priors, cfg, additive=additive)
+    out = chain.run()
     blocks = ["hyper:p0"] + (["hyper:eta"] if additive else [])
     for block in blocks:
-        assert out["stats"][block].proposed == cfg.iterations
+        assert chain.proposed[block] == cfg.iterations
     assert np.all(np.isfinite(out["hyper"]["p0"])) and np.all(out["hyper"]["p0"] > 0)
 
 
@@ -514,10 +520,10 @@ def test_out_of_support_initial_theta_is_an_error():
 
 
 def test_step_adapter_moves_toward_target():
-    up = StepAdapter(0.5, target=0.3)
+    up = StepAdapter(0.5)
     for _ in range(200):
         up.update(True)  # always accepted: step should grow
-    down = StepAdapter(0.5, target=0.3)
+    down = StepAdapter(0.5)
     for _ in range(200):
         down.update(False)
     assert up.step > 0.5 > down.step

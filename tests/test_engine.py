@@ -84,10 +84,10 @@ def test_extreme_steps_are_counted_rejections(config, theta0, theta_step, hyper_
             adapter.step = theta_step
         elif name.startswith("hyper:"):
             adapter.step = hyper_step
-    out = chain.run()[0]
+    out = chain.run()
 
     for name in chain.block_names:  # every block here runs
-        assert out["stats"][name].proposed == cfg.iterations - cfg.burn_in, name
+        assert chain.proposed[name] == cfg.iterations - cfg.burn_in, name
     for name in out["delta"]:
         assert np.all(np.isfinite(out["delta"][name]))
         assert np.all(np.isfinite(out["hyper"][name])) and np.all(out["hyper"][name] > 0)
@@ -134,11 +134,33 @@ def generators(seed):
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
 
 
+def chain_result(chain, draws, c):
+    """Chain ``c``'s draws, acceptance counts and extrapolation figures from ``chain``'s
+    stacked run ``draws``."""
+    return {
+        "delta": {n: a[c] for n, a in draws["delta"].items()},
+        "hyper": {n: a[c] for n, a in draws["hyper"].items()},
+        "sigma2": draws["sigma2"][c],
+        "theta": None if draws["theta"] is None else draws["theta"][c],
+        "base_theta": chain.base_theta[c],
+        "proposed": chain.proposed,
+        "accepted": {n: counts[c] for n, counts in chain.accepted.items()},
+        "extrap": (chain.extrap_count[c], chain.extrap_max[c]),
+    }
+
+
+def run_each_chain(chain):
+    """Run ``chain``; one :func:`chain_result` per chain."""
+    draws = chain.run()
+    return [chain_result(chain, draws, c) for c in range(len(chain.rngs))]
+
+
 def lockstep_runs(config, emulator, seed, hyper_steps=None, **mcmc):
     """One 3-chain engine and three 1-chain engines on the same generators.
 
     ``hyper_steps`` maps a chain index to the hyperparameter step it keeps
-    (with no burn-in, steps do not adapt).
+    (with no burn-in, steps do not adapt). Returns the 3-chain engine's
+    :func:`chain_result` per chain and each 1-chain engine's.
     """
     together = engine(config, emulator, generators(seed), **mcmc)
     alone = [engine(config, emulator, [rng], **mcmc) for rng in generators(seed)]
@@ -147,7 +169,7 @@ def lockstep_runs(config, emulator, seed, hyper_steps=None, **mcmc):
             if name.startswith("hyper:"):
                 together.adapters[name][c].step = step
                 alone[c].adapters[name][0].step = step
-    return together.run(), [chain.run()[0] for chain in alone]
+    return run_each_chain(together), [run_each_chain(chain)[0] for chain in alone]
 
 
 def assert_same_chain(a, b):
@@ -160,9 +182,8 @@ def assert_same_chain(a, b):
     if a["theta"] is not None:
         assert np.array_equal(a["theta"], b["theta"])
     assert np.array_equal(a["base_theta"], b["base_theta"])
-    assert {n: (s.proposed, s.accepted) for n, s in a["stats"].items()} == \
-        {n: (s.proposed, s.accepted) for n, s in b["stats"].items()}
-    assert (a["extrap_count"], a["extrap_max"]) == (b["extrap_count"], b["extrap_max"])
+    assert (a["proposed"], a["accepted"]) == (b["proposed"], b["accepted"])
+    assert a["extrap"] == b["extrap"]
 
 
 @pytest.mark.parametrize("emulator", [EMULATOR, gp_emulator()], ids=["exact", "gp"])
@@ -174,7 +195,7 @@ def test_lockstep_chains_equal_chains_run_alone(config, emulator):
     # the chains differ, so the comparison is not of three copies of one chain
     assert not np.array_equal(together[0]["sigma2"], together[1]["sigma2"])
     if config != "koh":  # drift fields push theta*(x) out of the box at this step size
-        assert sum(r["extrap_count"] for r in together) > 0
+        assert sum(r["extrap"][0] for r in together) > 0
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -186,7 +207,8 @@ def test_one_chains_overflowing_hyper_proposals_reject_only_its_own(config):
                                     hyper_steps={0: 0.3, 1: 1e3, 2: 0.3})
     for a, b in zip(together, alone):
         assert_same_chain(a, b)
-    rates = [{n: s.accepted / s.proposed for n, s in r["stats"].items() if n.startswith("hyper:")}
+    rates = [{n: acc / r["proposed"][n] for n, acc in r["accepted"].items()
+              if n.startswith("hyper:")}
              for r in together]
     assert max(rates[1].values()) < 0.1 < min(min(rates[0].values()), min(rates[2].values()))
 
@@ -201,9 +223,9 @@ def test_non_finite_output_for_one_chain_rejects_only_its_proposal():
         return ExactEmulator(mean, vectorized=True)
 
     mcmc = dict(seed=3, initial_step=1.0)
-    together = engine("embedded_theta", nan_emulator([]), generators(3), **mcmc).run()
+    together = run_each_chain(engine("embedded_theta", nan_emulator([]), generators(3), **mcmc))
     flags = [[], [], []]
-    alone = [engine("embedded_theta", nan_emulator(f), [rng], **mcmc).run()[0]
+    alone = [run_each_chain(engine("embedded_theta", nan_emulator(f), [rng], **mcmc))[0]
              for f, rng in zip(flags, generators(3))]
     for a, b in zip(together, alone):
         assert_same_chain(a, b)

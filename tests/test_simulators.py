@@ -208,3 +208,24 @@ def test_dataset_rejects_unknown_format(tmp_path):
     path.write_text("# format: something-else v9\nrole,x0,y\n")
     with pytest.raises(ValueError, match="format"):
         load_dataset(path)
+
+
+def test_dataset_file_without_records_is_a_value_error(tmp_path):
+    ds = dipole_dataset(n_sim=5, n_obs=2)
+    path = tmp_path / "ds.csv"
+    save_dataset(ds, path)
+    headers = [line for line in path.read_text().splitlines() if line.startswith("#")]
+    path.write_text("\n".join(headers) + "\n")
+    with pytest.raises(ValueError, match="no column header or record rows"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("header", ["domain_bounds", "theta_bounds"])
+def test_dataset_file_without_a_bounds_header_names_it(tmp_path, header):
+    ds = dipole_dataset(n_sim=5, n_obs=2)
+    path = tmp_path / "ds.csv"
+    save_dataset(ds, path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(l for l in lines if not l.startswith(f"# {header}:")) + "\n")
+    with pytest.raises(ValueError, match=f"no {header} header"):
+        load_dataset(path)
