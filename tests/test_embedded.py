@@ -361,6 +361,11 @@ def test_hyper_proposal_outside_float_range_is_refused(z):
     data = unit_dataset([[0.1], [0.5], [0.9]], [0.5, 0.5, 0.5])
     chain = field_chain(data, ExactEmulator(lambda row: row[1]), CalibrationPriors())
     chain.rngs = [FixedNormals(z)]
+
+    def no_decision(*args):
+        raise AssertionError("an out-of-range proposal reached the Metropolis decision")
+
+    chain.accept = no_decision
     [adapter] = chain.adapters["hyper:p0"]
     adapter.step = 800.0
     state = ("hypers", "log_hypers", "chols", "log_hyper_sum", "log_diag", "field_prior",

@@ -134,33 +134,30 @@ def generators(seed):
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)]
 
 
-def chain_result(chain, draws, c):
-    """Chain ``c``'s draws, acceptance counts and extrapolation figures from ``chain``'s
-    stacked run ``draws``."""
-    return {
-        "delta": {n: a[c] for n, a in draws["delta"].items()},
-        "hyper": {n: a[c] for n, a in draws["hyper"].items()},
-        "sigma2": draws["sigma2"][c],
-        "theta": None if draws["theta"] is None else draws["theta"][c],
-        "base_theta": chain.base_theta[c],
-        "proposed": chain.proposed,
-        "accepted": {n: counts[c] for n, counts in chain.accepted.items()},
-        "extrap": (chain.extrap_count[c], chain.extrap_max[c]),
-    }
-
-
 def run_each_chain(chain):
-    """Run ``chain``; one :func:`chain_result` per chain."""
+    """Run ``chain``; per chain, its draws, acceptance counts and extrapolation figures."""
     draws = chain.run()
-    return [chain_result(chain, draws, c) for c in range(len(chain.rngs))]
+    return [
+        {
+            "delta": {n: a[c] for n, a in draws["delta"].items()},
+            "hyper": {n: a[c] for n, a in draws["hyper"].items()},
+            "sigma2": draws["sigma2"][c],
+            "theta": None if draws["theta"] is None else draws["theta"][c],
+            "base_theta": chain.base_theta[c],
+            "proposed": chain.proposed,
+            "accepted": {n: counts[c] for n, counts in chain.accepted.items()},
+            "extrap": (chain.extrap_count[c], chain.extrap_max[c]),
+        }
+        for c in range(len(chain.rngs))
+    ]
 
 
 def lockstep_runs(config, emulator, seed, hyper_steps=None, **mcmc):
     """One 3-chain engine and three 1-chain engines on the same generators.
 
     ``hyper_steps`` maps a chain index to the hyperparameter step it keeps
-    (with no burn-in, steps do not adapt). Returns the 3-chain engine's
-    :func:`chain_result` per chain and each 1-chain engine's.
+    (with no burn-in, steps do not adapt). Returns :func:`run_each_chain`
+    of the 3-chain engine and each 1-chain engine's only chain.
     """
     together = engine(config, emulator, generators(seed), **mcmc)
     alone = [engine(config, emulator, [rng], **mcmc) for rng in generators(seed)]
