@@ -232,9 +232,8 @@ _RUN_CHECKS = {"trajectories": _integer(0), "predictive_draws": _integer(1)}
 _PRIOR_KEYS = ("field_variance", "field_lengthscale", "eta_variance", "eta_lengthscale", "noise")
 
 
-def _parse_synthetic(chk: _Checker, obj: dict, path: str):
-    """The spec, or None after an error, and the declared parameter count: the number of
-    ``theta_priors`` entries, or None when there is no such list."""
+def _parse_synthetic(chk: _Checker, obj: dict, path: str,
+                     n_theta: int | None) -> SyntheticSpec | None:
     allowed = {"simulator", "domain_bounds", "theta_priors", "param_names", "truth",
                *_SYNTHETIC_CHECKS}
     chk.known_keys(obj, allowed, path)
@@ -267,7 +266,6 @@ def _parse_synthetic(chk: _Checker, obj: dict, path: str):
             prior = chk.prior(p, f"{path}.theta_priors[{j}]")
             if prior is not None:
                 theta_priors.append(prior)
-    n_theta = len(priors_raw) if isinstance(priors_raw, list) and priors_raw else None
     settings = chk.given(obj, path, _SYNTHETIC_CHECKS)
 
     truth_raw = obj.get("truth")
@@ -301,7 +299,7 @@ def _parse_synthetic(chk: _Checker, obj: dict, path: str):
         chk.fail(f"{path}.param_names", "expected a list of strings")
         names = []
     if truth is None or not bounds or len(theta_priors) != len(priors_raw or []):
-        return None, n_theta
+        return None
     if names and len(names) != len(theta_priors):
         chk.fail(f"{path}.param_names",
                  f"expected {len(theta_priors)} names, got {len(names)}")
@@ -312,7 +310,7 @@ def _parse_synthetic(chk: _Checker, obj: dict, path: str):
         truth=truth,
         param_names=tuple(names),
         **settings,
-    ), n_theta
+    )
 
 
 def _parse_drift(chk: _Checker, obj, path: str) -> DriftFunction | None:
@@ -391,7 +389,11 @@ def parse_config(text: str) -> RunConfig:
         if not isinstance(raw["synthetic"], dict):
             chk.fail("synthetic", "expected an object")
         else:
-            synthetic, n_theta = _parse_synthetic(chk, raw["synthetic"], "synthetic")
+            # the declared parameter count, which theta0 and priors.theta must match
+            theta_priors = raw["synthetic"].get("theta_priors")
+            if isinstance(theta_priors, list) and theta_priors:
+                n_theta = len(theta_priors)
+            synthetic = _parse_synthetic(chk, raw["synthetic"], "synthetic", n_theta)
     if dataset_path is None and "synthetic" not in raw:
         chk.fail("dataset", "either 'dataset' or 'synthetic' must be provided")
     if mode == "generate" and "synthetic" not in raw:

@@ -180,25 +180,41 @@ def test_negative_seed_is_refused_at_parse_time(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("path, edit", [
-    ("mcmc.adapt_target", lambda raw: raw["mcmc"].update(adapt_target=0.3)),
-    ("koh.adapt_target", lambda raw: raw["koh"].update(adapt_target=0.3)),
-    ("emulator.init_variance", lambda raw: raw["emulator"].update(init_variance=1.0)),
-    ("emulator.init_lengthscale", lambda raw: raw["emulator"].update(init_lengthscale=0.4)),
+def test_unknown_simulator_kind_is_refused_at_its_key(tmp_path, capsys):
+    raw = base_config(out_dir=str(tmp_path / "run"))
+    raw["synthetic"]["simulator"] = {"kind": "bogus"}
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(raw))
+    assert err.value.errors == [
+        ("synthetic.simulator", "required object with kind 'analytic_dipole' or 'drift_testbed'")]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["generate", "--config", str(cfg_path)]) == 2
+    assert "synthetic.simulator: required object" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("path, edit, expected", [
+    ("mcmc.adapt_target", lambda raw: raw["mcmc"].update(adapt_target=0.3), "unknown key"),
+    ("koh.adapt_target", lambda raw: raw["koh"].update(adapt_target=0.3), "unknown key"),
+    ("emulator.init_variance", lambda raw: raw["emulator"].update(init_variance=1.0),
+     "unknown key"),
+    ("emulator.init_lengthscale", lambda raw: raw["emulator"].update(init_lengthscale=0.4),
+     "unknown key"),
     ("synthetic.truth.drifts[0].kind",
-     lambda raw: raw["synthetic"]["truth"]["drifts"][0].update(kind="linear")),
+     lambda raw: raw["synthetic"]["truth"]["drifts"][0].update(kind="linear"),
+     "expected one of ['zero', 'exp_decay'], got 'linear'"),
     ("synthetic.truth.drifts[0].kind",
      lambda raw: raw["synthetic"]["truth"]["drifts"][0].update(kind="gaussian_bump",
-                                                               params=[0.1, 0.5, 0.2])),
+                                                               params=[0.1, 0.5, 0.2]),
+     "expected one of ['zero', 'exp_decay'], got 'gaussian_bump'"),
 ])
-def test_removed_settings_are_refused_at_their_key(path, edit):
+def test_removed_settings_are_refused_at_their_key(path, edit, expected):
     raw = json.loads(HEADLINE_CONFIG.read_text())
     edit(raw)
     with pytest.raises(ConfigError) as err:
         parse_config(json.dumps(raw))
-    [(where, msg)] = err.value.errors
-    assert where == path
-    assert msg == "unknown key" or msg.startswith("expected one of ['zero', 'exp_decay']")
+    assert err.value.errors == [(path, expected)]
 
 
 def test_non_finite_numbers_are_refused_at_their_key():
