@@ -249,6 +249,10 @@ def _parse_synthetic(chk: _Checker, obj: dict, path: str,
     bounds: list[tuple[float, float]] = []
     if not isinstance(bounds_raw, list) or not bounds_raw:
         chk.fail(f"{path}.domain_bounds", "required non-empty list of [lo, hi] pairs")
+    elif len(bounds_raw) > 1:
+        # generate_dataset's observation grid spans a 1-D domain
+        chk.fail(f"{path}.domain_bounds",
+                 f"expected one [lo, hi] pair (a 1-D domain), got {len(bounds_raw)}")
     else:
         for j, b in enumerate(bounds_raw):
             if (not isinstance(b, list) or len(b) != 2

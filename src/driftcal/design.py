@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainccinv, ndtri
 
 __all__ = [
     "Prior",
@@ -105,16 +104,23 @@ class Prior:
         return -math.log(x) - math.log(sig) - 0.5 * _LOG_2PI - 0.5 * z * z
 
     def ppf(self, q) -> np.ndarray | float:
-        """Inverse CDF; ``q`` is clipped to [1e-15, 1 - 1e-15] for every kind, uniform included."""
+        """Inverse CDF; ``q`` is clipped to [1e-15, 1 - 1e-15] for every kind, uniform included.
+
+        ``scipy.special`` is imported on first use, so a run that never asks
+        for a quantile does not load it.
+        """
         q = np.clip(np.asarray(q, dtype=float), _PPF_CLIP, 1.0 - _PPF_CLIP)
         if self.kind == "uniform":
             out = self.p1 + q * (self.p2 - self.p1)
-        elif self.kind == "normal":
-            out = self.p1 + self.p2 * ndtri(q)
         elif self.kind == "inverse_gamma":
+            from scipy.special import gammainccinv
+
             out = self.p2 * (1.0 / gammainccinv(self.p1, q))
         else:
-            out = np.exp(self.p1 + self.p2 * ndtri(q))
+            from scipy.special import ndtri
+
+            z = self.p1 + self.p2 * ndtri(q)
+            out = z if self.kind == "normal" else np.exp(z)
         return float(out) if np.ndim(out) == 0 else out
 
     def mean(self) -> float:
@@ -127,6 +133,11 @@ class Prior:
         return math.exp(self.p1 + 0.5 * self.p2**2)
 
     def median(self) -> float:
+        """``float(ppf(0.5))``; closed form for the normal and log-normal kinds."""
+        if self.kind == "normal":
+            return self.p1 + 0.0  # ppf's p1 + p2 * ndtri(0.5), with ndtri(0.5) == 0.0
+        if self.kind == "log_normal":
+            return float(np.exp(self.p1))
         return float(self.ppf(0.5))
 
     @classmethod
@@ -209,19 +220,22 @@ def _columns(values, bounds) -> np.ndarray:
     return V
 
 
+def _lo_width(bounds) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column lower bounds and widths ``hi - lo`` as float rows."""
+    lo, hi = zip(*bounds)
+    lo = np.array(lo, dtype=float)
+    return lo, np.array(hi, dtype=float) - lo
+
+
 def to_unit(values, bounds) -> np.ndarray:
     """Affine map of physical columns onto [0, 1] using per-column (lo, hi) bounds."""
     V = _columns(values, bounds)
-    out = np.empty_like(V)
-    for j, (lo, hi) in enumerate(bounds):
-        out[:, j] = (V[:, j] - lo) / (hi - lo)
-    return out
+    lo, width = _lo_width(bounds)
+    return (V - lo) / width
 
 
 def from_unit(unit, bounds) -> np.ndarray:
     """Inverse of :func:`to_unit`."""
     U = _columns(unit, bounds)
-    out = np.empty_like(U)
-    for j, (lo, hi) in enumerate(bounds):
-        out[:, j] = lo + U[:, j] * (hi - lo)
-    return out
+    lo, width = _lo_width(bounds)
+    return lo + U * width

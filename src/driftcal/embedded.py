@@ -318,7 +318,8 @@ def mh_accept(log_post_new: float, log_post_old: float, rng: np.random.Generator
         return False
     if log_post_new >= log_post_old:
         return True
-    return math.log(rng.uniform()) < log_post_new - log_post_old
+    # random() is uniform()'s draw on [0, 1) without its argument handling
+    return math.log(rng.random()) < log_post_new - log_post_old
 
 
 def gibbs_sigma2(residuals, prior: Prior, rng: np.random.Generator) -> float:
@@ -426,7 +427,8 @@ class _Chain:
     A GP emulator is queried through :func:`driftcal.gp.predict_columns`:
     the observation columns of the query never change, so their kernel
     planes are computed once, and a drift-field proposal recomputes only
-    its parameter's plane.
+    its parameter's plane. An :class:`~driftcal.gp.ExactEmulator` is called
+    once per chain, with that chain's (n, dx + dtheta) query.
 
     The fields are one list: a drift field per parameter when ``drift`` is
     set, then the additive "eta" field when ``additive`` is. Each has its own

@@ -16,7 +16,6 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dpotrs, dtrtrs
-from scipy.optimize import minimize
 
 from .process_settings import keep_freed_arrays, one_blas_thread
 
@@ -63,8 +62,12 @@ def _solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``cho_solve((L, True), b)``: the same LAPACK call without the wrapper's checks."""
-    x, info = dpotrs(L, b, lower=1)
+    """``cho_solve((L, True), b)`` without the wrapper's checks.
+
+    The C-ordered ``L`` is passed as the Fortran-ordered upper factor
+    ``L.T``, which ``dpotrs`` takes without copying; the bits are the same.
+    """
+    x, info = dpotrs(L.T, b, lower=0)
     if info != 0:
         raise ValueError(f"illegal value in {-info}th argument of internal potrs")
     return x
@@ -449,6 +452,8 @@ def optimize_emulator(
         rng = np.random.default_rng(seed)
         starts += [x0 + 0.5 * rng.standard_normal(x0.size) for _ in range(2)]
 
+    from scipy.optimize import minimize  # on first use: a run with no GP never loads it
+
     with one_blas_thread():
         best_x, best_f = x0, neg_lml(x0)
         for s in starts:
@@ -471,7 +476,9 @@ class ExactEmulator:
     enough to query directly, and in oracle tests that must bypass GP
     approximation error. Operates in raw units (shift 0, scale 1). Pass
     ``vectorized=True`` when ``fn`` maps a whole (M, D) array to an (M,)
-    vector.
+    vector. The sampler engine calls :meth:`mean_at` once per chain, so a
+    vectorized ``fn`` may treat the rows of one call as one query: a
+    non-finite value among them rejects that chain's proposal alone.
     """
 
     y_shift = 0.0

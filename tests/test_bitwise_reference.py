@@ -243,7 +243,7 @@ def se_knot_kernel(rng, n):
     return build_covariance(knots, None, params)
 
 
-@pytest.mark.parametrize("n", [5, 20])
+@pytest.mark.parametrize("n", [5, 20, 43, 160])
 @pytest.mark.parametrize("make", [spd_matrix, se_knot_kernel])
 def test_solvers_match_scipy_bitwise(n, make):
     rng = np.random.default_rng(n)

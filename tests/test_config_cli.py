@@ -194,6 +194,21 @@ def test_unknown_simulator_kind_is_refused_at_its_key(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_domain_of_more_than_one_dimension_is_refused_at_parse_time(tmp_path, capsys):
+    # the dataset stage builds its observation grid on a 1-D domain only
+    raw = base_config(out_dir=str(tmp_path / "run"), mode="generate")
+    raw["synthetic"]["domain_bounds"] = [[5.0, 40.0], [0.0, 1.0]]
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(raw))
+    assert err.value.errors == [
+        ("synthetic.domain_bounds", "expected one [lo, hi] pair (a 1-D domain), got 2")]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["generate", "--config", str(cfg_path)]) == 2
+    assert "synthetic.domain_bounds: expected one [lo, hi] pair" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "dataset.csv").exists()
+
+
 @pytest.mark.parametrize("path, edit, expected", [
     ("mcmc.adapt_target", lambda raw: raw["mcmc"].update(adapt_target=0.3), "unknown key"),
     ("koh.adapt_target", lambda raw: raw["koh"].update(adapt_target=0.3), "unknown key"),

@@ -117,6 +117,30 @@ def test_unit_maps_reject_a_column_count_other_than_the_bounds():
     assert np.array_equal(from_unit(np.ones((4, 2)), bounds), np.tile([2.0, 3.0], (4, 1)))
 
 
+@st.composite
+def bounds_and_values(draw):
+    """Per-column (lo, hi) bounds and a strided (rows, cols) view of values."""
+    cols = draw(st.integers(1, 4))
+    lo = draw(st.lists(st.floats(-1e3, 1e3), min_size=cols, max_size=cols))
+    width = draw(st.lists(_log_uniform(1e-3, 1e3), min_size=cols, max_size=cols))
+    rows = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(-0.5, 1.5, size=(rows, cols + 1))[:, 1:]  # as an emulator query slices
+    return tuple((l, l + w) for l, w in zip(lo, width)), values
+
+
+@settings(max_examples=200, deadline=None)
+@given(bounds_and_values())
+def test_unit_maps_equal_the_per_column_formulas_bitwise(case):
+    bounds, values = case
+    unit, phys = np.empty_like(values), np.empty_like(values)
+    for j, (lo, hi) in enumerate(bounds):
+        unit[:, j] = (values[:, j] - lo) / (hi - lo)
+        phys[:, j] = lo + values[:, j] * (hi - lo)
+    assert np.array_equal(to_unit(values, bounds), unit)
+    assert np.array_equal(from_unit(values, bounds), phys)
+
+
 def test_degenerate_uniform_prior():
     p = Prior.uniform(2.0, 2.0)
     rng = np.random.default_rng(0)
@@ -186,6 +210,16 @@ def test_closed_form_ppf_equals_scipy_stats_bitwise(shape, scale, loc, spread, q
     for prior in (Prior.normal(loc, spread), Prior.inverse_gamma(shape, scale),
                   Prior.log_normal(loc, spread)):
         assert type(prior.ppf(0.3)) is float
+
+
+@settings(max_examples=300, deadline=None)
+@given(loc=st.floats(-300.0, 300.0) | st.sampled_from([0.0, -0.0]),
+       spread=_log_uniform(1e-3, 10.0))
+def test_closed_form_median_equals_ppf_at_half_bitwise(loc, spread):
+    for prior in (Prior.normal(loc, spread), Prior.log_normal(loc, spread)):
+        median = prior.median()
+        assert type(median) is float
+        assert median.hex() == float(prior.ppf(0.5)).hex()  # -0.0 and 0.0 differ here
 
 
 def test_prior_from_dict_builds_each_kind():

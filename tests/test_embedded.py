@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from driftcal import embedded, gp
@@ -155,6 +157,18 @@ def test_mh_accept_rules():
     assert mh_accept(0.0, 0.0, rng)
     assert not mh_accept(-math.inf, 0.0, rng)
     assert not mh_accept(math.nan, 0.0, rng)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       deltas=st.lists(st.floats(-5.0, 1.0), min_size=1, max_size=20))
+def test_mh_accept_draws_as_uniform_draws(seed, deltas):
+    # the same decisions, and the generator left where a uniform() draw leaves it
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for d in deltas:
+        expected = d >= 0.0 or math.log(ref.uniform()) < d
+        assert mh_accept(d, 0.0, rng) == expected
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_mh_accept_frequency_at_half():

@@ -21,6 +21,36 @@ def test_import_does_not_load_scipy_stats():
         == "False"
 
 
+def test_tuner_and_inverse_cdfs_load_on_first_use():
+    # an exact-emulator run needs neither the GP tuner (scipy.optimize) nor the
+    # inverse CDFs (scipy.special); each costs import time and memory
+    code = """
+import sys
+import driftcal, driftcal.cli
+from driftcal import embedded, problems
+from driftcal.design import from_unit
+from driftcal.gp import ExactEmulator
+
+def loaded():
+    return [name in sys.modules for name in ("scipy.optimize", "scipy.special")]
+
+print(loaded())
+ds = problems.dipole_dataset(seed=3)
+sim, spec, _ = problems.dipole_problem(seed=3)
+
+def dipole(row):
+    x = from_unit(row[None, :1], ds.domain_bounds)[0]
+    return sim.simulate(x, from_unit(row[None, 1:], ds.theta_bounds)[0])
+
+priors = embedded.CalibrationPriors(theta=spec.theta_priors)
+mcmc = embedded.McmcConfig(iterations=40, burn_in=20, thin=2, chains=1, seed=3)
+samples = embedded.run_integrated_delta(ds, ExactEmulator(dipole), priors, mcmc)
+embedded.posterior_predictive(samples, ExactEmulator(dipole), ds.obs_x)
+print(loaded())
+"""
+    assert run_fresh(code).splitlines() == ["[False, False]"] * 2
+
+
 def test_import_leaves_blas_pool_sizes_alone():
     # both OpenBLAS pools are set to two threads before driftcal is imported; the
     # controls are found as driftcal.process_settings finds them, but without importing it
