@@ -299,9 +299,12 @@ def _parse_synthetic(chk: _Checker, obj: dict, path: str,
             truth = chk.build(DriftTruth, f"{path}.truth",
                               theta0=np.asarray(theta0, float), drifts=tuple(drifts))
     names = obj.get("param_names", [])
-    if names and (not isinstance(names, list) or not all(isinstance(n, str) for n in names)):
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         chk.fail(f"{path}.param_names", "expected a list of strings")
         names = []
+    elif "eta" in names or len(set(names)) != len(names):
+        chk.fail(f"{path}.param_names",
+                 f"expected distinct names, none of them 'eta' (the additive field's), got {names}")
     if truth is None or not bounds or len(theta_priors) != len(priors_raw or []):
         return None
     if names and len(names) != len(theta_priors):

@@ -30,7 +30,6 @@ from operator import attrgetter
 
 import numpy as np
 
-from . import gp
 from .design import Prior, from_unit, to_unit
 from .gp import KernelParams, PredictiveDistribution, build_covariance, _as_matrix
 from .gp import _cho_solve, _se_diff, _se_kernel, _solve_lower
@@ -130,15 +129,6 @@ def gaussian_loglik(resid: np.ndarray, var: np.ndarray):
     floats, one per row, for a stack of them.
     """
     return (-0.5 * (resid * resid / var + np.log(2.0 * math.pi * var)).sum(axis=-1)).tolist()
-
-
-def _predict_std(emulator, Q: np.ndarray):
-    """Mean/variance of a ``GPModel`` or ``ExactEmulator`` on its standardized target scale."""
-    if isinstance(emulator, gp.GPModel):
-        # looked up at call time, so a rebound gp.predict_standardized is used
-        return gp.predict_standardized(emulator, Q)
-    mean = emulator.mean_at(Q)
-    return mean, np.zeros_like(mean)
 
 
 def _box_distances(Q: np.ndarray) -> np.ndarray:
@@ -318,8 +308,8 @@ def mh_accept(log_post_new: float, log_post_old: float, rng: np.random.Generator
         return False
     if log_post_new >= log_post_old:
         return True
-    # random() is uniform()'s draw on [0, 1) without its argument handling
-    return math.log(rng.random()) < log_post_new - log_post_old
+    u = rng.random()  # uniform()'s [0, 1) draw without its argument checks; log(0.0) would raise
+    return u == 0.0 or math.log(u) < log_post_new - log_post_old
 
 
 def gibbs_sigma2(residuals, prior: Prior, rng: np.random.Generator) -> float:
@@ -388,7 +378,7 @@ def embedded_log_posterior(
         return -math.inf
     x_unit = data.obs_x_unit()
     Q = np.hstack([x_unit, state.theta_star.evaluate(x_unit)])
-    mean, var = _predict_std(emulator, Q)
+    mean, var = emulator.predict_std(Q)
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(var))):
         log.warning("emulator returned non-finite output; state rejected")
         return -math.inf
@@ -424,11 +414,11 @@ class _Chain:
     chains beside it; a proposal that fails numerically is a rejection of
     that chain's alone.
 
-    A GP emulator is queried through :func:`driftcal.gp.predict_columns`:
-    the observation columns of the query never change, so their kernel
-    planes are computed once, and a drift-field proposal recomputes only
-    its parameter's plane. An :class:`~driftcal.gp.ExactEmulator` is called
-    once per chain, with that chain's (n, dx + dtheta) query.
+    The emulator answers the protocol of :class:`~driftcal.gp.GPModel`: the
+    engine keeps each chain's ``new_planes`` cache and queries the stack with
+    ``predict_columns``. A GP's planes of the observation columns, which never
+    change, are computed once, and a drift-field proposal recomputes only its
+    parameter's; an :class:`~driftcal.gp.ExactEmulator` is called per chain.
 
     The fields are one list: a drift field per parameter when ``drift`` is
     set, then the additive "eta" field when ``additive`` is. Each has its own
@@ -456,7 +446,6 @@ class _Chain:
         self.record_theta = sample_theta or not drift
         self.accept = accept
         self.gibbs = gibbs
-        self.is_gp = isinstance(emulator, gp.GPModel)
 
         C = len(self.rngs)
         x_obs_unit = data.obs_x_unit()
@@ -521,17 +510,10 @@ class _Chain:
     def _emulate(self, chains, Q: np.ndarray, planes, cols: slice):
         """Standardized emulator mean and variance (C', n) at the queries ``Q`` of ``chains``.
 
-        ``planes`` are the queries' GP planes, of which columns ``cols`` are
-        refreshed in place. Counts extrapolations beyond the unit box per
-        chain.
+        ``planes`` is the queries' emulator cache, whose columns ``cols`` are refreshed in
+        place. Counts extrapolations beyond the unit box per chain.
         """
-        if self.is_gp:
-            mean, var = gp.predict_columns(self.emulator, planes, Q, cols)
-        else:
-            mean = np.empty(Q.shape[:2])
-            for j, q in enumerate(Q):
-                mean[j] = self.emulator.mean_at(q)
-            var = np.zeros_like(mean)
+        mean, var = self.emulator.predict_columns(planes, Q, cols)
         if not (Q.min() >= 0.0 and Q.max() <= 1.0):
             for c, d in zip(chains, _box_distances(Q)):
                 n_out = int(np.count_nonzero(d > 0))
@@ -568,7 +550,7 @@ class _Chain:
         C = len(self.rngs)
         self.noise_rows[:] = self.sigma2[:, None]
         self._set_theta(self.Q, self.base_theta, self.values)
-        self.planes = np.empty((*self.Q.shape, self.emulator.train.n)) if self.is_gp else None
+        self.planes = self.emulator.new_planes(self.Q)
         mean, var = self._emulate(range(C), self.Q, self.planes, slice(None))
         self.eta_at_obs = self.values[:, -1, self.obs_sel].copy() if self.additive else 0.0
         self.loglik, ok = self._loglik(mean, self.eta_at_obs, var)
@@ -651,7 +633,7 @@ class _Chain:
             sel = slice(None) if len(live) == len(tp_new) else live
             Q = self.Q[sel].copy()
             self._set_theta(Q, base_new[sel], self.values[sel])
-            planes = self.planes[sel].copy() if self.is_gp else None
+            planes = self.planes[sel].copy()
             mean, var = self._emulate(live, Q, planes, slice(self.dx, None))
             eta = self.eta_at_obs[sel] if self.additive else 0.0
             loglik, ok = self._loglik(mean, eta, var, sel)
@@ -663,8 +645,7 @@ class _Chain:
                 if accepted[c]:
                     self.base_theta[c] = base_new[c]
                     self.Q[c] = Q[j]
-                    if planes is not None:
-                        self.planes[c] = planes[j]
+                    self.planes[c] = planes[j]
                     self.emu_mean[c], self.emu_var[c] = mean[j], var[j]
                     self.loglik[c] = loglik[j]
                     self.theta_prior[c] = tp_new[c]
@@ -676,7 +657,7 @@ class _Chain:
         j = self.dx + k
         Q = self.Q.copy()
         np.add(self.base_theta[:, k, None], vals_new[:, self.obs_sel], out=Q[:, :, j])
-        planes = self.planes.copy() if self.is_gp else None
+        planes = self.planes.copy()
         mean, var = self._emulate(range(len(self.rngs)), Q, planes, slice(j, j + 1))
         loglik, ok = self._loglik(mean, self.eta_at_obs, var)
         field_prior, log_diag = self.field_prior[k], self.log_diag[k]
@@ -690,8 +671,7 @@ class _Chain:
             if accepted[c]:
                 self.values[c, k] = vals_new[c]
                 self.Q[c] = Q[c]
-                if planes is not None:
-                    self.planes[c] = planes[c]
+                self.planes[c] = planes[c]
                 self.emu_mean[c], self.emu_var[c] = mean[c], var[c]
                 self.loglik[c] = loglik[c]
                 field_prior[c] = fp_new
@@ -1148,7 +1128,7 @@ def _predictive(samples: PosteriorSamples, emulator, x_unit: np.ndarray,
         for k, name in enumerate(samples.param_names):
             if name in curves:
                 theta[:, k] += curves[name][j]
-        m, v = _predict_std(emulator, np.hstack([x_unit, theta]))
+        m, v = emulator.predict_std(np.hstack([x_unit, theta]))
         means[j] = m + curves["eta"][j] if "eta" in curves else m
         vars_[j] = v + samples.sigma2_draws[t]
 

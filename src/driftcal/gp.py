@@ -31,7 +31,6 @@ __all__ = [
     "fit_gp",
     "predict",
     "predict_standardized",
-    "predict_columns",
     "log_marginal_likelihood",
     "optimize_emulator",
 ]
@@ -205,7 +204,9 @@ class PredictiveDistribution:
 class GPModel:
     """Fitted GP: kernel parameters, training data, Cholesky factor, weights.
 
-    Immutable after :func:`fit_gp`; safe to share read-only across chains.
+    Immutable after :func:`fit_gp`; safe to share read-only across chains. Like
+    :class:`ExactEmulator` it answers the emulator protocol that the sampler
+    engine calls: :meth:`predict_std`, :meth:`new_planes`, :meth:`predict_columns`.
     """
 
     params: KernelParams
@@ -220,6 +221,39 @@ class GPModel:
     @property
     def y_scale(self) -> float:
         return self.train.scale
+
+    def predict_std(self, Q):
+        """:func:`predict_standardized` at ``Q``, looked up at call time (a rebound one is used)."""
+        return predict_standardized(self, Q)
+
+    def new_planes(self, Q: np.ndarray) -> np.ndarray:
+        """An empty (C, G, D, N) plane cache for a (C, G, D) stack of queries."""
+        return np.empty((*Q.shape, self.train.n))
+
+    def predict_columns(self, planes: np.ndarray, Q: np.ndarray, cols: slice):
+        """:func:`predict_standardized` at a (C, G, D) stack of queries ``Q``, from cached planes.
+
+        ``planes`` holds the queries' (C, G, D, N) squared scaled differences to the N
+        training inputs, as :func:`_se_kernel` forms them. Only the planes of columns ``cols``
+        are recomputed from ``Q``, in place; the others are reused, so a sampler whose queries
+        share fixed columns pays for the columns it moves. The planes are summed in
+        :func:`_se_kernel`'s order, the means are one batched matrix-vector product and the
+        variances one triangular solve over all C * G columns, so each ``[c]`` of the (C, G)
+        results is bitwise ``predict_standardized(self, Q[c])``. (LAPACK solves a lone
+        right-hand side by another path, so single-row queries are solved one by one.)
+        """
+        p = self.params
+        moved = _se_diff(Q[..., cols], self.train.inputs[:, cols], out=planes[:, :, cols])
+        _se_planes(moved, p.lengthscales[cols], overwrite=True)
+        Ks = _se_sum(planes, p.variance_scale)
+        C, G, N = Ks.shape
+        mean = np.matmul(Ks, self.alpha)
+        if G == 1:
+            v = np.asfortranarray(np.hstack([_solve_lower(self.chol, k.T) for k in Ks]))
+        else:
+            v = _solve_lower(self.chol, Ks.reshape(C * G, N).T)
+        var = np.maximum(p.variance_scale - np.einsum("ij,ij->j", v, v), 0.0)
+        return mean, var.reshape(C, G)
 
 
 def _se_diff(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -357,34 +391,6 @@ def predict_standardized(model: GPModel, query):
     return mean, var
 
 
-def predict_columns(model: GPModel, planes: np.ndarray, Q: np.ndarray, cols: slice):
-    """:func:`predict_standardized`'s mean and variance at C stacked queries, from cached planes.
-
-    ``Q`` is a (C, G, D) stack of queries and ``planes`` their (C, G, D, N)
-    squared scaled differences to the N training inputs, as
-    :func:`_se_kernel` forms them. Only the planes of columns ``cols`` are
-    recomputed from ``Q``, in place; the others are reused, so a sampler
-    whose queries share fixed columns pays for the columns it moves. The
-    planes are summed in :func:`_se_kernel`'s order, the means are one
-    batched matrix-vector product and the variances one triangular solve
-    over all C * G columns, so each ``[c]`` of the (C, G) results is bitwise
-    ``predict_standardized(model, Q[c])``. (LAPACK solves a lone right-hand
-    side by another path, so single-row queries are solved one by one.)
-    """
-    p = model.params
-    moved = _se_diff(Q[..., cols], model.train.inputs[:, cols], out=planes[:, :, cols])
-    _se_planes(moved, p.lengthscales[cols], overwrite=True)
-    Ks = _se_sum(planes, p.variance_scale)
-    C, G, N = Ks.shape
-    mean = np.matmul(Ks, model.alpha)
-    if G == 1:
-        v = np.asfortranarray(np.hstack([_solve_lower(model.chol, k.T) for k in Ks]))
-    else:
-        v = _solve_lower(model.chol, Ks.reshape(C * G, N).T)
-    var = np.maximum(p.variance_scale - np.einsum("ij,ij->j", v, v), 0.0)
-    return mean, var.reshape(C, G)
-
-
 def predict(model: GPModel, query) -> PredictiveDistribution:
     """GP conditional at ``query``, de-standardized to original target units."""
     mean, var = predict_standardized(model, query)
@@ -476,8 +482,9 @@ class ExactEmulator:
     enough to query directly, and in oracle tests that must bypass GP
     approximation error. Operates in raw units (shift 0, scale 1). Pass
     ``vectorized=True`` when ``fn`` maps a whole (M, D) array to an (M,)
-    vector. The sampler engine calls :meth:`mean_at` once per chain, so a
-    vectorized ``fn`` may treat the rows of one call as one query: a
+    vector. It answers :class:`GPModel`'s emulator protocol with an empty
+    plane cache; :meth:`predict_columns` calls :meth:`mean_at` once per chain,
+    so a vectorized ``fn`` may treat the rows of one call as one query: a
     non-finite value among them rejects that chain's proposal alone.
     """
 
@@ -492,3 +499,16 @@ class ExactEmulator:
         if self.vectorized:
             return np.asarray(self.fn(Q), dtype=float)
         return np.array([float(self.fn(row)) for row in Q])
+
+    def predict_std(self, Q: np.ndarray):
+        mean = self.mean_at(Q)
+        return mean, np.zeros_like(mean)
+
+    def new_planes(self, Q: np.ndarray) -> np.ndarray:
+        return np.empty((len(Q), 0))
+
+    def predict_columns(self, planes: np.ndarray, Q: np.ndarray, cols: slice):
+        mean = np.empty(Q.shape[:2])
+        for j, q in enumerate(Q):
+            mean[j] = self.mean_at(q)
+        return mean, np.zeros_like(mean)

@@ -306,6 +306,9 @@ class CalibrationDataset:
             raise ValueError("theta array does not match the declared parameter count")
         if len(names) != len(tb):
             raise ValueError("param_names length does not match theta dimension")
+        if "eta" in names or len(set(names)) != len(names):
+            raise ValueError(f"param_names must be distinct and not 'eta' (the additive "
+                             f"field's name), got {list(names)}")
         eps = 1e-9
         for j, (lo, hi) in enumerate(db):
             allx = np.r_[ox[:, j], sx[:, j]]

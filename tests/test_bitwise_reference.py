@@ -7,6 +7,7 @@ dimension-major layout. All must reproduce, bit for bit, the
 formula, which these tests keep as frozen references.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -160,35 +161,49 @@ def test_se_kernel_non_finite_inputs_land_in_the_same_places(case, data):
 
 @st.composite
 def chain_query_case(draw):
-    """A GP on 1-60 runs in D = 2-5, C = 1-4 stacked queries of 1-8 rows reaching
-    outside the unit box, and a sequence of column blocks to replace."""
+    """An emulator in D = 2-5, C = 1-4 stacked queries of 1-8 rows reaching outside the
+    unit box, and a sequence of column blocks to replace. The emulator is a GP on 1-60
+    runs, or an exact function, vectorized or called per row."""
     d, n, chains, rows = (draw(st.integers(2, 5)), draw(st.integers(1, 60)),
                           draw(st.integers(1, 4)), draw(st.integers(1, 8)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    X = rng.random((n, d))
-    params = KernelParams(rng.uniform(0.1, 3.0), np.exp(rng.uniform(-2.0, 1.0, d)), 1e-8)
-    model = gp.fit_gp(TrainingSet.from_raw(X, rng.standard_normal(n)), params)
+    kind = draw(st.sampled_from(["gp", "exact", "exact_vectorized"]))
+    if kind == "gp":
+        X = rng.random((n, d))
+        params = KernelParams(rng.uniform(0.1, 3.0), np.exp(rng.uniform(-2.0, 1.0, d)), 1e-8)
+        emulator = gp.fit_gp(TrainingSet.from_raw(X, rng.standard_normal(n)), params)
+    else:
+        w = rng.standard_normal(d)
+        vectorized = kind == "exact_vectorized"
+        emulator = ExactEmulator((lambda Q: np.sin(Q @ w) + Q[:, 0] ** 2) if vectorized
+                                 else (lambda row: math.sin(row @ w) + row[0] ** 2), vectorized)
     Q = rng.uniform(-0.5, 1.5, (chains, rows, d))
     blocks = draw(st.lists(st.tuples(st.integers(0, d - 1), st.integers(1, d)), max_size=5))
     moves = [(slice(lo, min(lo + w, d)), rng.uniform(-0.5, 1.5, (chains, rows, min(w, d - lo))))
              for lo, w in blocks]
-    return model, Q, moves
+    return emulator, Q, moves
 
 
 @settings(max_examples=100, deadline=None)
 @given(chain_query_case())
 def test_chain_query_matches_predict_standardized_bitwise(case):
-    model, Q, moves = case
-    planes = np.empty((*Q.shape, model.train.n))
-    mean, var = gp.predict_columns(model, planes, Q, slice(None))
+    # the engine's stacked query against each chain's query alone, for either emulator
+    emulator, Q, moves = case
+    planes = emulator.new_planes(Q)
+    assert planes.shape[:1] == Q.shape[:1]
+    mean, var = emulator.predict_columns(planes, Q, slice(None))
     for cols, values in [(None, None)] + moves:
         if cols is not None:
             Q[:, :, cols] = values
-            mean, var = gp.predict_columns(model, planes, Q, cols)
+            mean, var = emulator.predict_columns(planes, Q, cols)
         for c in range(Q.shape[0]):
-            ref_mean, ref_var = gp.predict_standardized(model, Q[c])
+            ref_mean, ref_var = emulator.predict_std(Q[c])
             assert np.array_equal(mean[c], ref_mean)
             assert np.array_equal(var[c], ref_var)
+            if isinstance(emulator, gp.GPModel):
+                ref_mean, ref_var = gp.predict_standardized(emulator, Q[c])
+                assert np.array_equal(mean[c], ref_mean)
+                assert np.array_equal(var[c], ref_var)
 
 
 @st.composite

@@ -14,7 +14,7 @@ from driftcal.gp import ExactEmulator
 from driftcal.problems import DIPOLE_PARAM_NAMES, dipole_dataset, dipole_problem
 from driftcal.runner import emit_plot_data, orchestrate, recompute_report
 from driftcal.samples import load_samples
-from driftcal.simulators import generate_dataset
+from driftcal.simulators import generate_dataset, save_dataset
 
 HEADLINE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "dipole_compare.json"
 
@@ -192,6 +192,41 @@ def test_unknown_simulator_kind_is_refused_at_its_key(tmp_path, capsys):
     assert main(["generate", "--config", str(cfg_path)]) == 2
     assert "synthetic.simulator: required object" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("names, message", [
+    (["mu", "eta", "l_c"], "expected distinct names, none of them 'eta' (the additive field's), "
+                           "got ['mu', 'eta', 'l_c']"),
+    (["mu", "mu", "l_c"], "expected distinct names, none of them 'eta' (the additive field's), "
+                          "got ['mu', 'mu', 'l_c']"),
+    (None, "expected a list of strings"),
+])
+def test_eta_and_repeated_param_names_are_refused_at_parse_time(tmp_path, capsys, names, message):
+    # each field is keyed by its name, and "eta" names the additive field
+    raw = base_config(out_dir=str(tmp_path / "run"))
+    raw["synthetic"]["param_names"] = names
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(raw))
+    assert err.value.errors == [("synthetic.param_names", message)]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["calibrate", "--config", str(cfg_path)]) == 2
+    assert f"synthetic.param_names: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_dataset_file_with_an_eta_parameter_is_a_stage_error(tmp_path, capsys):
+    path = tmp_path / "ds.csv"
+    save_dataset(dipole_dataset(n_sim=5, n_obs=2), path)
+    path.write_text(path.read_text().replace("role,x0,mu,nu,l_c,y", "role,x0,mu,eta,l_c,y"))
+    raw = base_config(out_dir=str(tmp_path / "run"), dataset=str(path))
+    del raw["synthetic"]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["calibrate", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert "[dataset]" in err and "param_names must be distinct and not 'eta'" in err
+    assert not (tmp_path / "run" / "samples").exists()
 
 
 def test_domain_of_more_than_one_dimension_is_refused_at_parse_time(tmp_path, capsys):

@@ -178,6 +178,27 @@ def test_mh_accept_frequency_at_half():
     assert abs(acc / n - 0.5) < 0.01
 
 
+class ZeroDraw:
+    """A generator stand-in whose every uniform draw is the 0.0 that ``random()`` may return."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def random(self):
+        self.calls += 1
+        return 0.0
+
+
+@pytest.mark.parametrize("delta", [-1e-12, -5.0, -745.0, -1e300])
+def test_mh_accept_takes_a_zero_uniform_draw_as_an_acceptance(delta):
+    # log(0.0) raises; u = 0 lies below exp(delta) for every finite delta
+    rng = ZeroDraw()
+    assert mh_accept(delta, 0.0, rng)
+    assert rng.calls == 1
+    assert not mh_accept(-math.inf, 0.0, rng) and not mh_accept(math.nan, 0.0, rng)
+    assert rng.calls == 1  # -inf and NaN are refused before any draw
+
+
 # -- Gibbs noise update -------------------------------------------------------
 
 

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftcal.embedded import _predict_std
 from driftcal.gp import (
     DimensionMismatchError,
     ExactEmulator,
@@ -256,7 +255,7 @@ def test_predictive_variance_never_exceeds_prior(seed):
 def test_exact_emulator_matches_function():
     Q = np.array([[0.5, 1.0], [2.0, 0.0]])
     emu = ExactEmulator(lambda row: row[0] ** 2 + 3.0 * row[1])
-    mean, var = _predict_std(emu, Q)
+    mean, var = emu.predict_std(Q)
     assert np.allclose(mean, [3.25, 4.0])
     assert np.all(var == 0.0)
     vec = ExactEmulator(lambda Q: Q[:, 0] ** 2 + 3.0 * Q[:, 1], vectorized=True)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -185,6 +186,23 @@ def test_dataset_validation():
             domain_bounds=ds.domain_bounds,
             theta_bounds=ds.theta_bounds,
         )
+
+
+@pytest.mark.parametrize("names", [("mu", "eta", "l_c"), ("mu", "mu", "l_c")])
+def test_dataset_refuses_eta_and_repeated_param_names(tmp_path, names):
+    # the samplers key each field by its name, and "eta" names the additive field
+    ds = dipole_dataset(n_sim=5, n_obs=2)
+    message = "param_names must be distinct and not 'eta'"
+    with pytest.raises(ValueError, match=message):
+        replace(ds, param_names=names)
+    path = tmp_path / "ds.csv"
+    save_dataset(ds, path)
+    header = ",".join(["role", "x0", *ds.param_names, "y"])
+    text = path.read_text()
+    assert header in text
+    path.write_text(text.replace(header, ",".join(["role", "x0", *names, "y"])))
+    with pytest.raises(ValueError, match=message):
+        load_dataset(path)
 
 
 def test_dataset_file_round_trip(tmp_path):
