@@ -16,7 +16,7 @@ import numpy as np
 from .design import DesignSpec, Prior
 from .embedded import SUMMARY_MAX_DRAWS, CalibrationPriors, McmcConfig
 from .simulators import (DRIFT_KINDS, TESTBED_NAMES, AnalyticDipole, DriftFunction,
-                         DriftTestbed, DriftTruth)
+                         DriftTestbed, DriftTruth, theta_bounds_from_priors)
 
 __all__ = ["ConfigError", "RunConfig", "SyntheticSpec", "EmulatorSettings", "parse_config"]
 
@@ -268,8 +268,14 @@ def _parse_synthetic(chk: _Checker, obj: dict, path: str,
     else:
         for j, p in enumerate(priors_raw):
             prior = chk.prior(p, f"{path}.theta_priors[{j}]")
-            if prior is not None:
+            if prior is None:
+                continue
+            [(lo, hi)] = theta_bounds_from_priors([prior])
+            if lo < hi:
                 theta_priors.append(prior)
+            else:
+                chk.fail(f"{path}.theta_priors[{j}]",
+                         f"gives the parameter a box of width 0, ({lo}, {hi})")
     settings = chk.given(obj, path, _SYNTHETIC_CHECKS)
 
     truth_raw = obj.get("truth")

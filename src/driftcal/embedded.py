@@ -422,11 +422,15 @@ class _Chain:
 
     The fields are one list: a drift field per parameter when ``drift`` is
     set, then the additive "eta" field when ``additive`` is. Each has its own
-    hyperpriors. ``sample_theta`` runs the theta block; its draws are stored
-    when it runs and, constant, when ``drift`` is off (the baseline). Data
-    are shared read-only.
+    hyperpriors. Data are shared read-only.
 
-    Sweep order: theta, drift fields, eta, hyperparameters, Gibbs sigma^2.
+    ``blocks`` lists the active blocks once, as ``(name, step)`` in sweep
+    order: ``theta`` when ``sample_theta`` (its draws are stored then and,
+    constant, when ``drift`` is off), each field's knot values, each field's
+    hyperparameters when ``config.sample_hyper`` and the Gibbs ``sigma2``
+    draw when ``config.sample_sigma2``. Step adapters and acceptance counts
+    exist for the Metropolis blocks listed and step times for every block
+    listed, so a block that does not run has no acceptance rate.
     """
 
     def __init__(self, data, emulator, priors, config, rngs, knots: np.ndarray,
@@ -442,7 +446,6 @@ class _Chain:
         identity = np.array_equal(obs_idx, np.arange(len(knots)))
         self.obs_sel = slice(None) if identity else obs_idx
         self.additive = additive
-        self.sample_theta = sample_theta
         self.record_theta = sample_theta or not drift
         self.accept = accept
         self.gibbs = gibbs
@@ -483,25 +486,32 @@ class _Chain:
         self.sigma2 = np.full(C, s0 if math.isfinite(s0) else priors.noise.median())
         self.noise_rows = np.empty_like(self.y_rows)
 
-        self.block_names = ["theta"] if sample_theta else []
-        self.block_names += [f"delta:{n}" for n in self.names]
-        self.block_names += [f"hyper:{n}" for n in self.names]
-        # per block, one entry per chain
-        self.adapters = {
-            n: [StepAdapter(config.initial_step) for _ in range(C)]
-            for n in self.block_names
-        }
+        # the active blocks in sweep order; step(self, adapting=...) runs one for every
+        # chain. Functions, not bound methods: a table of those would keep the engine and
+        # its arrays alive in a reference cycle after the run.
+        self.blocks = [("theta", _Chain._update_theta)] if sample_theta else []
+        self.blocks += [(f"delta:{n}", partial(_Chain._update_field, k=k))
+                        for k, n in enumerate(self.names)]
+        if config.sample_hyper:
+            self.blocks += [(f"hyper:{n}", partial(_Chain._update_hyper, k=k))
+                            for k, n in enumerate(self.names)]
+        if config.sample_sigma2:
+            self.blocks.append(("sigma2", _Chain._gibbs_sigma2))
+        metropolis = [name for name, _ in self.blocks if name != "sigma2"]
+        # per Metropolis block, one entry per chain
+        self.adapters = {n: [StepAdapter(config.initial_step) for _ in range(C)]
+                         for n in metropolis}
         if sample_theta:
             # theta moves on the unit box; a full-box step would mix poorly
             for adapter in self.adapters["theta"]:
                 adapter.step = min(config.initial_step, 0.15)
         # after burn-in: each block's proposal count, the same for every chain, and each
         # chain's accepted count
-        self.proposed = dict.fromkeys(self.block_names, 0)
-        self.accepted = {n: [0] * C for n in self.block_names}
+        self.proposed = dict.fromkeys(metropolis, 0)
+        self.accepted = {n: [0] * C for n in metropolis}
+        self.block_ns = dict.fromkeys((name for name, _ in self.blocks), 0)
         self.extrap_count = [0] * C
         self.extrap_max = [0.0] * C
-        self.block_ns: dict[str, int] = {}
 
         self._init_parts()
 
@@ -614,13 +624,6 @@ class _Chain:
             for c, acc in enumerate(accepted):
                 counts[c] += acc
 
-    def _field_proposal(self, k: int, name: str):
-        """Prior-preconditioned proposals of field ``k``'s knot values, one per chain."""
-        L = self.chols[:, k]
-        z = np.array([rng.standard_normal(L.shape[-1]) for rng in self.rngs])
-        steps = np.array(self._steps(name))[:, None]
-        return L, self.values[:, k] + steps * np.matmul(L, z[:, :, None])[:, :, 0]
-
     def _update_theta(self, adapting: bool) -> None:
         base_new = self.base_theta + np.array([
             step * rng.standard_normal(self.dtheta)
@@ -652,14 +655,28 @@ class _Chain:
         self._track("theta", accepted, adapting)
 
     def _update_field(self, k: int, adapting: bool) -> None:
+        """Prior-preconditioned proposals of field ``k``'s knot values, one per chain.
+
+        A drift field's proposal queries the emulator at its moved theta
+        column; the additive field's reuses the cached emulator output and
+        moves the field at the observations.
+        """
         name = f"delta:{self.names[k]}"
-        L, vals_new = self._field_proposal(k, name)
-        j = self.dx + k
-        Q = self.Q.copy()
-        np.add(self.base_theta[:, k, None], vals_new[:, self.obs_sel], out=Q[:, :, j])
-        planes = self.planes.copy()
-        mean, var = self._emulate(range(len(self.rngs)), Q, planes, slice(j, j + 1))
-        loglik, ok = self._loglik(mean, self.eta_at_obs, var)
+        L = self.chols[:, k]
+        z = np.array([rng.standard_normal(L.shape[-1]) for rng in self.rngs])
+        steps = np.array(self._steps(name))[:, None]
+        vals_new = self.values[:, k] + steps * np.matmul(L, z[:, :, None])[:, :, 0]
+        drift = k < self.n_drift
+        if drift:
+            j = self.dx + k
+            Q = self.Q.copy()
+            np.add(self.base_theta[:, k, None], vals_new[:, self.obs_sel], out=Q[:, :, j])
+            planes = self.planes.copy()
+            mean, var = self._emulate(range(len(self.rngs)), Q, planes, slice(j, j + 1))
+            eta = self.eta_at_obs
+        else:
+            mean, var, eta = self.emu_mean, self.emu_var, vals_new[:, self.obs_sel]
+        loglik, ok = self._loglik(mean, eta, var)
         field_prior, log_diag = self.field_prior[k], self.log_diag[k]
         accepted = [False] * len(self.rngs)
         for c, rng in enumerate(self.rngs):
@@ -670,31 +687,15 @@ class _Chain:
             accepted[c] = self.accept(delta, 0.0, rng)
             if accepted[c]:
                 self.values[c, k] = vals_new[c]
-                self.Q[c] = Q[c]
-                self.planes[c] = planes[c]
-                self.emu_mean[c], self.emu_var[c] = mean[c], var[c]
+                if drift:
+                    self.Q[c] = Q[c]
+                    self.planes[c] = planes[c]
+                    self.emu_mean[c], self.emu_var[c] = mean[c], var[c]
+                else:
+                    self.eta_at_obs[c] = eta[c]
                 self.loglik[c] = loglik[c]
                 field_prior[c] = fp_new
         self._track(name, accepted, adapting)
-
-    def _update_eta(self, adapting: bool) -> None:
-        """The additive field's values: no emulator query, the cached mean is reused."""
-        L, vals_new = self._field_proposal(-1, "delta:eta")
-        eta_new = vals_new[:, self.obs_sel]
-        loglik = gaussian_loglik(self.y_rows - self.emu_mean - eta_new,
-                                 self.noise_rows + self.emu_var)
-        field_prior, log_diag = self.field_prior[-1], self.log_diag[-1]
-        accepted = [False] * len(self.rngs)
-        for c, rng in enumerate(self.rngs):
-            fp_new = _mvn_logpdf_zero(vals_new[c], L[c], log_diag[c])
-            delta = (loglik[c] + fp_new) - (self.loglik[c] + field_prior[c])
-            accepted[c] = self.accept(delta, 0.0, rng)
-            if accepted[c]:
-                self.values[c, -1] = vals_new[c]
-                self.eta_at_obs[c] = eta_new[c]
-                self.loglik[c] = loglik[c]
-                field_prior[c] = fp_new
-        self._track("delta:eta", accepted, adapting)
 
     def _update_hyper(self, k: int, adapting: bool) -> None:
         """A log-space random walk on field ``k``'s raw ``[variance, *lengthscales]``.
@@ -746,7 +747,7 @@ class _Chain:
                     log_sum[c] = log_h2.sum()
         self._track(name, accepted, adapting)
 
-    def _gibbs_sigma2(self, adapting: bool = False) -> None:
+    def _gibbs_sigma2(self, adapting: bool) -> None:
         resid = self.y_rows - self.emu_mean
         if self.additive:
             resid -= self.eta_at_obs
@@ -763,20 +764,6 @@ class _Chain:
             raise RuntimeError(
                 f"log-posterior audit failed: cached {cached!r} vs recomputed {recomputed!r}"
             )
-
-    def _block_steps(self) -> list:
-        """(name, step) of each active block in sweep order; ``step(adapting)`` runs it."""
-        steps = [("theta", self._update_theta)] if self.sample_theta else []
-        steps += [(f"delta:{n}", partial(self._update_field, k))
-                  for k, n in enumerate(self.names[: self.n_drift])]
-        if self.additive:
-            steps.append(("delta:eta", self._update_eta))
-        if self.cfg.sample_hyper:
-            steps += [(f"hyper:{n}", partial(self._update_hyper, k))
-                      for k, n in enumerate(self.names)]
-        if self.cfg.sample_sigma2:
-            steps.append(("sigma2", self._gibbs_sigma2))
-        return steps
 
     def block_us(self) -> dict[str, float]:
         """Mean wall time of one step of each block, all chains together, in microseconds."""
@@ -798,15 +785,14 @@ class _Chain:
         out_sigma2 = np.empty((C, n_stored))
         out_theta = np.empty((C, n_stored, self.dtheta)) if self.record_theta else None
 
-        steps = self._block_steps()
-        ns = self.block_ns = dict.fromkeys((name for name, _ in steps), 0)
+        ns = self.block_ns
         clock = time.perf_counter_ns
         stored = 0
         for it in range(cfg.iterations):
             adapting = it < cfg.burn_in
-            for name, step in steps:
+            for name, step in self.blocks:
                 t = clock()
-                step(adapting)
+                step(self, adapting=adapting)
                 ns[name] += clock() - t
             if cfg.audit_every and (it + 1) % cfg.audit_every == 0:
                 for c in range(C):
@@ -842,7 +828,8 @@ def _run_chains(data, emulator, priors, config, kind: str, timing: dict | None =
     from its own ``SeedSequence`` child of ``config.seed``. A ``timing`` dict
     receives the chain count and the mean wall time of each block step in
     microseconds. Raises when the theta priors or ``config.theta0`` do not
-    give one entry per parameter.
+    give one entry per parameter, or when the domain is not 1-D (the grid
+    summaries need one), before any sweep.
     """
     if priors.theta is not None and len(priors.theta) != data.dtheta:
         raise ValueError(
@@ -853,6 +840,8 @@ def _run_chains(data, emulator, priors, config, kind: str, timing: dict | None =
         raise ValueError(
             f"theta0 has {len(config.theta0)} entries, dataset has {data.dtheta} parameters"
         )
+    if data.dx != 1:
+        raise ValueError("grid summaries require a 1-D domain")
     knots, obs_idx = _build_knots(data)
     rngs = [np.random.default_rng(seed)
             for seed in np.random.SeedSequence(config.seed).spawn(config.chains)]
@@ -864,10 +853,8 @@ def _run_chains(data, emulator, priors, config, kind: str, timing: dict | None =
     def chain_major(a):  # (C, S, ...) to (C * S, ...), chain 0's draws first
         return a.reshape(-1, *a.shape[2:])
 
-    acceptance = {
-        block: sum(engine.accepted[block]) / (proposed * config.chains) if proposed else 0.0
-        for block, proposed in engine.proposed.items()
-    }
+    acceptance = {block: sum(engine.accepted[block]) / (proposed * config.chains)
+                  for block, proposed in engine.proposed.items()}
 
     samples = PosteriorSamples(
         kind=kind,

@@ -309,6 +309,10 @@ class CalibrationDataset:
         if "eta" in names or len(set(names)) != len(names):
             raise ValueError(f"param_names must be distinct and not 'eta' (the additive "
                              f"field's name), got {list(names)}")
+        for kind, bounds in (("domain", db), ("theta", tb)):
+            for j, (lo, hi) in enumerate(bounds):
+                if not lo < hi:
+                    raise ValueError(f"{kind} bound {j} needs lo < hi, got ({lo}, {hi})")
         eps = 1e-9
         for j, (lo, hi) in enumerate(db):
             allx = np.r_[ox[:, j], sx[:, j]]
@@ -455,7 +459,7 @@ def load_dataset(path) -> CalibrationDataset:
     truth = DriftTruth.from_dict(json.loads(headers["truth"])) if "truth" in headers else None
 
     columns = rows[0]
-    dx = sum(1 for c in columns if c.startswith("x") and c[1:].isdigit())
+    dx = len(domain_bounds)
     param_names = tuple(columns[1 + dx : -1])
     sim_x, sim_theta, sim_y, obs_x, obs_y = [], [], [], [], []
     for cells in rows[1:]:

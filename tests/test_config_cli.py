@@ -8,7 +8,7 @@ import pytest
 
 from driftcal.cli import main
 from driftcal.config import ConfigError, EmulatorSettings, parse_config
-from driftcal.design import to_unit
+from driftcal.design import Prior, to_unit
 from driftcal.embedded import McmcConfig, _build_knots, _Chain, gibbs_sigma2, mh_accept
 from driftcal.gp import ExactEmulator
 from driftcal.problems import DIPOLE_PARAM_NAMES, dipole_dataset, dipole_problem
@@ -212,6 +212,22 @@ def test_eta_and_repeated_param_names_are_refused_at_parse_time(tmp_path, capsys
     cfg_path.write_text(json.dumps(raw))
     assert main(["calibrate", "--config", str(cfg_path)]) == 2
     assert f"synthetic.param_names: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_zero_width_theta_prior_is_refused_at_parse_time(tmp_path, capsys):
+    # a uniform prior with lo == hi is a valid prior but gives a theta box of width 0
+    Prior.uniform(1.72, 1.72)
+    raw = base_config(out_dir=str(tmp_path / "run"))
+    raw["synthetic"]["theta_priors"][2] = {"kind": "uniform", "lo": 1.72, "hi": 1.72}
+    message = "gives the parameter a box of width 0, (1.72, 1.72)"
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(raw))
+    assert err.value.errors == [("synthetic.theta_priors[2]", message)]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["calibrate", "--config", str(cfg_path)]) == 2
+    assert f"synthetic.theta_priors[2]: {message}" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 

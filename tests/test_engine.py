@@ -1,19 +1,22 @@
 """The one sampler engine in each block configuration its calibrators use."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftcal import embedded
+from driftcal import embedded, koh
 from driftcal.design import Prior
 from driftcal.embedded import (
     CalibrationPriors,
     McmcConfig,
     _build_knots,
     _Chain,
+    run_combined,
     run_integrated_delta,
 )
 from driftcal.gp import ExactEmulator, KernelParams, TrainingSet, fit_gp
@@ -86,7 +89,7 @@ def test_extreme_steps_are_counted_rejections(config, theta0, theta_step, hyper_
             adapter.step = hyper_step
     out = chain.run()
 
-    for name in chain.block_names:  # every block here runs
+    for name in chain.proposed:  # every Metropolis block, all of them active here
         assert chain.proposed[name] == cfg.iterations - cfg.burn_in, name
     for name in out["delta"]:
         assert np.all(np.isfinite(out["delta"][name]))
@@ -108,6 +111,46 @@ def test_theta_inputs_must_match_the_parameter_count(calibrator, n):
         calibrator(data, EMULATOR, priors, cfg)
     with pytest.raises(ValueError, match=f"theta0 has {n} entries, dataset has 2"):
         calibrator(data, EMULATOR, PRIORS, McmcConfig(iterations=4, burn_in=2, theta0=(0.5,) * n))
+
+
+@pytest.mark.parametrize("calibrator", [run_integrated_delta, run_combined, run_koh])
+def test_a_domain_of_more_than_one_dimension_fails_before_any_sweep(calibrator, monkeypatch):
+    def no_decision(*args):
+        raise AssertionError("the sampler ran before the domain was checked")
+
+    monkeypatch.setattr(embedded, "mh_accept", no_decision)
+    monkeypatch.setattr(koh, "mh_accept", no_decision)
+    obs_x = np.array([[0.2, 0.3], [0.8, 0.6]])
+    data = CalibrationDataset(
+        obs_x=obs_x, obs_y=np.zeros(2), sim_x=obs_x, sim_theta=np.full((2, 2), 0.5),
+        sim_y=np.zeros(2), domain_bounds=((0.0, 1.0),) * 2,
+        theta_bounds=((0.0, 1.0), (0.0, 1.0)),
+    )
+    cfg = McmcConfig(iterations=40, burn_in=10, chains=2, theta0=(0.5, 0.5))
+    with pytest.raises(ValueError, match="grid summaries require a 1-D domain"):
+        calibrator(data, ExactEmulator(lambda Q: Q.sum(axis=1), vectorized=True), PRIORS, cfg)
+
+
+@pytest.mark.parametrize("sample_theta", [False, True])
+@pytest.mark.parametrize("sample_sigma2", [False, True])
+@pytest.mark.parametrize("sample_hyper", [False, True])
+@pytest.mark.parametrize("calibrator, fields", [
+    (run_integrated_delta, ["theta0", "theta1"]),
+    (run_combined, ["theta0", "theta1", "eta"]),
+    (run_koh, ["eta"]),
+])
+def test_reported_blocks_are_the_blocks_that_ran(calibrator, fields, sample_hyper,
+                                                 sample_sigma2, sample_theta):
+    data = edge_dataset(0.4 + 0.3 * np.linspace(0.1, 0.9, 4))
+    cfg = McmcConfig(iterations=12, burn_in=6, thin=1, chains=2, seed=3, theta0=(0.6, 0.4),
+                     sample_hyper=sample_hyper, sample_sigma2=sample_sigma2,
+                     sample_theta=sample_theta, grid_points=3)
+    timing = {}
+    samples = calibrator(data, EMULATOR, PRIORS, cfg, timing=timing)
+    metropolis = (["theta"] if sample_theta else []) + [f"delta:{f}" for f in fields]
+    metropolis += [f"hyper:{f}" for f in fields] if sample_hyper else []
+    assert list(samples.acceptance_rates) == metropolis
+    assert list(timing["us_per_step"]) == metropolis + (["sigma2"] if sample_sigma2 else [])
 
 
 # -- lockstep chains ----------------------------------------------------------
@@ -181,6 +224,19 @@ def assert_same_chain(a, b):
     assert np.array_equal(a["base_theta"], b["base_theta"])
     assert (a["proposed"], a["accepted"]) == (b["proposed"], b["accepted"])
     assert a["extrap"] == b["extrap"]
+
+
+def test_a_finished_engine_is_freed_with_its_last_reference():
+    # no reference cycle keeps the engine's arrays alive until the cyclic collector runs
+    chain = engine("combined", EMULATOR, generators(2))
+    chain.run()
+    ref = weakref.ref(chain)
+    gc.disable()
+    try:
+        del chain
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("emulator", [EMULATOR, gp_emulator()], ids=["exact", "gp"])

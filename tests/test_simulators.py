@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -203,6 +204,39 @@ def test_dataset_refuses_eta_and_repeated_param_names(tmp_path, names):
     path.write_text(text.replace(header, ",".join(["role", "x0", *names, "y"])))
     with pytest.raises(ValueError, match=message):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("field", ["domain_bounds", "theta_bounds"])
+@pytest.mark.parametrize("width", [0.0, -1.0])
+def test_dataset_refuses_a_bound_without_width(tmp_path, field, width):
+    # a box of width 0 divides by zero in to_unit; the last bound has it
+    ds = dipole_dataset(n_sim=5, n_obs=2)
+    bounds = getattr(ds, field)
+    lo = bounds[-1][0]
+    bad = (*bounds[:-1], (lo, lo + width))
+    j, kind = len(bounds) - 1, field.split("_")[0]
+    message = rf"{kind} bound {j} needs lo < hi, got \({lo}, {lo + width}\)"
+    with pytest.raises(ValueError, match=message):
+        replace(ds, **{field: bad})
+    path = tmp_path / "ds.csv"
+    save_dataset(ds, path)
+    text = path.read_text()
+    header = f"# {field}: {json.dumps([list(b) for b in bounds])}"
+    assert header in text
+    path.write_text(text.replace(header, f"# {field}: {json.dumps([list(b) for b in bad])}"))
+    with pytest.raises(ValueError, match=message):
+        load_dataset(path)
+
+
+def test_dataset_file_round_trip_with_a_parameter_named_like_a_domain_column(tmp_path):
+    # the domain dimension comes from the domain_bounds header, not from column names
+    ds = replace(dipole_dataset(n_sim=5, n_obs=2), param_names=("x1", "nu", "l_c"))
+    path = tmp_path / "ds.csv"
+    save_dataset(ds, path)
+    back = load_dataset(path)
+    assert back.param_names == ("x1", "nu", "l_c")
+    for name in ("obs_x", "obs_y", "sim_x", "sim_theta", "sim_y"):
+        assert np.array_equal(getattr(back, name), getattr(ds, name)), name
 
 
 def test_dataset_file_round_trip(tmp_path):
