@@ -22,8 +22,11 @@ from .runner import _RUNNERS, StageError, orchestrate, recompute_report
 
 
 def _load_config(args, forced_mode: str | None):
-    with open(args.config) as fh:
-        text = fh.read()
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError([("<document>", f"not UTF-8 text: {exc}")]) from None
     try:
         raw = json.loads(text)
     except json.JSONDecodeError:
@@ -105,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
     except StageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing, unreadable or unwritable path
         print(str(exc), file=sys.stderr)
         return 1
 

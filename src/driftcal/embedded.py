@@ -26,7 +26,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from operator import attrgetter
+from operator import add
 
 import numpy as np
 
@@ -49,14 +49,12 @@ __all__ = [
     "run_combined",
     "posterior_predictive",
     "delta_field_curves",
-    "StepAdapter",
 ]
 
 log = logging.getLogger("driftcal.embedded")
 
 _LOG_2PI = math.log(2.0 * math.pi)
 FIELD_JITTER = 1e-10
-_STEP = attrgetter("step")
 
 
 def _chol(K: np.ndarray) -> np.ndarray:
@@ -261,8 +259,8 @@ class McmcConfig:
     initial_step: float = 0.5
     sample_hyper: bool = True
     sample_sigma2: bool = True
-    # None resolves per calibrator: False for the embedded sampler (theta
-    # stays at its initial estimate), True for the baseline.
+    # None resolves in the engine: True with the drift fields off (the
+    # baseline), False with them on (theta stays at its initial estimate).
     sample_theta: bool | None = None
     theta0: tuple[float, ...] | None = None
     audit_every: int = 1000
@@ -285,21 +283,7 @@ class McmcConfig:
 
 
 ADAPT_TARGET = 0.3  # the acceptance rate the step adaptation aims at
-ADAPT_DECAY = 0.66  # the adaptation gain falls as n ** -ADAPT_DECAY
-
-
-class StepAdapter:
-    """Robbins-Monro scaling of a proposal step toward ``ADAPT_TARGET`` acceptance."""
-
-    def __init__(self, step: float):
-        self.step = float(step)
-        self._n = 0
-
-    def update(self, accepted: bool) -> None:
-        self._n += 1
-        gain = self._n ** (-ADAPT_DECAY)
-        self.step *= math.exp(gain * ((1.0 if accepted else 0.0) - ADAPT_TARGET))
-        self.step = min(max(self.step, 1e-6), 1e3)
+ADAPT_DECAY = 0.66  # the adaptation gain of sweep n (from 1) is n ** -ADAPT_DECAY
 
 
 def mh_accept(log_post_new: float, log_post_old: float, rng: np.random.Generator) -> bool:
@@ -406,7 +390,7 @@ class _Chain:
     (C, n, dx + dtheta), whose last columns are theta*(x), and the cached
     emulator mean and variance (C, n). Each block runs once per sweep for all
     chains: proposals, the emulator query, Gaussian likelihoods and kernel
-    factorizations are array work over the stack, while step adaptation,
+    factorizations are array work over the stack, while step sizes,
     Metropolis decisions (``accept``), noise draws (``gibbs``), prior and
     knot-value densities stay per chain, in Python floats. Each chain draws
     from its own generator in ``rngs`` and makes the calls it would make
@@ -425,17 +409,18 @@ class _Chain:
     hyperpriors. Data are shared read-only.
 
     ``blocks`` lists the active blocks once, as ``(name, step)`` in sweep
-    order: ``theta`` when ``sample_theta`` (its draws are stored then and,
-    constant, when ``drift`` is off), each field's knot values, each field's
-    hyperparameters when ``config.sample_hyper`` and the Gibbs ``sigma2``
-    draw when ``config.sample_sigma2``. Step adapters and acceptance counts
-    exist for the Metropolis blocks listed and step times for every block
-    listed, so a block that does not run has no acceptance rate.
+    order: ``theta`` when ``config.sample_theta`` (None resolves to ``not
+    drift``; theta draws are stored then and, constant, when ``drift`` is
+    off), each field's knot values, each field's hyperparameters when
+    ``config.sample_hyper`` and the Gibbs ``sigma2`` draw when
+    ``config.sample_sigma2``. A Metropolis block returns one decision per
+    chain, from which :meth:`run` adapts ``steps`` and counts ``accepted``;
+    step times exist for every block listed, so a block that does not run
+    has no acceptance rate.
     """
 
     def __init__(self, data, emulator, priors, config, rngs, knots: np.ndarray,
-                 obs_idx: np.ndarray, *, drift: bool, additive: bool, sample_theta: bool,
-                 accept, gibbs):
+                 obs_idx: np.ndarray, *, drift: bool, additive: bool, accept, gibbs):
         self.data = data
         self.emulator = emulator
         self.priors = priors
@@ -446,6 +431,7 @@ class _Chain:
         identity = np.array_equal(obs_idx, np.arange(len(knots)))
         self.obs_sel = slice(None) if identity else obs_idx
         self.additive = additive
+        sample_theta = not drift if config.sample_theta is None else config.sample_theta
         self.record_theta = sample_theta or not drift
         self.accept = accept
         self.gibbs = gibbs
@@ -486,9 +472,8 @@ class _Chain:
         self.sigma2 = np.full(C, s0 if math.isfinite(s0) else priors.noise.median())
         self.noise_rows = np.empty_like(self.y_rows)
 
-        # the active blocks in sweep order; step(self, adapting=...) runs one for every
-        # chain. Functions, not bound methods: a table of those would keep the engine and
-        # its arrays alive in a reference cycle after the run.
+        # the active blocks in sweep order; step(self) runs one for every chain. Functions,
+        # not bound methods: those would keep the engine alive in a reference cycle.
         self.blocks = [("theta", _Chain._update_theta)] if sample_theta else []
         self.blocks += [(f"delta:{n}", partial(_Chain._update_field, k=k))
                         for k, n in enumerate(self.names)]
@@ -498,16 +483,12 @@ class _Chain:
         if config.sample_sigma2:
             self.blocks.append(("sigma2", _Chain._gibbs_sigma2))
         metropolis = [name for name, _ in self.blocks if name != "sigma2"]
-        # per Metropolis block, one entry per chain
-        self.adapters = {n: [StepAdapter(config.initial_step) for _ in range(C)]
-                         for n in metropolis}
+        # per Metropolis block, one entry per chain: the step and the accepted count after
+        # burn-in
+        self.steps = {n: [float(config.initial_step)] * C for n in metropolis}
         if sample_theta:
             # theta moves on the unit box; a full-box step would mix poorly
-            for adapter in self.adapters["theta"]:
-                adapter.step = min(config.initial_step, 0.15)
-        # after burn-in: each block's proposal count, the same for every chain, and each
-        # chain's accepted count
-        self.proposed = dict.fromkeys(metropolis, 0)
+            self.steps["theta"] = [min(config.initial_step, 0.15)] * C
         self.accepted = {n: [0] * C for n in metropolis}
         self.block_ns = dict.fromkeys((name for name, _ in self.blocks), 0)
         self.extrap_count = [0] * C
@@ -609,25 +590,12 @@ class _Chain:
             eta_field=fields[-1] if self.additive else None,
         )
 
-    # -- MCMC blocks ------------------------------------------------------
+    # -- MCMC blocks: each returns its decision for every chain ------------
 
-    def _steps(self, name: str) -> list:
-        return list(map(_STEP, self.adapters[name]))
-
-    def _track(self, name: str, accepted: list, adapting: bool) -> None:
-        if adapting:
-            for adapter, acc in zip(self.adapters[name], accepted):
-                adapter.update(acc)
-        else:
-            self.proposed[name] += 1
-            counts = self.accepted[name]
-            for c, acc in enumerate(accepted):
-                counts[c] += acc
-
-    def _update_theta(self, adapting: bool) -> None:
+    def _update_theta(self) -> list:
         base_new = self.base_theta + np.array([
             step * rng.standard_normal(self.dtheta)
-            for step, rng in zip(self._steps("theta"), self.rngs)
+            for step, rng in zip(self.steps["theta"], self.rngs)
         ])
         tp_new = [_theta_logprior(b, self.priors, self.data.theta_bounds) for b in base_new]
         accepted = [False] * len(self.rngs)
@@ -652,19 +620,18 @@ class _Chain:
                     self.emu_mean[c], self.emu_var[c] = mean[j], var[j]
                     self.loglik[c] = loglik[j]
                     self.theta_prior[c] = tp_new[c]
-        self._track("theta", accepted, adapting)
+        return accepted
 
-    def _update_field(self, k: int, adapting: bool) -> None:
+    def _update_field(self, k: int) -> list:
         """Prior-preconditioned proposals of field ``k``'s knot values, one per chain.
 
         A drift field's proposal queries the emulator at its moved theta
         column; the additive field's reuses the cached emulator output and
         moves the field at the observations.
         """
-        name = f"delta:{self.names[k]}"
         L = self.chols[:, k]
         z = np.array([rng.standard_normal(L.shape[-1]) for rng in self.rngs])
-        steps = np.array(self._steps(name))[:, None]
+        steps = np.array(self.steps[f"delta:{self.names[k]}"])[:, None]
         vals_new = self.values[:, k] + steps * np.matmul(L, z[:, :, None])[:, :, 0]
         drift = k < self.n_drift
         if drift:
@@ -695,21 +662,21 @@ class _Chain:
                     self.eta_at_obs[c] = eta[c]
                 self.loglik[c] = loglik[c]
                 field_prior[c] = fp_new
-        self._track(name, accepted, adapting)
+        return accepted
 
-    def _update_hyper(self, k: int, adapting: bool) -> None:
+    def _update_hyper(self, k: int) -> list:
         """A log-space random walk on field ``k``'s raw ``[variance, *lengthscales]``.
 
         The log ratio includes the log-space Jacobian. A proposed value that
         overflows or underflows, or a proposed kernel that does not factor,
         is a rejection of that chain's proposal alone.
         """
-        name = f"hyper:{self.names[k]}"
         field_prior, hyper_prior = self.field_prior[k], self.hyper_prior[k]
         log_diag, log_sum = self.log_diag[k], self.log_hyper_sum[k]
         logp = self.log_hypers[:, k]
+        steps = self.steps[f"hyper:{self.names[k]}"]
         logp2 = logp + np.array([step * rng.standard_normal(logp.shape[1])
-                                 for step, rng in zip(self._steps(name), self.rngs)])
+                                 for step, rng in zip(steps, self.rngs)])
         H2 = np.exp(logp2)
         live, rows = [], []
         for c, lp in enumerate(logp2.tolist()):
@@ -744,10 +711,10 @@ class _Chain:
                     self.hypers[c, k] = H2[c]
                     # the log of H2, not logp2, whose exp rounded
                     log_h2 = self.log_hypers[c, k] = np.log(H2[c])
-                    log_sum[c] = log_h2.sum()
-        self._track(name, accepted, adapting)
+                    log_sum[c] = float(log_h2.sum())
+        return accepted
 
-    def _gibbs_sigma2(self, adapting: bool) -> None:
+    def _gibbs_sigma2(self) -> None:
         resid = self.y_rows - self.emu_mean
         if self.additive:
             resid -= self.eta_at_obs
@@ -769,13 +736,20 @@ class _Chain:
         """Mean wall time of one step of each block, all chains together, in microseconds."""
         return {name: ns / 1e3 / self.cfg.iterations for name, ns in self.block_ns.items()}
 
+    def acceptance_rates(self) -> dict[str, float]:
+        """Each Metropolis block's accepted share of its proposals after burn-in, all chains."""
+        proposed = (self.cfg.iterations - self.cfg.burn_in) * len(self.rngs)
+        return {name: sum(counts) / proposed for name, counts in self.accepted.items()}
+
     def run(self) -> dict:
         """Run the configured sweeps; returns the stored draws, stacked over the chains.
 
         The dict holds ``delta`` and ``hyper`` (field name to (C, S, K) knot
         values and (C, S, 1 + dx) hyperparameters), ``sigma2`` (C, S) and
         ``theta`` (C, S, dtheta), None when theta is not recorded. The
-        acceptance counts and extrapolation figures stay on the engine.
+        acceptance counts and extrapolation figures stay on the engine. During
+        burn-in each chain's steps move by Robbins-Monro toward ``ADAPT_TARGET``
+        acceptance, clamped to [1e-6, 1e3]; after it the decisions are counted.
         """
         cfg = self.cfg
         C = len(self.rngs)
@@ -790,9 +764,19 @@ class _Chain:
         stored = 0
         for it in range(cfg.iterations):
             adapting = it < cfg.burn_in
+            if adapting:  # the sweep's step factors of an acceptance and of a rejection
+                gain = (it + 1) ** -ADAPT_DECAY
+                up = math.exp(gain * (1.0 - ADAPT_TARGET))
+                down = math.exp(gain * (0.0 - ADAPT_TARGET))
             for name, step in self.blocks:
                 t = clock()
-                step(self, adapting=adapting)
+                accepted = step(self)
+                if accepted is not None:  # None from the Gibbs draw
+                    if adapting:
+                        self.steps[name] = [min(max(s * (up if a else down), 1e-6), 1e3)
+                                            for s, a in zip(self.steps[name], accepted)]
+                    else:
+                        self.accepted[name] = list(map(add, self.accepted[name], accepted))
                 ns[name] += clock() - t
             if cfg.audit_every and (it + 1) % cfg.audit_every == 0:
                 for c in range(C):
@@ -853,9 +837,6 @@ def _run_chains(data, emulator, priors, config, kind: str, timing: dict | None =
     def chain_major(a):  # (C, S, ...) to (C * S, ...), chain 0's draws first
         return a.reshape(-1, *a.shape[2:])
 
-    acceptance = {block: sum(engine.accepted[block]) / (proposed * config.chains)
-                  for block, proposed in engine.proposed.items()}
-
     samples = PosteriorSamples(
         kind=kind,
         param_names=data.param_names,
@@ -865,7 +846,7 @@ def _run_chains(data, emulator, priors, config, kind: str, timing: dict | None =
         sigma2_draws=chain_major(draws["sigma2"]),
         theta_draws=None if draws["theta"] is None else chain_major(draws["theta"]),
         base_theta=engine.base_theta[0].copy(),
-        acceptance_rates=acceptance,
+        acceptance_rates=engine.acceptance_rates(),
         chains=config.chains,
         domain_bounds=data.domain_bounds,
         theta_bounds=data.theta_bounds,
@@ -926,7 +907,7 @@ def run_integrated_delta(
     """
     return _run_chains(
         data, emulator, priors, mcmc_config, "integrated_delta", timing, drift=True, additive=False,
-        sample_theta=bool(mcmc_config.sample_theta), accept=mh_accept, gibbs=gibbs_sigma2,
+        accept=mh_accept, gibbs=gibbs_sigma2,
     )
 
 
@@ -945,7 +926,7 @@ def run_combined(
     """
     return _run_chains(
         data, emulator, priors, mcmc_config, "combined", timing, drift=True, additive=True,
-        sample_theta=bool(mcmc_config.sample_theta), accept=mh_accept, gibbs=gibbs_sigma2,
+        accept=mh_accept, gibbs=gibbs_sigma2,
     )
 
 

@@ -29,8 +29,9 @@ def run_koh(
 
     Per iteration: theta random-walk block on the normalized box,
     discrepancy knot block, discrepancy hyperparameter block, conjugate
-    Gibbs noise update. Setting ``sample_theta=False`` clamps theta at its
-    initial value and leaves "theta" out of the acceptance rates.
+    Gibbs noise update. ``sample_theta`` None resolves to True here (the
+    drift fields are off); False clamps theta at its initial value and
+    leaves "theta" out of the acceptance rates.
     Deterministic for a fixed seed; emits the same sample layout as the
     embedded calibrator with theta draws always stored (the engine stores
     them whenever the drift fields are off) and the discrepancy under "eta".
@@ -40,6 +41,5 @@ def run_koh(
     # this module's mh_accept/gibbs_sigma2 bindings make every decision
     return _run_chains(
         data, emulator, priors, mcmc_config, "koh", timing, drift=False, additive=True,
-        sample_theta=mcmc_config.sample_theta is not False,
         accept=mh_accept, gibbs=gibbs_sigma2,
     )

@@ -4,7 +4,9 @@ The samplers call ``dtrtrs``/``dpotrs`` directly, build knot kernels from
 raw hyperparameter vectors, and every squared-exponential kernel is built in
 dimension-major layout. All must reproduce, bit for bit, the
 ``solve_triangular``/``cho_solve`` path and the (G, n, D) broadcast kernel
-formula, which these tests keep as frozen references.
+formula, which these tests keep as frozen references. The engine's sweep
+loop adapts the proposal steps of all blocks and chains; it must reproduce
+the per-chain step adapter it replaced, kept here as a frozen reference too.
 """
 
 import math
@@ -24,6 +26,7 @@ from driftcal.embedded import (
     DiscrepancyField,
     McmcConfig,
     _build_knots,
+    _Chain,
     _chol,
     _knot_chol,
     run_combined,
@@ -356,9 +359,62 @@ def drift_response(Q):
     return Q[:, 1] + 0.5 * Q[:, 2] * Q[:, 0]
 
 
+DRIFT_PRIORS = CalibrationPriors(noise=Prior.inverse_gamma(3.0, 2.0 * 0.05**2))
+
+
+class RefStepAdapter:
+    """Robbins-Monro scaling of one chain's proposal step, counting its own updates."""
+
+    def __init__(self, step: float):
+        self.step = float(step)
+        self._n = 0
+
+    def update(self, accepted: bool) -> None:
+        self._n += 1
+        gain = self._n ** (-embedded.ADAPT_DECAY)
+        self.step *= math.exp(gain * ((1.0 if accepted else 0.0) - embedded.ADAPT_TARGET))
+        self.step = min(max(self.step, 1e-6), 1e3)
+
+
+@st.composite
+def adaptation_case(draw):
+    """An initial step (the clamp bounds and beyond included) and, per burn-in sweep, one
+    decision per chain."""
+    chains = draw(st.integers(1, 3))
+    initial = draw(st.one_of(st.sampled_from([1e-6, 1e3]), st.floats(1e-7, 2e3)))
+    sweeps = draw(st.lists(st.lists(st.booleans(), min_size=chains, max_size=chains),
+                           min_size=1, max_size=80))
+    return initial, sweeps
+
+
+@settings(max_examples=100, deadline=None)
+@given(adaptation_case())
+def test_step_adaptation_matches_the_reference_adapter_bitwise(case):
+    initial, sweeps = case
+    chains = len(sweeps[0])
+    data = drift_dataset()
+    cfg = McmcConfig(iterations=len(sweeps) + 1, burn_in=len(sweeps), chains=chains,
+                     initial_step=initial, theta0=(0.5, 0.5), audit_every=0)
+    knots, obs_idx = _build_knots(data)
+    chain = _Chain(data, ExactEmulator(drift_response, vectorized=True), DRIFT_PRIORS, cfg,
+                   [np.random.default_rng(c) for c in range(chains)], knots, obs_idx,
+                   drift=True, additive=False, accept=embedded.mh_accept,
+                   gibbs=embedded.gibbs_sigma2)
+    decisions = iter(sweeps + [[True] * chains])  # the last sweep's are counted, not adapted
+    chain.blocks = [("delta:theta0", lambda engine: next(decisions))]
+    chain.run()
+
+    ref = [RefStepAdapter(initial) for _ in range(chains)]
+    for sweep in sweeps:
+        for adapter, accepted in zip(ref, sweep):
+            adapter.update(accepted)
+    assert [s.hex() for s in chain.steps["delta:theta0"]] == [a.step.hex() for a in ref]
+    assert chain.accepted["delta:theta0"] == [1] * chains
+
+
 def assert_draws_unchanged_with_reference_helpers(runner, emu, monkeypatch):
     data = drift_dataset()
-    priors = CalibrationPriors(noise=Prior.inverse_gamma(3.0, 2.0 * 0.05**2))
+    priors = DRIFT_PRIORS
     cfg = McmcConfig(iterations=300, burn_in=100, thin=1, chains=2, seed=11,
                      theta0=(0.5, 0.5), audit_every=100, grid_points=11)
     fast = runner(data, emu, priors, cfg)

@@ -92,7 +92,7 @@ def test_chain_starts_at_prior_medians_not_at_the_synthetic_truth():
     knots, obs_idx = _build_knots(ds)
     chain = _Chain(ds, ExactEmulator(lambda row: 0.0), cfg.priors, cfg.mcmc,
                    [np.random.default_rng(0)], knots, obs_idx, drift=True, additive=False,
-                   sample_theta=False, accept=mh_accept, gibbs=gibbs_sigma2)
+                   accept=mh_accept, gibbs=gibbs_sigma2)
     medians = np.array([[p.median() for p in spec.theta_priors]])
     assert np.array_equal(chain.base_theta[0], to_unit(medians, ds.theta_bounds)[0])
     assert not np.array_equal(chain.base_theta[0], to_unit(spec.truth.theta0[None, :],
@@ -540,6 +540,29 @@ def test_cli_overrides_apply_before_the_config_is_checked(tmp_path, capsys):
     cfg_path.write_text("{not json")
     assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
     assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_cli_config_naming_a_directory_is_an_os_error(tmp_path, capsys):
+    assert main(["generate", "--config", str(tmp_path)]) == 1
+    assert "Is a directory" in capsys.readouterr().err
+
+
+def test_cli_config_that_is_not_utf8_is_a_configuration_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(json.dumps(base_config(out_dir=str(tmp_path / "run"))).encode("utf-16"))
+    assert main(["generate", "--config", str(cfg_path)]) == 2
+    assert "<document>: not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_out_naming_an_existing_file_is_an_os_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(koh={"iterations": 220, "burn_in": 100})))
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    assert main(["compare", "--config", str(cfg_path), "--out", str(taken)]) == 1
+    assert "File exists" in capsys.readouterr().err
+    assert taken.read_text() == "not a directory"
 
 
 def test_cli_missing_dataset_is_stage_error(tmp_path, capsys):

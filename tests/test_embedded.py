@@ -16,7 +16,6 @@ from driftcal.embedded import (
     ChainState,
     DiscrepancyField,
     McmcConfig,
-    StepAdapter,
     ThetaStar,
     delta_field_curves,
     embedded_log_posterior,
@@ -32,6 +31,7 @@ from driftcal.koh import run_koh
 from driftcal.runner import emit_plot_data
 from driftcal.samples import PosteriorSamples, load_samples, save_samples
 from driftcal.simulators import CalibrationDataset
+from test_engine import assert_counted_decisions, record_decisions
 
 UNIT_BOUNDS = ((0.0, 1.0),)
 
@@ -114,11 +114,12 @@ def test_theta_star_rows_match_one_point_at_a_time():
 
 
 def field_chain(data, emu, priors, cfg=None, additive=False, seed=5):
-    """The production chain with drift fields on, theta fixed, decisions by ``embedded``."""
+    """The production chain with drift fields on, theta fixed (``cfg.sample_theta`` None),
+    decisions by ``embedded``."""
     cfg = cfg or McmcConfig(iterations=2, burn_in=1, theta0=(0.5,))
     knots, obs_idx = _build_knots(data)
     return _Chain(data, emu, priors, cfg, [np.random.default_rng(seed)], knots, obs_idx,
-                  drift=True, additive=additive, sample_theta=False,
+                  drift=True, additive=additive,
                   accept=embedded.mh_accept, gibbs=embedded.gibbs_sigma2)
 
 
@@ -127,8 +128,8 @@ def test_propose_zero_step_is_identity():
     chain = field_chain(data, ExactEmulator(lambda row: row[1]), CalibrationPriors(), seed=0)
     chain.values[0, 0] = np.array([0.2, -0.3])
     chain._init_parts()
-    chain.adapters["delta:p0"][0].step = 0.0
-    chain._update_field(0, adapting=False)
+    chain.steps["delta:p0"][0] = 0.0
+    chain._update_field(0)
     assert np.array_equal(chain.values[0, 0], [0.2, -0.3])
 
 
@@ -138,11 +139,11 @@ def test_propose_covariance_matches_prior(monkeypatch):
     data = unit_dataset([[0.1], [0.5], [0.9]], np.zeros(3))
     emu = ExactEmulator(lambda Q: np.zeros(len(Q)), vectorized=True)
     chain = field_chain(data, emu, CalibrationPriors(), seed=1)
-    chain.adapters["delta:p0"][0].step = 1.0
+    chain.steps["delta:p0"][0] = 1.0
     draws = np.empty((100_000, 3))
     for i in range(draws.shape[0]):
         before = chain.values[0, 0].copy()
-        chain._update_field(0, adapting=False)
+        chain._update_field(0)
         draws[i] = chain.values[0, 0] - before
     sample_cov = np.cov(draws.T)
     h = chain.hypers[0, 0]
@@ -345,10 +346,10 @@ def test_hyper_chain_matches_quadrature_conditional():
     priors = CalibrationPriors(field_variance=vp, field_lengthscale=lp)
     data = unit_dataset(knots, np.zeros(3))
     chain = field_chain(data, ExactEmulator(lambda row: row[1]), priors, seed=0)
-    chain.adapters["hyper:p0"][0].step = 0.5
+    chain.steps["hyper:p0"][0] = 0.5
     vs, ls = [], []
     for _ in range(30_000):
-        chain._update_hyper(0, adapting=False)
+        chain._update_hyper(0)
         vs.append(chain.hypers[0, 0, 0])
         ls.append(chain.hypers[0, 0, 1])
     assert np.array_equal(chain.values[0, 0], np.zeros(3))
@@ -401,13 +402,11 @@ def test_hyper_proposal_outside_float_range_is_refused(z):
         raise AssertionError("an out-of-range proposal reached the Metropolis decision")
 
     chain.accept = no_decision
-    [adapter] = chain.adapters["hyper:p0"]
-    adapter.step = 800.0
+    chain.steps["hyper:p0"] = [800.0]
     state = ("hypers", "log_hypers", "chols", "log_hyper_sum", "log_diag", "field_prior",
              "hyper_prior")
     before = {name: copy.deepcopy(getattr(chain, name)) for name in state}
-    chain._update_hyper(0, adapting=False)
-    assert (chain.proposed["hyper:p0"], chain.accepted["hyper:p0"]) == (1, [0])
+    assert chain._update_hyper(0) == [False]  # one decision for the one chain: a rejection
     for name in state:
         assert np.array_equal(np.asarray(getattr(chain, name)), np.asarray(before[name])), name
 
@@ -421,10 +420,11 @@ def test_overflowing_hyper_proposals_are_counted_rejections(additive):
     cfg = McmcConfig(iterations=300, burn_in=0, thin=1, chains=1, seed=5,
                      initial_step=1e3, theta0=(0.5,), audit_every=50)
     chain = field_chain(data, emu, priors, cfg, additive=additive)
+    calls = record_decisions(chain)
     out = chain.run()
-    blocks = ["hyper:p0"] + (["hyper:eta"] if additive else [])
-    for block in blocks:
-        assert chain.proposed[block] == cfg.iterations
+    assert [name for name in calls if name.startswith("hyper:")] == (
+        ["hyper:p0"] + (["hyper:eta"] if additive else []))
+    assert_counted_decisions(chain, calls)
     assert np.all(np.isfinite(out["hyper"]["p0"])) and np.all(out["hyper"]["p0"] > 0)
 
 
@@ -559,14 +559,18 @@ def test_out_of_support_initial_theta_is_an_error():
         run_integrated_delta(data, emu, priors, cfg)
 
 
-def test_step_adapter_moves_toward_target():
-    up = StepAdapter(0.5)
-    for _ in range(200):
-        up.update(True)  # always accepted: step should grow
-    down = StepAdapter(0.5)
-    for _ in range(200):
-        down.update(False)
-    assert up.step > 0.5 > down.step
+def test_step_adaptation_moves_toward_target():
+    # over 200 burn-in sweeps, every proposal of chain 0 is accepted and none of chain 1's
+    data = unit_dataset([[0.1], [0.5], [0.9]], [0.5, 0.5, 0.5])
+    cfg = McmcConfig(iterations=201, burn_in=200, chains=2, theta0=(0.5,), audit_every=0)
+    knots, obs_idx = _build_knots(data)
+    chain = _Chain(data, ExactEmulator(lambda row: row[1]), CalibrationPriors(), cfg,
+                   [np.random.default_rng(s) for s in (5, 6)], knots, obs_idx, drift=True,
+                   additive=False, accept=embedded.mh_accept, gibbs=embedded.gibbs_sigma2)
+    chain.blocks = [("delta:p0", lambda engine: [True, False])]
+    chain.run()
+    [up, down] = chain.steps["delta:p0"]
+    assert up > 0.5 > down  # the step grows while proposals are accepted, shrinks otherwise
 
 
 # -- grid summaries, remembered per sample set -----------------------------------

@@ -58,13 +58,45 @@ def test_embedded_theta_block_stays_in_the_unit_box():
     assert np.all((samples.theta_draws >= 0.0) & (samples.theta_draws <= 1.0))
 
 
-# the block settings of run_koh, of the embedded calibrators with theta on,
-# and of run_combined with theta on
+# the block settings of run_koh, of the embedded calibrators and of run_combined;
+# the engines built on them sample theta
 CONFIGURATIONS = {
-    "koh": dict(drift=False, additive=True, sample_theta=True),
-    "embedded_theta": dict(drift=True, additive=False, sample_theta=True),
-    "combined": dict(drift=True, additive=True, sample_theta=True),
+    "koh": dict(drift=False, additive=True),
+    "embedded_theta": dict(drift=True, additive=False),
+    "combined": dict(drift=True, additive=True),
 }
+
+
+def record_decisions(chain):
+    """Wrap each block of ``chain`` to record what its calls return; returns the record."""
+    calls = {name: [] for name, _ in chain.blocks}
+
+    def recorder(name, step):
+        def recorded(engine):
+            calls[name].append(step(engine))
+            return calls[name][-1]
+
+        return recorded
+
+    chain.blocks = [(name, recorder(name, step)) for name, step in chain.blocks]
+    return calls
+
+
+def assert_counted_decisions(chain, calls):
+    """Each Metropolis block of a run of ``chain`` decided once for every chain on every
+    sweep, and its reported rate is its accepted decisions after burn-in over
+    (post-burn-in sweeps x chains)."""
+    cfg, C = chain.cfg, len(chain.rngs)
+    assert calls.pop("sigma2", [None] * cfg.iterations) == [None] * cfg.iterations
+    assert list(calls) == list(chain.accepted)
+    rates = chain.acceptance_rates()
+    for name, decisions in calls.items():
+        assert len(decisions) == cfg.iterations, name
+        assert all(len(d) == C and all(type(a) is bool for a in d) for d in decisions), name
+        counted = [sum(chain_decisions) for chain_decisions in zip(*decisions[cfg.burn_in:])]
+        assert chain.accepted[name] == counted, name
+        assert rates[name] == sum(counted) / ((cfg.iterations - cfg.burn_in) * C), name
+
 
 edge = st.one_of(st.floats(0.0, 0.02), st.floats(0.98, 1.0))
 step = st.floats(-6.0, 3.0).map(lambda e: 10.0**e)  # log-uniform on [1e-6, 1e3]
@@ -77,20 +109,20 @@ step = st.floats(-6.0, 3.0).map(lambda e: 10.0**e)  # log-uniform on [1e-6, 1e3]
 def test_extreme_steps_are_counted_rejections(config, theta0, theta_step, hyper_step, seed):
     data = edge_dataset(0.4 + 0.3 * np.linspace(0.1, 0.9, 4))
     cfg = McmcConfig(iterations=40, burn_in=10, thin=1, chains=1, seed=seed,
-                     theta0=theta0, audit_every=5)
+                     sample_theta=True, theta0=theta0, audit_every=5)
     knots, obs_idx = _build_knots(data)
     chain = _Chain(data, EMULATOR, PRIORS, cfg, [np.random.default_rng(seed)], knots, obs_idx,
                    accept=embedded.mh_accept, gibbs=embedded.gibbs_sigma2,
                    **CONFIGURATIONS[config])
-    for name, [adapter] in chain.adapters.items():
+    for name, steps in chain.steps.items():
         if name == "theta":
-            adapter.step = theta_step
+            steps[0] = theta_step
         elif name.startswith("hyper:"):
-            adapter.step = hyper_step
+            steps[0] = hyper_step
+    calls = record_decisions(chain)
     out = chain.run()
 
-    for name in chain.proposed:  # every Metropolis block, all of them active here
-        assert chain.proposed[name] == cfg.iterations - cfg.burn_in, name
+    assert_counted_decisions(chain, calls)  # every Metropolis block, all of them active here
     for name in out["delta"]:
         assert np.all(np.isfinite(out["delta"][name]))
         assert np.all(np.isfinite(out["hyper"][name])) and np.all(out["hyper"][name] > 0)
@@ -153,6 +185,17 @@ def test_reported_blocks_are_the_blocks_that_ran(calibrator, fields, sample_hype
     assert list(timing["us_per_step"]) == metropolis + (["sigma2"] if sample_sigma2 else [])
 
 
+@pytest.mark.parametrize("calibrator", [run_integrated_delta, run_combined, run_koh])
+def test_every_acceptance_rate_is_a_python_float(calibrator):
+    data = edge_dataset(0.4 + 0.3 * np.linspace(0.1, 0.9, 4))
+    cfg = McmcConfig(iterations=60, burn_in=20, thin=1, chains=2, seed=3, theta0=(0.6, 0.4),
+                     sample_theta=True, grid_points=3)
+    rates = calibrator(data, EMULATOR, PRIORS, cfg).acceptance_rates
+    # hyperparameter proposals were accepted, so their counts went through an accepted state
+    assert min(rate for name, rate in rates.items() if name.startswith("hyper:")) > 0
+    assert {name: type(rate) for name, rate in rates.items()} == dict.fromkeys(rates, float)
+
+
 # -- lockstep chains ----------------------------------------------------------
 
 
@@ -165,7 +208,8 @@ def engine(config, emulator, rngs, **mcmc):
     """The engine on ``rngs`` in a block configuration, on the edge dataset."""
     data = edge_dataset(0.4 + 0.3 * np.linspace(0.1, 0.9, 4))
     knots, obs_idx = _build_knots(data)
-    settings = dict(iterations=60, burn_in=20, thin=2, theta0=(0.6, 0.4), audit_every=20)
+    settings = dict(iterations=60, burn_in=20, thin=2, sample_theta=True, theta0=(0.6, 0.4),
+                    audit_every=20)
     settings.update(mcmc)
     cfg = McmcConfig(chains=len(rngs), **settings)
     return _Chain(data, emulator, PRIORS, cfg, rngs, knots, obs_idx,
@@ -187,7 +231,6 @@ def run_each_chain(chain):
             "sigma2": draws["sigma2"][c],
             "theta": None if draws["theta"] is None else draws["theta"][c],
             "base_theta": chain.base_theta[c],
-            "proposed": chain.proposed,
             "accepted": {n: counts[c] for n, counts in chain.accepted.items()},
             "extrap": (chain.extrap_count[c], chain.extrap_max[c]),
         }
@@ -205,10 +248,10 @@ def lockstep_runs(config, emulator, seed, hyper_steps=None, **mcmc):
     together = engine(config, emulator, generators(seed), **mcmc)
     alone = [engine(config, emulator, [rng], **mcmc) for rng in generators(seed)]
     for c, step in (hyper_steps or {}).items():
-        for name in together.adapters:
+        for name in together.steps:
             if name.startswith("hyper:"):
-                together.adapters[name][c].step = step
-                alone[c].adapters[name][0].step = step
+                together.steps[name][c] = step
+                alone[c].steps[name][0] = step
     return run_each_chain(together), [run_each_chain(chain)[0] for chain in alone]
 
 
@@ -222,7 +265,7 @@ def assert_same_chain(a, b):
     if a["theta"] is not None:
         assert np.array_equal(a["theta"], b["theta"])
     assert np.array_equal(a["base_theta"], b["base_theta"])
-    assert (a["proposed"], a["accepted"]) == (b["proposed"], b["accepted"])
+    assert a["accepted"] == b["accepted"]
     assert a["extrap"] == b["extrap"]
 
 
@@ -260,8 +303,8 @@ def test_one_chains_overflowing_hyper_proposals_reject_only_its_own(config):
                                     hyper_steps={0: 0.3, 1: 1e3, 2: 0.3})
     for a, b in zip(together, alone):
         assert_same_chain(a, b)
-    rates = [{n: acc / r["proposed"][n] for n, acc in r["accepted"].items()
-              if n.startswith("hyper:")}
+    iterations = 60  # engine()'s sweeps: with no burn-in, each one's decisions are counted
+    rates = [{n: acc / iterations for n, acc in r["accepted"].items() if n.startswith("hyper:")}
              for r in together]
     assert max(rates[1].values()) < 0.1 < min(min(rates[0].values()), min(rates[2].values()))
 
