@@ -5,6 +5,11 @@ prediction, log marginal likelihood, and a derivative-free hyperparameter
 tuner. Inputs are expected on the unit hypercube; targets are held in
 standardized form (zero mean, unit variance) with the affine transform
 stored for inversion back to physical units.
+
+The two LAPACK routines the solves call, ``dtrtrs`` and ``dpotrs``, come
+from scipy's LAPACK extension module, loaded on its own: importing this
+module does not import ``scipy.linalg``. The tuner's ``scipy.optimize``
+imports it when the tuner first runs.
 """
 
 from __future__ import annotations
@@ -12,10 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.util import module_from_spec, spec_from_file_location
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs, dtrtrs
+import scipy
 
 from .process_settings import keep_freed_arrays, one_blas_thread
 
@@ -49,9 +57,34 @@ class SingularKernelError(RuntimeError):
     """Kernel matrix stayed non positive definite after nugget escalation."""
 
 
+def _lapack_routines(linalg_dir: Path) -> tuple:
+    """``(dpotrs, dtrtrs)`` of the LAPACK extension module in ``linalg_dir``, loaded alone.
+
+    ``scipy.linalg``'s package init clones the numpy namespace, which loads
+    ``numpy.f2py``, ``numpy.ma``, ``numpy.testing`` and more: over half of
+    a cold ``import driftcal``. The extension module loads in milliseconds
+    and registers itself in ``sys.modules`` under its own name, so a later
+    ``import scipy.linalg`` reuses it and both hold the very same functions.
+    Where the file is missing they are imported from ``scipy.linalg.lapack``.
+    """
+    paths = (linalg_dir / f"_flapack{suffix}" for suffix in EXTENSION_SUFFIXES)
+    path = next((p for p in paths if p.is_file()), None)
+    if path is None:
+        from scipy.linalg.lapack import dpotrs, dtrtrs
+        return dpotrs, dtrtrs
+    spec = spec_from_file_location("scipy.linalg._flapack", path)
+    flapack = module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    return flapack.dpotrs, flapack.dtrtrs
+
+
+dpotrs, dtrtrs = _lapack_routines(Path(scipy.__file__).parent / "linalg")
+
+
 def _solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``solve_triangular(L, b, lower=True)`` for a C-ordered ``L``: the same LAPACK
-    call, so the same bits, without the wrapper's per-call argument checks."""
+    call, so the same bits, without the wrapper's per-call argument checks or the
+    ``scipy.linalg`` import (see :func:`_lapack_routines`)."""
     x, info = dtrtrs(L.T, b, lower=0, trans=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")

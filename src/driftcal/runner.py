@@ -365,21 +365,50 @@ def _finish(report: RunReport, out_dir: str, t0: float) -> None:
         fh.write("\n")
 
 
+def _read_predictive(path: str) -> list[np.ndarray]:
+    """The ``y_obs``, ``pred_mean`` and ``pred_sd`` columns of a ``predictive_obs.csv``.
+
+    Columns are found by the header names :func:`_predictive_at_obs` writes;
+    a file without them, without rows, with a row of another width or with
+    a cell that is not a number raises a :class:`StageError`.
+    """
+    with open(path) as fh:
+        lines = [line for line in fh.read().splitlines() if line.strip()]
+    if not lines or not lines[0].startswith("#"):
+        raise StageError("report", f"{path}: no header line")
+    names = [name.strip() for name in lines[0].lstrip("#").split(",")]
+    wanted = ("y_obs", "pred_mean", "pred_sd")
+    missing = [name for name in wanted if name not in names]
+    if missing:
+        raise StageError("report", f"{path}: the header names no {', '.join(missing)} column")
+    if len(lines) == 1:
+        raise StageError("report", f"{path}: a header and no rows")
+    rows = []
+    for number, line in enumerate(lines[1:], start=1):
+        cells = line.split(",")
+        if len(cells) != len(names):
+            raise StageError("report", f"{path}: row {number} has {len(cells)} cells, "
+                                       f"the header names {len(names)} columns")
+        try:
+            rows.append([float(cell) for cell in cells])
+        except ValueError as exc:
+            raise StageError("report", f"{path}: row {number}: {exc}") from exc
+    table = np.array(rows)
+    return [table[:, names.index(name)] for name in wanted]
+
+
 def recompute_report(run_dir: str) -> dict[str, float]:
     """Recompute fit metrics from the emitted predictive files of a run directory.
 
     Walks the directory (including compare-mode subdirectories), reads each
     ``predictive_obs.csv``, and recomputes RMSE and coverage from the file
-    contents alone.
+    contents alone. A malformed file raises a :class:`StageError`.
     """
     out: dict[str, float] = {}
     for root, _dirs, files in os.walk(run_dir):
         if "predictive_obs.csv" not in files:
             continue
-        table = np.atleast_2d(
-            np.loadtxt(os.path.join(root, "predictive_obs.csv"), delimiter=",", comments="#")
-        )
-        y_obs, mean, sd = table[:, -3], table[:, -2], table[:, -1]
+        y_obs, mean, sd = _read_predictive(os.path.join(root, "predictive_obs.csv"))
         rel = os.path.relpath(root, run_dir)
         prefix = "" if rel == "." else f"{rel.replace(os.sep, '/')}."
         out[f"{prefix}rmse_obs"] = rmse(mean, y_obs)

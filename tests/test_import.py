@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -15,15 +17,43 @@ def run_fresh(code: str) -> str:
     return out.stdout.strip()
 
 
-def test_import_does_not_load_scipy_stats():
-    # scipy.stats costs about as much to import as the rest of driftcal together
-    assert run_fresh("import sys, driftcal, driftcal.cli; print('scipy.stats' in sys.modules)") \
-        == "False"
+def test_import_loads_no_scipy_subpackage_and_no_lazy_numpy_module():
+    # scipy.stats costs about as much to import as the rest of driftcal together, and
+    # scipy.linalg's package init loads numpy.f2py, numpy.ma and numpy.testing
+    names = ("scipy.linalg", "scipy.optimize", "scipy.special", "scipy.stats",
+             "numpy.f2py", "numpy.testing", "numpy.ma")
+    code = f"import sys, driftcal, driftcal.cli; print([n for n in {names} if n in sys.modules])"
+    assert run_fresh(code) == "[]"
+
+
+@pytest.mark.parametrize("first", ["driftcal.gp", "scipy.linalg.lapack"])
+def test_gp_solves_call_scipy_linalg_lapack_routines_whichever_loads_first(first):
+    code = f"""
+import importlib
+importlib.import_module({first!r})
+import driftcal.gp as gp, scipy.linalg.lapack as lapack
+print(gp.dtrtrs is lapack.dtrtrs, gp.dpotrs is lapack.dpotrs)
+"""
+    assert run_fresh(code) == "True True"
+
+
+def test_lapack_lookup_in_a_directory_without_the_extension_falls_back_to_scipy_linalg(tmp_path):
+    code = f"""
+import pathlib, sys
+import driftcal.gp as gp
+before = "scipy.linalg" in sys.modules
+dpotrs, dtrtrs = gp._lapack_routines(pathlib.Path({str(tmp_path)!r}))
+import scipy.linalg.lapack as lapack
+print(before, "scipy.linalg" in sys.modules, dpotrs is gp.dpotrs is lapack.dpotrs,
+      dtrtrs is gp.dtrtrs is lapack.dtrtrs)
+"""
+    assert run_fresh(code) == "False True True True"
 
 
 def test_tuner_and_inverse_cdfs_load_on_first_use():
     # an exact-emulator run needs neither the GP tuner (scipy.optimize) nor the
-    # inverse CDFs (scipy.special); each costs import time and memory
+    # inverse CDFs (scipy.special), and its solves need no scipy.linalg; each
+    # costs import time and memory
     code = """
 import sys
 import driftcal, driftcal.cli
@@ -32,7 +62,7 @@ from driftcal.design import from_unit
 from driftcal.gp import ExactEmulator
 
 def loaded():
-    return [name in sys.modules for name in ("scipy.optimize", "scipy.special")]
+    return [name in sys.modules for name in ("scipy.linalg", "scipy.optimize", "scipy.special")]
 
 print(loaded())
 ds = problems.dipole_dataset(seed=3)
@@ -48,7 +78,7 @@ samples = embedded.run_integrated_delta(ds, ExactEmulator(dipole), priors, mcmc)
 embedded.posterior_predictive(samples, ExactEmulator(dipole), ds.obs_x)
 print(loaded())
 """
-    assert run_fresh(code).splitlines() == ["[False, False]"] * 2
+    assert run_fresh(code).splitlines() == ["[False, False, False]"] * 2
 
 
 def test_import_leaves_blas_pool_sizes_alone():
