@@ -369,22 +369,21 @@ def _read_predictive(path: str) -> list[np.ndarray]:
     """The ``y_obs``, ``pred_mean`` and ``pred_sd`` columns of a ``predictive_obs.csv``.
 
     Columns are found by the header names :func:`_predictive_at_obs` writes;
-    a file without them, without rows, with a row of another width or with
-    a cell that is not a number raises a :class:`StageError`.
+    a file whose first line does not name them, or that has no rows, a row
+    of another width or a cell that is not a number, raises a
+    :class:`StageError`.
     """
     with open(path) as fh:
-        lines = [line for line in fh.read().splitlines() if line.strip()]
-    if not lines or not lines[0].startswith("#"):
-        raise StageError("report", f"{path}: no header line")
-    names = [name.strip() for name in lines[0].lstrip("#").split(",")]
+        header, *lines = [line for line in fh.read().splitlines() if line.strip()] or [""]
+    names = [name.strip() for name in header.lstrip("#").split(",")]
     wanted = ("y_obs", "pred_mean", "pred_sd")
     missing = [name for name in wanted if name not in names]
     if missing:
         raise StageError("report", f"{path}: the header names no {', '.join(missing)} column")
-    if len(lines) == 1:
+    if not lines:
         raise StageError("report", f"{path}: a header and no rows")
     rows = []
-    for number, line in enumerate(lines[1:], start=1):
+    for number, line in enumerate(lines, start=1):
         cells = line.split(",")
         if len(cells) != len(names):
             raise StageError("report", f"{path}: row {number} has {len(cells)} cells, "

@@ -420,14 +420,17 @@ def test_cli_report_subcommand(small_run, capsys):
     assert "rmse_obs" in body
 
 
-@pytest.mark.parametrize("rows, message", [
-    ("", "a header and no rows"),
-    ("0.1,1.0,abc,0.2\n", "row 1: could not convert string to float: 'abc'"),
-    ("0.1,1.0,1.1\n0.5,2.0,1.9\n", "row 1 has 3 cells, the header names 4 columns"),
-], ids=["no_rows", "non_numeric_cell", "three_columns"])
-def test_cli_report_refuses_a_malformed_predictive_table(tmp_path, capsys, rows, message):
+@pytest.mark.parametrize("body, message", [
+    ("# x0,y_obs,pred_mean,pred_sd\n", "a header and no rows"),
+    ("# x0,y_obs,pred_mean,pred_sd\n0.1,1.0,abc,0.2\n",
+     "row 1: could not convert string to float: 'abc'"),
+    ("# x0,y_obs,pred_mean,pred_sd\n0.1,1.0,1.1\n0.5,2.0,1.9\n",
+     "row 1 has 3 cells, the header names 4 columns"),
+    ("0.1,1.0,1.1,0.2\n", "the header names no y_obs, pred_mean, pred_sd column"),
+], ids=["no_rows", "non_numeric_cell", "three_columns", "no_header"])
+def test_cli_report_refuses_a_malformed_predictive_table(tmp_path, capsys, body, message):
     path = tmp_path / "predictive_obs.csv"
-    path.write_text("# x0,y_obs,pred_mean,pred_sd\n" + rows)
+    path.write_text(body)
     assert main(["report", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == f"[report] {path}: {message}\n"
 
