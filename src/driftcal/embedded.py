@@ -24,14 +24,14 @@ import hashlib
 import logging
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from operator import add
 
 import numpy as np
 
 from .design import Prior, from_unit, to_unit
-from .gp import KernelParams, PredictiveDistribution, build_covariance, _as_matrix
+from .gp import KernelParams, PredictiveDistribution, _as_matrix
 from .gp import _cho_solve, _se_diff, _se_kernel, _solve_lower
 from .samples import PosteriorSamples
 from .simulators import CalibrationDataset
@@ -76,39 +76,39 @@ def _jitter_matrix(n: int) -> np.ndarray:
     return J
 
 
-def _knot_chol(knot_diff: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Prior Cholesky factor of a field from raw hyperparameters ``[variance, *lengthscales]``.
-
-    ``knot_diff`` is the cached ``_se_diff(knots, knots)``; the kernel is
-    :func:`build_covariance`'s, with ``FIELD_JITTER`` on the diagonal.
-    """
-    K = _se_kernel(knot_diff, h[0], h[1:])
-    K += _jitter_matrix(len(K))  # its zeros leave the non-negative kernel as it is
-    return _chol(K)
-
-
 def _knot_chols(knot_diff: np.ndarray, H: np.ndarray):
-    """:func:`_knot_chol` of each row of a (C, 1 + dx) stack of hyperparameters.
+    """Prior Cholesky factors of a field, one per row of a (T, 1 + dx) stack of raw
+    hyperparameters ``[variance, *lengthscales]``.
 
-    Returns the (C, K, K) factors and, per row, whether it factored. The
-    kernels are built and factored in one batched call, each bitwise as
-    alone. When the batch does not factor, each kernel goes through
-    :func:`_chol`'s jitter escalation on its own; one that still does not
-    factor is left NaN.
+    ``knot_diff`` is the cached ``_se_diff(knots, knots)``; each kernel is
+    :func:`~driftcal.gp.build_covariance`'s with ``FIELD_JITTER`` on the
+    diagonal. The kernels are built and factored in one batched call, each
+    bitwise as alone. When the batch does not factor, each kernel goes
+    through :func:`_chol`'s jitter escalation on its own, and one that still
+    does not factor is left NaN. Returns the (T, K, K) factors and, per row,
+    whether its factor is finite.
     """
     K = _se_kernel(knot_diff, H[:, :1, None], H[:, 1:])
-    K += _jitter_matrix(K.shape[-1])
-    ok = [True] * len(K)
+    K += _jitter_matrix(K.shape[-1])  # its zeros leave the non-negative kernel as it is
     try:
-        return np.linalg.cholesky(K), ok
+        L = np.linalg.cholesky(K)
     except np.linalg.LinAlgError:
-        pass
-    for i, k in enumerate(K):
-        try:
-            K[i] = _chol(k)
-        except np.linalg.LinAlgError:
-            K[i], ok[i] = np.nan, False
-    return K, ok
+        for i, k in enumerate(K):
+            try:
+                K[i] = _chol(k)
+            except np.linalg.LinAlgError:
+                K[i] = np.nan
+        L = K
+    # LAPACK factors a NaN kernel without an error; the NaN reaches the diagonal, so the trace
+    return L, np.isfinite(np.trace(L, axis1=1, axis2=2)).tolist()
+
+
+def _knot_chol(knot_diff: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """The factors of :func:`_knot_chols`; raises ``LinAlgError`` when a row does not factor."""
+    L, ok = _knot_chols(knot_diff, H)
+    if not all(ok):
+        raise np.linalg.LinAlgError("field covariance not positive definite")
+    return L
 
 
 def _mvn_logpdf_zero(values: np.ndarray, L: np.ndarray, log_diag=None) -> float:
@@ -167,13 +167,10 @@ class DiscrepancyField:
         if not np.all(np.isfinite(v)):
             raise ValueError("field values must be finite")
 
-    def prior_cov(self) -> np.ndarray:
-        return build_covariance(self.knots, None, replace(self.hyper, nugget=FIELD_JITTER))
-
     def log_prior(self) -> float:
         """Zero-mean GP prior log-density of the knot values."""
-        L = _knot_chol(_se_diff(self.knots, self.knots), _hyper_vector(self.hyper))
-        return _mvn_logpdf_zero(self.values, L)
+        L = _knot_chol(_se_diff(self.knots, self.knots), _hyper_vector(self.hyper)[None])
+        return _mvn_logpdf_zero(self.values, L[0])
 
     def conditional(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Noise-free conditional mean and variance of the field at ``x``."""
@@ -454,8 +451,7 @@ class _Chain:
                        for vp, lp in self.field_priors])
         self.values = np.zeros((C, len(self.names), len(knots)))
         self.hypers = np.repeat(h0[None], C, axis=0)
-        self.chols = np.repeat(np.array([_knot_chol(self.knot_diff, h) for h in h0])[None],
-                               C, axis=0)
+        self.chols = np.repeat(_knot_chol(self.knot_diff, h0)[None], C, axis=0)
 
         if config.theta0 is not None:
             t0 = to_unit(np.asarray(config.theta0, float)[None, :], data.theta_bounds)[0]
@@ -941,37 +937,23 @@ def _conditional_curves(knots, X, values_rows, hyper_rows):
 
     ``values_rows`` is (T, K), ``hyper_rows`` is (T, 1 + dx); returns (T, G)
     mean and variance arrays, with exact overrides where grid points
-    coincide with knots.
+    coincide with knots. The T prior factors come from one
+    :func:`_knot_chol` call, which raises when one does not factor.
     """
     diff_xk = _se_diff(X, knots)
-    knot_diff = _se_diff(knots, knots)
-    rows, cols = _exact_matches(X, knots)
-    T = values_rows.shape[0]
-    means = np.empty((T, X.shape[0]))
-    vars_ = np.empty((T, X.shape[0]))
-    for t in range(T):
+    chols = _knot_chol(_se_diff(knots, knots), hyper_rows)
+    means = np.empty((len(chols), X.shape[0]))
+    vars_ = np.empty_like(means)
+    for t, L in enumerate(chols):
         v = hyper_rows[t, 0]
         kxk = _se_kernel(diff_xk, v, hyper_rows[t, 1:])
-        L = _knot_chol(knot_diff, hyper_rows[t])
         means[t] = kxk @ _cho_solve(L, values_rows[t])
         s = _solve_lower(L, kxk.T)
         vars_[t] = np.maximum(v - np.einsum("ij,ij->j", s, s), 0.0)
-        means[t, rows] = values_rows[t, cols]
-        vars_[t, rows] = 0.0
-    return means, vars_
-
-
-def _conditional_means(knots, X, values_rows, hyper_rows):
-    """The means of :func:`_conditional_curves`, bitwise, without the variances' solves."""
-    diff_xk = _se_diff(X, knots)
-    knot_diff = _se_diff(knots, knots)
     rows, cols = _exact_matches(X, knots)
-    means = np.empty((values_rows.shape[0], X.shape[0]))
-    for t in range(values_rows.shape[0]):
-        kxk = _se_kernel(diff_xk, hyper_rows[t, 0], hyper_rows[t, 1:])
-        means[t] = kxk @ _cho_solve(_knot_chol(knot_diff, hyper_rows[t]), values_rows[t])
-        means[t, rows] = values_rows[t, cols]
-    return means
+    means[:, rows] = values_rows[:, cols]
+    vars_[:, rows] = 0.0
+    return means, vars_
 
 
 def _summary_key(samples: PosteriorSamples, emulator, X: np.ndarray, sel: np.ndarray,
@@ -1034,6 +1016,8 @@ def delta_field_curves(
     X = np.atleast_1d(np.asarray(grid_norm, dtype=float))[:, None]
     if samples.knots.shape[1] != 1:
         raise ValueError("grid summaries require a 1-D domain")
+    if samples.n_draws == 0:
+        raise ValueError("delta_field_curves needs at least one stored draw")
     sel = _draw_subset(samples.n_draws, max_draws)
 
     def band():
@@ -1080,10 +1064,10 @@ def _predictive(samples: PosteriorSamples, emulator, x_unit: np.ndarray,
     G = x_unit.shape[0]
     # drift fields shift theta, the additive "eta" field adds to the mean
     curves = {
-        name: _conditional_means(
+        name: _conditional_curves(
             samples.knots, x_unit, samples.delta_draws[name][sel],
             samples.hyper_draws[name][sel],
-        )
+        )[0]
         for name in samples.delta_draws
     }
     means = np.empty((sel.size, G))

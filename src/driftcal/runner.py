@@ -22,7 +22,7 @@ from .design import from_unit
 from .diagnostics import coverage_2sd, effective_sample_size, rmse, split_rhat
 from .embedded import (
     McmcConfig,
-    _conditional_means,
+    _conditional_curves,
     _draw_subset,
     delta_field_curves,
     posterior_predictive,
@@ -181,9 +181,9 @@ def emit_plot_data(samples: PosteriorSamples, grid: np.ndarray, out_dir, emulato
         mean, sd = delta_field_curves(samples, name, grid, max_draws=predictive_draws)
         scale = widths.get(name, samples.y_scale)  # additive field scales with y
         cols = [grid, mean, sd, mean * scale, sd * scale]
-        cols += list(_conditional_means(samples.knots, grid[:, None],
-                                        samples.delta_draws[name][traj],
-                                        samples.hyper_draws[name][traj]))
+        cols += list(_conditional_curves(samples.knots, grid[:, None],
+                                         samples.delta_draws[name][traj],
+                                         samples.hyper_draws[name][traj])[0])
         headers = ["x_norm", "mean", "sd", "mean_phys", "sd_phys"]
         headers += [f"traj_{j:03d}" for j in range(traj.size)]
         path = os.path.join(out_dir, f"drift_{name}.csv")

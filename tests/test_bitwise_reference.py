@@ -1,16 +1,19 @@
 """The fast paths against the code they replace.
 
-The samplers call ``dtrtrs``/``dpotrs`` directly, build knot kernels from
-raw hyperparameter vectors, and every squared-exponential kernel is built in
-dimension-major layout. All must reproduce, bit for bit, the
-``solve_triangular``/``cho_solve`` path and the (G, n, D) broadcast kernel
-formula, which these tests keep as frozen references. The engine's sweep
+The samplers call ``dtrtrs``/``dpotrs`` directly, build and factor the knot
+kernels of a stack of raw hyperparameter vectors in one batched call, and
+every squared-exponential kernel is built in dimension-major layout. All
+must reproduce, bit for bit, the ``solve_triangular``/``cho_solve`` path, one
+``_chol`` per kernel and the (G, n, D) broadcast kernel formula, which these
+tests keep as frozen references: ``ref_knot_chol`` factors one kernel and
+``ref_conditional_curves`` conditions one draw at a time. The engine's sweep
 loop adapts the proposal steps of all blocks and chains; it must reproduce
 the per-chain step adapter it replaced, kept here as a frozen reference too.
 """
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_solve, solve_triangular
 
 from driftcal import embedded, gp
+from driftcal import runner as runner_module
 from driftcal.design import Prior
 from driftcal.embedded import (
     FIELD_JITTER,
@@ -29,6 +33,8 @@ from driftcal.embedded import (
     _Chain,
     _chol,
     _knot_chol,
+    _knot_chols,
+    posterior_predictive,
     run_combined,
     run_integrated_delta,
 )
@@ -59,6 +65,7 @@ def ref_build_covariance(a, b, params):
 
 
 def ref_knot_chol(knots):
+    """One field kernel's factor, from ``build_covariance`` and ``_chol``."""
     def knot_chol(knot_diff, h):
         return _chol(ref_build_covariance(knots, None, KernelParams(h[0], h[1:], FIELD_JITTER)))
 
@@ -74,7 +81,8 @@ def ref_knot_chols(knots):
 
 
 def ref_conditional_curves(knots, X, values_rows, hyper_rows):
-    """``embedded._conditional_curves`` with the broadcast kernel and scipy solvers."""
+    """``embedded._conditional_curves`` one draw at a time, with the broadcast kernel,
+    ``ref_knot_chol`` and scipy solvers."""
     diff_xk = X[:, None, :] - knots[None, :, :]
     rows, cols = embedded._exact_matches(X, knots)
     T = values_rows.shape[0]
@@ -90,11 +98,6 @@ def ref_conditional_curves(knots, X, values_rows, hyper_rows):
         means[t, rows] = values_rows[t, cols]
         vars_[t, rows] = 0.0
     return means, vars_
-
-
-def ref_conditional_means(knots, X, values_rows, hyper_rows):
-    """``embedded._conditional_means``: the means of ``ref_conditional_curves``."""
-    return ref_conditional_curves(knots, X, values_rows, hyper_rows)[0]
 
 
 def ulp_distance(a, b):
@@ -287,9 +290,11 @@ def test_knot_chol_matches_build_covariance_bitwise(n, dx):
     rng = np.random.default_rng(10 * n + dx)
     knots = rng.random((n, dx))
     knot_diff = _se_diff(knots, knots)
-    for _ in range(20):
-        h = np.exp(rng.normal(0.0, 1.5, 1 + dx))
-        assert np.array_equal(_knot_chol(knot_diff, h), ref_knot_chol(knots)(knot_diff, h))
+    H = np.exp(rng.normal(0.0, 1.5, (20, 1 + dx)))
+    chols = _knot_chol(knot_diff, H)
+    assert chols.shape == (20, n, n)
+    for L, h in zip(chols, H):
+        assert np.array_equal(L, ref_knot_chol(knots)(knot_diff, h))
 
 
 @pytest.mark.parametrize("n", [5, 20])
@@ -304,7 +309,7 @@ def test_field_conditional_and_log_prior_match_build_covariance_bitwise(n, dx):
         h = np.exp(rng.normal(0.0, 1.5, 1 + dx))
         field = DiscrepancyField(knots, rng.normal(0.0, 0.2, n),
                                  KernelParams(h[0], h[1:], FIELD_JITTER))
-        L = _chol(field.prior_cov())
+        L = _chol(build_covariance(knots, None, replace(field.hyper, nugget=FIELD_JITTER)))
         kxk = build_covariance(X, knots, replace(field.hyper, nugget=0.0))
         s = gp._solve_lower(L, kxk.T)
         mean, var = field.conditional(X)
@@ -313,17 +318,41 @@ def test_field_conditional_and_log_prior_match_build_covariance_bitwise(n, dx):
         assert field.log_prior() == embedded._mvn_logpdf_zero(field.values, L)
 
 
+DUPLICATE_KNOTS = np.array([[0.2], [0.2], [0.7]])
+
+
 def test_duplicate_knots_factor_through_jitter_escalation():
-    knots = np.array([[0.2], [0.2], [0.7]])
+    knots = DUPLICATE_KNOTS
     K = build_covariance(knots, None, KernelParams(1.0, [0.3]))  # no nugget: singular
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(K)
     L = _chol(K)
     assert np.array_equal(L, np.linalg.cholesky(K + 1e-12 * np.eye(3)))
     # at a large variance FIELD_JITTER alone no longer makes the kernel factor
-    L = _knot_chol(_se_diff(knots, knots), np.array([1e8, 0.3]))
+    [L] = _knot_chol(_se_diff(knots, knots), np.array([[1e8, 0.3]]))
     assert np.all(np.isfinite(L))
     assert np.allclose(L @ L.T, 1e8 * K, rtol=0, atol=1e-3)
+
+
+def test_mixed_stack_factors_row_by_row_and_flags_the_nan_row():
+    """A plain row, a row that needs jitter escalation, and a NaN row, which LAPACK
+    factors into NaN without an error: the stacked factor keeps the first two and flags
+    the third, and the strict callers raise on it."""
+    knots = DUPLICATE_KNOTS
+    knot_diff = _se_diff(knots, knots)
+    H = np.array([[1.0, 0.3], [1e8, 0.3], [np.nan, 0.3]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(build_covariance(knots, None, KernelParams(1e8, [0.3], FIELD_JITTER)))
+    chols, ok = _knot_chols(knot_diff, H)
+    assert ok == [True, True, False]
+    for L, h in zip(chols[:2], H):
+        assert np.array_equal(L, _chol(build_covariance(knots, None,
+                                                        KernelParams(h[0], h[1:], FIELD_JITTER))))
+    assert np.isnan(chols[2].diagonal()).all()
+    with pytest.raises(np.linalg.LinAlgError):
+        _knot_chol(knot_diff, H)
+    with pytest.raises(np.linalg.LinAlgError):
+        embedded._conditional_curves(knots, np.array([[0.4]]), np.zeros((3, 3)), H)
 
 
 def test_gp_fit_and_predict_match_scipy_path(monkeypatch):
@@ -412,23 +441,31 @@ def test_step_adaptation_matches_the_reference_adapter_bitwise(case):
     assert chain.accepted["delta:theta0"] == [1] * chains
 
 
-def assert_draws_unchanged_with_reference_helpers(runner, emu, monkeypatch):
+def assert_draws_unchanged_with_reference_helpers(runner, emu, monkeypatch, tmp_path):
+    """The draws, the summaries, the plot files and the predictive at the observations,
+    against those computed with every reference helper in place."""
     data = drift_dataset()
     priors = DRIFT_PRIORS
     cfg = McmcConfig(iterations=300, burn_in=100, thin=1, chains=2, seed=11,
                      theta0=(0.5, 0.5), audit_every=100, grid_points=11)
-    fast = runner(data, emu, priors, cfg)
+
+    def outputs(tag):
+        samples = runner(data, emu, priors, cfg)
+        files = runner_module.emit_plot_data(samples, samples.grid, tmp_path / tag, emu)
+        return samples, files, posterior_predictive(samples, emu, data.obs_x)
+
+    fast, fast_files, fast_obs = outputs("fast")
 
     knots, _ = _build_knots(data)
-    monkeypatch.setattr(embedded, "_knot_chol", ref_knot_chol(knots))
     monkeypatch.setattr(embedded, "_knot_chols", ref_knot_chols(knots))
     for mod in (embedded, gp):
         monkeypatch.setattr(mod, "_solve_lower", ref_solve_lower)
         monkeypatch.setattr(mod, "_cho_solve", ref_cho_solve)
-        monkeypatch.setattr(mod, "build_covariance", ref_build_covariance)
-    monkeypatch.setattr(embedded, "_conditional_curves", ref_conditional_curves)
-    monkeypatch.setattr(embedded, "_conditional_means", ref_conditional_means)
-    ref = runner(data, emu, priors, cfg)
+    monkeypatch.setattr(gp, "build_covariance", ref_build_covariance)
+    # the plot files' trajectories call the runner's binding
+    for mod in (embedded, runner_module):
+        monkeypatch.setattr(mod, "_conditional_curves", ref_conditional_curves)
+    ref, ref_files, ref_obs = outputs("ref")
 
     for name in fast.delta_draws:
         assert np.array_equal(fast.delta_draws[name], ref.delta_draws[name])
@@ -439,17 +476,22 @@ def assert_draws_unchanged_with_reference_helpers(runner, emu, monkeypatch):
     assert fast.acceptance_rates == ref.acceptance_rates
     for key in fast.summaries:
         assert np.array_equal(fast.summaries[key], ref.summaries[key]), key
+    assert len(fast_files) == len(ref_files) == 1 + len(fast.delta_draws)
+    for a, b in zip(fast_files, ref_files):
+        assert Path(a).read_bytes() == Path(b).read_bytes(), Path(a).name
+    assert np.array_equal(fast_obs.mean, ref_obs.mean)
+    assert np.array_equal(fast_obs.variance, ref_obs.variance)
 
 
 @pytest.mark.parametrize("runner", [run_integrated_delta, run_combined, run_koh])
-def test_production_draws_unchanged_with_reference_helpers(runner, monkeypatch):
+def test_production_draws_unchanged_with_reference_helpers(runner, monkeypatch, tmp_path):
     emu = ExactEmulator(drift_response, vectorized=True)
-    assert_draws_unchanged_with_reference_helpers(runner, emu, monkeypatch)
+    assert_draws_unchanged_with_reference_helpers(runner, emu, monkeypatch, tmp_path)
 
 
 @pytest.mark.parametrize("runner", [run_integrated_delta, run_combined, run_koh])
-def test_gp_emulator_draws_unchanged_with_reference_helpers(runner, monkeypatch):
+def test_gp_emulator_draws_unchanged_with_reference_helpers(runner, monkeypatch, tmp_path):
     X = np.random.default_rng(5).random((30, 3))
     emu = gp.fit_gp(TrainingSet.from_raw(X, drift_response(X)),
                     KernelParams(1.0, [0.4, 0.4, 0.4], nugget=1e-8))
-    assert_draws_unchanged_with_reference_helpers(runner, emu, monkeypatch)
+    assert_draws_unchanged_with_reference_helpers(runner, emu, monkeypatch, tmp_path)

@@ -26,7 +26,7 @@ from driftcal.embedded import (
     _build_knots,
     _Chain,
 )
-from driftcal.gp import ExactEmulator, KernelParams, TrainingSet
+from driftcal.gp import ExactEmulator, KernelParams, TrainingSet, build_covariance
 from driftcal.koh import run_koh
 from driftcal.runner import emit_plot_data
 from driftcal.samples import PosteriorSamples, load_samples, save_samples
@@ -79,7 +79,8 @@ def test_field_log_prior_matches_scipy_mvn():
     knots = np.array([[0.1], [0.4], [0.9]])
     values = np.array([0.05, -0.02, 0.01])
     f = make_field(knots, values)
-    ref = stats.multivariate_normal(mean=np.zeros(3), cov=f.prior_cov()).logpdf(values)
+    cov = build_covariance(knots, None, replace(f.hyper, nugget=FIELD_JITTER))
+    ref = stats.multivariate_normal(mean=np.zeros(3), cov=cov).logpdf(values)
     assert f.log_prior() == pytest.approx(ref, abs=1e-9)
 
 
@@ -147,7 +148,8 @@ def test_propose_covariance_matches_prior(monkeypatch):
         draws[i] = chain.values[0, 0] - before
     sample_cov = np.cov(draws.T)
     h = chain.hypers[0, 0]
-    K = make_field(data.obs_x, np.zeros(3), variance=h[0], lengthscale=h[1]).prior_cov()
+    f = make_field(data.obs_x, np.zeros(3), variance=h[0], lengthscale=h[1])
+    K = build_covariance(f.knots, None, replace(f.hyper, nugget=FIELD_JITTER))
     rel = np.linalg.norm(sample_cov - K) / np.linalg.norm(K)
     assert rel < 0.05
 
@@ -608,14 +610,27 @@ def counting_emulator():
     return emu
 
 
+def test_summaries_of_an_empty_sample_set_raise():
+    s = two_field_samples(T=0)
+    with pytest.raises(ValueError, match="at least one stored draw"):
+        delta_field_curves(s, "a", s.grid)
+    with pytest.raises(ValueError, match="at least one stored draw"):
+        posterior_predictive(s, counting_emulator(), s.grid[:, None])
+
+
 def test_summaries_are_remembered_until_anything_they_read_changes(monkeypatch):
     s = two_field_samples()
+    query, grid = np.linspace(0.0, 1.0, 7)[:, None], s.grid
     band_passes = []
     curves = embedded._conditional_curves
-    monkeypatch.setattr(embedded, "_conditional_curves",
-                        lambda *a: band_passes.append(1) or curves(*a))
+
+    def counted_curves(knots, X, *rest):
+        if np.array_equal(X, grid[:, None]):  # a band pass; the predictive's query is not the grid
+            band_passes.append(1)
+        return curves(knots, X, *rest)
+
+    monkeypatch.setattr(embedded, "_conditional_curves", counted_curves)
     emu = counting_emulator()
-    query, grid = np.linspace(0.0, 1.0, 7)[:, None], s.grid
 
     def summaries(samples, emulator=emu, q=query, max_draws=4):
         return (posterior_predictive(samples, emulator, q, max_draws=max_draws),
