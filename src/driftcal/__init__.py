@@ -9,7 +9,7 @@ all three.
 """
 
 from .config import ConfigError, RunConfig, parse_config
-from .design import DesignSpec, Prior, latin_hypercube, scale_design
+from .design import Prior, latin_hypercube, scale_design
 from .diagnostics import coverage_2sd, effective_sample_size, rmse, split_rhat
 from .embedded import (
     CalibrationPriors,
@@ -48,6 +48,7 @@ from .simulators import (
     DriftTestbed,
     DriftTruth,
     ResolutionError,
+    SyntheticSpec,
     bisection_critical_search,
     eval_simulator,
     generate_dataset,

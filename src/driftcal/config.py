@@ -13,12 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import DesignSpec, Prior
+from .design import Prior
 from .embedded import SUMMARY_MAX_DRAWS, CalibrationPriors, McmcConfig
 from .simulators import (DRIFT_KINDS, TESTBED_NAMES, AnalyticDipole, DriftFunction,
-                         DriftTestbed, DriftTruth, theta_bounds_from_priors)
+                         DriftTestbed, DriftTruth, SyntheticSpec, theta_bounds_from_priors)
 
-__all__ = ["ConfigError", "RunConfig", "SyntheticSpec", "EmulatorSettings", "parse_config"]
+__all__ = ["ConfigError", "RunConfig", "EmulatorSettings", "parse_config"]
 
 MODES = ("koh", "integrated_delta", "combined", "generate", "fit_emulator", "compare")
 
@@ -35,37 +35,6 @@ class ConfigError(ValueError):
 class EmulatorSettings:
     nugget: float = 1e-8
     budget: int = 150
-
-
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Synthetic problem description: simulator, design, truth, noise."""
-
-    simulator: dict
-    domain_bounds: tuple[tuple[float, float], ...]
-    theta_priors: tuple[Prior, ...]
-    truth: DriftTruth
-    n_sim: int = 43
-    n_obs: int = 5
-    noise_sd: float = 0.0
-    param_names: tuple[str, ...] = ()
-
-    def build_simulator(self):
-        settings = {k: v for k, v in self.simulator.items() if k != "kind"}
-        kind = self.simulator.get("kind")
-        if kind == "analytic_dipole":
-            return AnalyticDipole(**{k: float(v) for k, v in settings.items()})
-        if kind == "drift_testbed":
-            return DriftTestbed.named(settings.get("name", "linear"))
-        raise ValueError(f"cannot build simulator of kind {kind!r}")
-
-    def design_spec(self, seed: int) -> DesignSpec:
-        return DesignSpec(
-            domain_bounds=self.domain_bounds,
-            theta_priors=self.theta_priors,
-            n_samples=self.n_sim,
-            seed=seed,
-        )
 
 
 @dataclass(frozen=True)
@@ -226,6 +195,8 @@ _SIMULATOR_CHECKS = {
                         "spread_length": _number(above=0.0)},
     "drift_testbed": {"name": _one_of(TESTBED_NAMES)},
 }
+# synthetic.simulator: the constructor of each simulator kind, given the checked settings
+_SIMULATORS = {"analytic_dipole": AnalyticDipole, "drift_testbed": DriftTestbed.named}
 _DRIFT_CHECKS = {"kind": _one_of(DRIFT_KINDS), "params": _number_list}
 _SHARED_MCMC_CHECKS = {"grid_points": _integer(1)}  # top-level, for both calibrators
 _RUN_CHECKS = {"trajectories": _integer(0), "predictive_draws": _integer(1)}
@@ -244,7 +215,7 @@ def _parse_synthetic(chk: _Checker, obj: dict, path: str,
         return None
     sim_checks = _SIMULATOR_CHECKS[sim["kind"]]
     chk.known_keys(sim, {"kind", *sim_checks}, f"{path}.simulator")
-    sim = {"kind": sim["kind"], **chk.given(sim, f"{path}.simulator", sim_checks)}
+    simulator = _SIMULATORS[sim["kind"]](**chk.given(sim, f"{path}.simulator", sim_checks))
     bounds_raw = obj.get("domain_bounds")
     bounds: list[tuple[float, float]] = []
     if not isinstance(bounds_raw, list) or not bounds_raw:
@@ -316,8 +287,9 @@ def _parse_synthetic(chk: _Checker, obj: dict, path: str,
     if names and len(names) != len(theta_priors):
         chk.fail(f"{path}.param_names",
                  f"expected {len(theta_priors)} names, got {len(names)}")
-    return SyntheticSpec(
-        simulator=sim,
+    return chk.build(
+        SyntheticSpec, path,
+        simulator=simulator,
         domain_bounds=tuple(bounds),
         theta_priors=tuple(theta_priors),
         truth=truth,

@@ -9,7 +9,6 @@ import numpy as np
 
 __all__ = [
     "Prior",
-    "DesignSpec",
     "latin_hypercube",
     "scale_design",
     "to_unit",
@@ -152,36 +151,6 @@ class Prior:
         return cls(kind, d[names[0]], d[names[1]])
 
 
-@dataclass(frozen=True)
-class DesignSpec:
-    """Design specification: domain bounds for x, priors for theta, sample count."""
-
-    domain_bounds: tuple[tuple[float, float], ...]
-    theta_priors: tuple[Prior, ...]
-    n_samples: int
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        db = tuple((float(lo), float(hi)) for lo, hi in self.domain_bounds)
-        object.__setattr__(self, "domain_bounds", db)
-        object.__setattr__(self, "theta_priors", tuple(self.theta_priors))
-        if len(db) < 1:
-            raise ValueError("domain_bounds must have at least one dimension")
-        for lo, hi in db:
-            if not lo < hi:
-                raise ValueError(f"domain bound ({lo}, {hi}) needs lo < hi")
-        if self.n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
-
-    @property
-    def dx(self) -> int:
-        return len(self.domain_bounds)
-
-    @property
-    def dtheta(self) -> int:
-        return len(self.theta_priors)
-
-
 def latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
     """Stratified n-by-d design on [0, 1): each column hits every width-1/n bin once.
 
@@ -197,18 +166,19 @@ def latin_hypercube(n: int, d: int, seed: int) -> np.ndarray:
     return out
 
 
-def scale_design(unit: np.ndarray, spec: DesignSpec) -> np.ndarray:
+def scale_design(unit: np.ndarray, domain_bounds, theta_priors) -> np.ndarray:
     """Map a unit design to physical units: x columns affinely, theta via prior ppf."""
     U = np.atleast_2d(np.asarray(unit, dtype=float))
     if U.min() < 0.0 or U.max() >= 1.0:
         raise ValueError("unit design entries must lie in [0, 1)")
-    d = spec.dx + spec.dtheta
+    dx = len(domain_bounds)
+    d = dx + len(theta_priors)
     if U.shape[1] != d:
-        raise ValueError(f"design has {U.shape[1]} columns, spec expects {d}")
+        raise ValueError(f"design has {U.shape[1]} columns, bounds and priors give {d}")
     out = np.empty_like(U)
-    out[:, : spec.dx] = from_unit(U[:, : spec.dx], spec.domain_bounds)
-    for k, prior in enumerate(spec.theta_priors):
-        out[:, spec.dx + k] = prior.ppf(U[:, spec.dx + k])
+    out[:, :dx] = from_unit(U[:, :dx], domain_bounds)
+    for k, prior in enumerate(theta_priors):
+        out[:, dx + k] = prior.ppf(U[:, dx + k])
     return out
 
 

@@ -96,16 +96,7 @@ def _obtain_dataset(config: RunConfig, out_dir: str, outputs: list[str]) -> Cali
         if ds.dx != 1:
             raise ValueError("grid summaries and plot files require a 1-D domain")
         return ds
-    spec = config.synthetic
-    ds = generate_dataset(
-        spec.build_simulator(),
-        spec.design_spec(config.seed),
-        spec.truth,
-        noise_sd=spec.noise_sd,
-        seed=config.seed,
-        n_obs=spec.n_obs,
-        param_names=spec.param_names,
-    )
+    ds = generate_dataset(config.synthetic, config.seed)
     path = os.path.join(out_dir, "dataset.csv")
     save_dataset(ds, path)
     outputs.append(path)
@@ -212,14 +203,6 @@ def _chain_diagnostics(samples: PosteriorSamples) -> tuple[dict, dict]:
     return rhat, ess
 
 
-def _emulator_only_rmse(emulator, samples: PosteriorSamples, ds: CalibrationDataset,
-                        mask: np.ndarray) -> float:
-    """RMSE of the emulator at the posterior-mean constant theta (no discrepancy)."""
-    theta_hat = samples.theta_draws.mean(axis=0)
-    Q = np.hstack([ds.obs_x_unit(), np.tile(theta_hat, (ds.n_obs, 1))])
-    return rmse(predict(emulator, Q).mean[mask], ds.obs_y[mask])
-
-
 def _calibrator_metrics(prefix: str, samples: PosteriorSamples, emulator,
                         ds: CalibrationDataset, out_dir, outputs, config) -> dict[str, float]:
     path, mean, sd = _predictive_at_obs(samples, emulator, ds, out_dir,
@@ -233,13 +216,14 @@ def _calibrator_metrics(prefix: str, samples: PosteriorSamples, emulator,
     if lowx.any():
         metrics[f"{prefix}rmse_obs_lowx"] = rmse(mean[lowx], ds.obs_y[lowx])
     if samples.theta_draws is not None:
-        metrics[f"{prefix}rmse_obs_emulator_only"] = _emulator_only_rmse(
-            emulator, samples, ds, np.ones(ds.n_obs, dtype=bool)
-        )
+        # the emulator alone at the posterior-mean constant theta (no discrepancy)
+        theta_hat = samples.theta_draws.mean(axis=0)
+        Q = np.hstack([ds.obs_x_unit(), np.tile(theta_hat, (ds.n_obs, 1))])
+        emulator_only = predict(emulator, Q).mean
+        metrics[f"{prefix}rmse_obs_emulator_only"] = rmse(emulator_only, ds.obs_y)
         if lowx.any():
-            metrics[f"{prefix}rmse_obs_emulator_only_lowx"] = _emulator_only_rmse(
-                emulator, samples, ds, lowx
-            )
+            metrics[f"{prefix}rmse_obs_emulator_only_lowx"] = rmse(emulator_only[lowx],
+                                                                    ds.obs_y[lowx])
     return metrics
 
 

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .design import DesignSpec, latin_hypercube, scale_design, to_unit
+from .design import Prior, latin_hypercube, scale_design, to_unit
 
 __all__ = [
     "BracketError",
@@ -26,6 +26,7 @@ __all__ = [
     "DriftTruth",
     "CriticalSearchSpec",
     "CalibrationDataset",
+    "SyntheticSpec",
     "eval_simulator",
     "bisection_critical_search",
     "generate_dataset",
@@ -84,7 +85,7 @@ class DriftTestbed:
     name: str = "custom"
 
     @classmethod
-    def named(cls, name: str) -> "DriftTestbed":
+    def named(cls, name: str = "linear") -> "DriftTestbed":
         if name not in _TESTBED_FUNCTIONS:
             raise ValueError(
                 f"unknown testbed {name!r}; available: {sorted(_TESTBED_FUNCTIONS)}"
@@ -348,45 +349,67 @@ class CalibrationDataset:
         )
 
 
-def generate_dataset(
-    sim,
-    spec: DesignSpec,
-    truth: DriftTruth,
-    noise_sd: float,
-    seed: int,
-    n_obs: int = 5,
-    param_names: tuple[str, ...] = (),
-) -> CalibrationDataset:
+@dataclass(frozen=True)
+class SyntheticSpec:
+    """A synthetic calibration problem: simulator, design box, truth, budget, noise.
+
+    ``simulator`` answers ``simulate(x, theta)``. The design draws ``n_sim``
+    runs over the 1-D ``domain_bounds`` and the ``theta_priors``; ``n_obs``
+    observations of the drifted ``truth`` carry N(0, noise_sd^2) noise.
+    """
+
+    simulator: object
+    domain_bounds: tuple[tuple[float, float], ...]
+    theta_priors: tuple[Prior, ...]
+    truth: DriftTruth
+    n_sim: int = 43
+    n_obs: int = 5
+    noise_sd: float = 0.0
+    param_names: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        db = tuple((float(lo), float(hi)) for lo, hi in self.domain_bounds)
+        object.__setattr__(self, "domain_bounds", db)
+        object.__setattr__(self, "theta_priors", tuple(self.theta_priors))
+        object.__setattr__(self, "param_names", tuple(self.param_names))
+        if len(db) != 1:
+            raise ValueError(f"the observation grid needs a 1-D domain, got {len(db)} "
+                             f"(lo, hi) pairs")
+        for lo, hi in db:
+            if not lo < hi:
+                raise ValueError(f"domain bound ({lo}, {hi}) needs lo < hi")
+        if self.n_sim < 1:
+            raise ValueError(f"n_sim must be >= 1, got {self.n_sim}")
+        if self.noise_sd < 0:
+            raise ValueError("noise_sd must be non-negative")
+
+
+def generate_dataset(spec: SyntheticSpec, seed: int) -> CalibrationDataset:
     """Assemble a synthetic calibration dataset.
 
     Simulator runs come from a Latin-hypercube design over (x, theta);
     observations are the simulator at the drifted truth theta0 + d(x) plus
-    N(0, noise_sd^2) noise, at ``n_obs`` inputs evenly spaced over the
-    domain, which must be 1-D.
+    noise, at ``spec.n_obs`` inputs evenly spaced over the domain.
     """
-    if noise_sd < 0:
-        raise ValueError("noise_sd must be non-negative")
     ss = np.random.SeedSequence(seed)
     lhs_seed, noise_seed = (int(s.generate_state(1)[0]) for s in ss.spawn(2))
 
-    unit = latin_hypercube(spec.n_samples, spec.dx + spec.dtheta, lhs_seed)
-    phys = scale_design(unit, spec)
-    sim_x = phys[:, : spec.dx]
-    sim_theta = phys[:, spec.dx :]
+    unit = latin_hypercube(spec.n_sim, 1 + len(spec.theta_priors), lhs_seed)
+    phys = scale_design(unit, spec.domain_bounds, spec.theta_priors)
+    sim_x, sim_theta = phys[:, :1], phys[:, 1:]
+    sim = spec.simulator
     sim_y = np.array([eval_simulator(sim, x, th) for x, th in zip(sim_x, sim_theta)])
 
     theta_bounds = theta_bounds_from_priors(spec.theta_priors)
-    if spec.dx != 1:
-        raise ValueError("the observation grid requires a 1-D domain")
-    lo, hi = spec.domain_bounds[0]
-    obs_x = np.linspace(lo, hi, n_obs)[:, None]
+    [(lo, hi)] = spec.domain_bounds
+    obs_x = np.linspace(lo, hi, spec.n_obs)[:, None]
 
     rng = np.random.default_rng(noise_seed)
     obs_y = np.empty(obs_x.shape[0])
     for i, x in enumerate(obs_x):
         x_norm = float(to_unit(x[None, :], spec.domain_bounds)[0, 0])
-        theta_true = truth.theta_at(x_norm, theta_bounds)
-        obs_y[i] = eval_simulator(sim, x, theta_true) + rng.normal(0.0, noise_sd)
+        theta_true = spec.truth.theta_at(x_norm, theta_bounds)
+        obs_y[i] = eval_simulator(sim, x, theta_true) + rng.normal(0.0, spec.noise_sd)
 
     return CalibrationDataset(
         obs_x=obs_x,
@@ -396,9 +419,9 @@ def generate_dataset(
         sim_y=sim_y,
         domain_bounds=spec.domain_bounds,
         theta_bounds=theta_bounds,
-        noise_sd=noise_sd,
-        truth=truth,
-        param_names=param_names,
+        noise_sd=spec.noise_sd,
+        truth=spec.truth,
+        param_names=spec.param_names,
     )
 
 

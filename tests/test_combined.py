@@ -34,9 +34,34 @@ def assets():
     return ds, model, noise, cfg
 
 
-def test_zero_eta_variance_reduces_to_embedded(assets):
+# the three calibrations that more than one test compares, each run once per module
+
+
+@pytest.fixture(scope="module")
+def embedded_run(assets):
     ds, model, noise, cfg = assets
-    s_id = run_integrated_delta(ds, model, CalibrationPriors(noise=noise), cfg)
+    return run_integrated_delta(ds, model, CalibrationPriors(noise=noise), cfg)
+
+
+@pytest.fixture(scope="module")
+def clamped_koh_run(assets):
+    ds, model, noise, cfg = assets
+    return run_koh(
+        ds, model, CalibrationPriors(noise=noise),
+        McmcConfig(iterations=4000, burn_in=1500, thin=4, chains=2, seed=6,
+                   sample_theta=False),
+    )
+
+
+@pytest.fixture(scope="module")
+def combined_run(assets):
+    ds, model, noise, cfg = assets
+    return run_combined(ds, model, CalibrationPriors(noise=noise), cfg)
+
+
+def test_zero_eta_variance_reduces_to_embedded(assets, embedded_run):
+    ds, model, noise, cfg = assets
+    s_id = embedded_run
     pinned = CalibrationPriors(
         noise=noise,
         eta_variance=Prior.log_normal(math.log(1e-12), 0.01),
@@ -49,7 +74,7 @@ def test_zero_eta_variance_reduces_to_embedded(assets):
     assert diff <= 0.35 * scale  # within Monte-Carlo wiggle of two finite chains
 
 
-def test_zero_theta_variance_reduces_to_clamped_koh(assets):
+def test_zero_theta_variance_reduces_to_clamped_koh(assets, clamped_koh_run):
     ds, model, noise, cfg = assets
     pinned = CalibrationPriors(
         noise=noise,
@@ -57,25 +82,15 @@ def test_zero_theta_variance_reduces_to_clamped_koh(assets):
         field_lengthscale=Prior.log_normal(math.log(0.3), 0.01),
     )
     s_c = run_combined(ds, model, pinned, cfg)
-    s_koh = run_koh(
-        ds, model, CalibrationPriors(noise=noise),
-        McmcConfig(iterations=4000, burn_in=1500, thin=4, chains=2, seed=6,
-                   sample_theta=False),
-    )
+    s_koh = clamped_koh_run
     diff = np.max(np.abs(s_c.summaries["predictive_mean"] - s_koh.summaries["predictive_mean"]))
     scale = np.median(s_koh.summaries["predictive_sd"])
     assert diff <= 0.35 * scale
 
 
-def test_both_mechanisms_do_not_hurt_fit(assets):
+def test_both_mechanisms_do_not_hurt_fit(assets, embedded_run, clamped_koh_run, combined_run):
     ds, model, noise, cfg = assets
-    runs = {
-        "id": run_integrated_delta(ds, model, CalibrationPriors(noise=noise), cfg),
-        "koh": run_koh(ds, model, CalibrationPriors(noise=noise),
-                       McmcConfig(iterations=4000, burn_in=1500, thin=4, chains=2,
-                                  seed=6, sample_theta=False)),
-        "both": run_combined(ds, model, CalibrationPriors(noise=noise), cfg),
-    }
+    runs = {"id": embedded_run, "koh": clamped_koh_run, "both": combined_run}
     rmse = {
         name: diag.rmse(posterior_predictive(s, model, ds.obs_x).mean, ds.obs_y)
         for name, s in runs.items()

@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -86,9 +87,7 @@ def test_chain_starts_at_prior_medians_not_at_the_synthetic_truth():
     raw["synthetic"]["truth"]["theta0"] = [40.0, 0.36, 1.0]
     cfg = parse_config(json.dumps(raw))
     spec = cfg.synthetic
-    ds = generate_dataset(spec.build_simulator(), spec.design_spec(cfg.seed), spec.truth,
-                          noise_sd=spec.noise_sd, seed=cfg.seed, n_obs=spec.n_obs,
-                          param_names=spec.param_names)
+    ds = generate_dataset(spec, cfg.seed)
     knots, obs_idx = _build_knots(ds)
     chain = _Chain(ds, ExactEmulator(lambda row: 0.0), cfg.priors, cfg.mcmc,
                    [np.random.default_rng(0)], knots, obs_idx, drift=True, additive=False,
@@ -102,23 +101,18 @@ def test_chain_starts_at_prior_medians_not_at_the_synthetic_truth():
 def test_headline_config_spells_the_dipole_problem_of_problems_module():
     cfg = parse_config(HEADLINE_CONFIG.read_text())
     spec = cfg.synthetic
-    sim, design, truth = dipole_problem(seed=cfg.seed)
+    problem = dipole_problem()[1]
     defaults = inspect.signature(dipole_dataset).parameters
-    assert spec.build_simulator() == sim
-    assert spec.domain_bounds == design.domain_bounds
-    assert spec.theta_priors == design.theta_priors
-    assert np.array_equal(spec.truth.theta0, truth.theta0)
-    assert spec.truth.drifts == truth.drifts
-    assert spec.n_sim == design.n_samples == defaults["n_sim"].default
-    assert spec.n_obs == defaults["n_obs"].default
-    assert spec.noise_sd == defaults["noise_sd"].default
+    for field in fields(spec):
+        if field.name != "truth":  # truth.theta0 is an array
+            assert getattr(spec, field.name) == getattr(problem, field.name), field.name
+    assert np.array_equal(spec.truth.theta0, problem.truth.theta0)
+    assert spec.truth.drifts == problem.truth.drifts
+    for name in ("n_sim", "n_obs", "noise_sd"):
+        assert getattr(spec, name) == defaults[name].default, name
     assert spec.param_names == DIPOLE_PARAM_NAMES
-    assert spec.design_spec(cfg.seed) == design
 
-    from_config = generate_dataset(
-        spec.build_simulator(), spec.design_spec(cfg.seed), spec.truth,
-        noise_sd=spec.noise_sd, seed=cfg.seed, n_obs=spec.n_obs, param_names=spec.param_names,
-    )
+    from_config = generate_dataset(spec, cfg.seed)
     from_module = dipole_dataset(seed=cfg.seed)
     for name in ("obs_x", "obs_y", "sim_x", "sim_theta", "sim_y"):
         assert np.array_equal(getattr(from_config, name), getattr(from_module, name)), name

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from driftcal.design import (
-    DesignSpec,
     Prior,
     latin_hypercube,
     from_unit,
@@ -57,19 +56,15 @@ def test_lhs_stratification_property(n, d, seed):
     assert stratified(latin_hypercube(n, d, seed))
 
 
-def _spec():
-    return DesignSpec(
-        domain_bounds=((0.56, 2.88),),
-        theta_priors=(Prior.uniform(0.0, 10.0), Prior.normal(0.0, 1.0)),
-        n_samples=8,
-        seed=0,
-    )
+def _bounds_and_priors():
+    """Domain bounds and theta priors of a 1-D, two-parameter design."""
+    return ((0.56, 2.88),), (Prior.uniform(0.0, 10.0), Prior.normal(0.0, 1.0))
 
 
 def test_scale_design_midpoint_and_endpoints():
-    spec = _spec()
+    box = _bounds_and_priors()
     unit = np.array([[0.5, 0.5, 0.5], [0.0, 0.0, 0.5]])
-    phys = scale_design(unit, spec)
+    phys = scale_design(unit, *box)
     assert phys[0, 0] == pytest.approx(1.72)
     assert phys[1, 0] == pytest.approx(0.56)
     assert phys[0, 1] == pytest.approx(5.0)
@@ -77,32 +72,27 @@ def test_scale_design_midpoint_and_endpoints():
 
 
 def test_scale_design_rejects_out_of_range():
-    spec = _spec()
+    box = _bounds_and_priors()
     with pytest.raises(ValueError):
-        scale_design(np.array([[1.0, 0.5, 0.5]]), spec)
+        scale_design(np.array([[1.0, 0.5, 0.5]]), *box)
     with pytest.raises(ValueError):
-        scale_design(np.array([[-0.1, 0.5, 0.5]]), spec)
+        scale_design(np.array([[-0.1, 0.5, 0.5]]), *box)
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_scale_design_monotone(seed):
-    spec = _spec()
+    box = _bounds_and_priors()
     rng = np.random.default_rng(seed)
     u = np.sort(rng.uniform(0.01, 0.99, size=(6, 3)), axis=0)
-    phys = scale_design(u, spec)
+    phys = scale_design(u, *box)
     assert np.all(np.diff(phys, axis=0) >= 0)
 
 
 def test_scale_design_heavy_tailed_prior_columns():
-    spec = DesignSpec(
-        domain_bounds=((0.0, 1.0),),
-        theta_priors=(Prior.log_normal(np.log(0.3), 0.5), Prior.inverse_gamma(3.0, 2.0)),
-        n_samples=6,
-        seed=0,
-    )
+    priors = (Prior.log_normal(np.log(0.3), 0.5), Prior.inverse_gamma(3.0, 2.0))
     u = np.sort(np.random.default_rng(1).uniform(0.02, 0.98, size=(6, 3)), axis=0)
-    phys = scale_design(u, spec)
+    phys = scale_design(u, ((0.0, 1.0),), priors)
     assert np.all(phys[:, 1:] > 0)
     assert np.all(np.diff(phys, axis=0) >= 0)
 
@@ -228,10 +218,3 @@ def test_prior_from_dict_builds_each_kind():
                  ({"kind": "inverse_gamma", "shape": 4, "scale": 5}, Prior.inverse_gamma(4, 5)),
                  ({"kind": "log_normal", "mu": -1, "sigma": 0.5}, Prior.log_normal(-1, 0.5))]:
         assert Prior.from_dict(d) == p
-
-
-def test_design_spec_validation():
-    with pytest.raises(ValueError):
-        DesignSpec(domain_bounds=((1.0, 1.0),), theta_priors=(), n_samples=3)
-    with pytest.raises(ValueError):
-        DesignSpec(domain_bounds=((0.0, 1.0),), theta_priors=(), n_samples=0)

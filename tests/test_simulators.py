@@ -140,18 +140,30 @@ def test_generate_dataset_budget_shape():
 
 
 def test_generate_dataset_zero_drift_zero_noise_lies_on_simulator():
-    sim, spec, truth = dipole_problem(n_sim=10, seed=1, drift=False)
-    ds = generate_dataset(sim, spec, truth, noise_sd=0.0, seed=1, n_obs=4)
+    sim, spec, truth = dipole_problem(n_sim=10, drift=False)
+    ds = generate_dataset(replace(spec, n_obs=4, noise_sd=0.0), seed=1)
     for x, y in zip(ds.obs_x, ds.obs_y):
         assert y == pytest.approx(eval_simulator(sim, x, truth.theta0), rel=1e-12)
 
 
 def test_generate_dataset_drift_decays_at_large_x():
-    sim, spec, truth = dipole_problem(n_sim=10, seed=2, drift=True)
-    ds = generate_dataset(sim, spec, truth, noise_sd=0.0, seed=2, n_obs=5)
+    sim, spec, truth = dipole_problem(n_sim=10, drift=True)
+    ds = generate_dataset(replace(spec, n_obs=5, noise_sd=0.0), seed=2)
     y_far = ds.obs_y[-1]  # x_norm = 1: drift has decayed
     y_base = eval_simulator(sim, ds.obs_x[-1], truth.theta0)
     assert abs(y_far - y_base) / abs(y_base) < 0.01
+
+
+def test_synthetic_spec_validation():
+    spec = dipole_problem()[1]
+    for changes, message in [
+        ({"domain_bounds": ((1.0, 1.0),)}, "needs lo < hi"),
+        ({"n_sim": 0}, "n_sim must be >= 1"),
+        ({"domain_bounds": ((5.0, 40.0), (0.0, 1.0))}, "1-D domain"),
+        ({"noise_sd": -0.1}, "noise_sd must be non-negative"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            replace(spec, **changes)
 
 
 def test_drift_truth_evaluates_in_physical_units():
