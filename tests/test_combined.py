@@ -34,7 +34,8 @@ def assets():
     return ds, model, noise, cfg
 
 
-# the three calibrations that more than one test compares, each run once per module
+# test_both_mechanisms_do_not_hurt_fit's three calibrations, each run once per module;
+# the embedded and clamped-KOH runs also serve the two reduction tests
 
 
 @pytest.fixture(scope="module")
