@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -184,17 +185,37 @@ def scale_design(unit: np.ndarray, domain_bounds, theta_priors) -> np.ndarray:
 
 def _columns(values, bounds) -> np.ndarray:
     """``values`` as a float matrix, checked to have one column per (lo, hi) bound."""
-    V = np.atleast_2d(np.asarray(values, dtype=float))
+    if type(values) is np.ndarray and values.ndim == 2 and values.dtype == np.float64:
+        V = values  # what the conversions below would return
+    else:
+        V = np.atleast_2d(np.asarray(values, dtype=float))
     if V.shape[1] != len(bounds):
         raise ValueError(f"{V.shape[1]} columns for {len(bounds)} (lo, hi) bounds")
     return V
 
 
-def _lo_width(bounds) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column lower bounds and widths ``hi - lo`` as float rows."""
+@lru_cache(maxsize=32)
+def _cached_lo_width(bounds: tuple) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = zip(*bounds)
     lo = np.array(lo, dtype=float)
-    return lo, np.array(hi, dtype=float) - lo
+    width = np.array(hi, dtype=float) - lo
+    lo.setflags(write=False)
+    width.setflags(write=False)
+    return lo, width
+
+
+def _lo_width(bounds) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column lower bounds and widths ``hi - lo`` as read-only float rows.
+
+    They are computed once per tuple of bounds, as datasets and sample sets
+    hold them; other sequences of pairs are converted on every call. Equal
+    tuples share one entry, so a bound of -0.0 may be read as 0.0: that
+    changes at most the sign of a zero result.
+    """
+    try:
+        return _cached_lo_width(bounds)
+    except TypeError:  # unhashable, such as a list of pairs
+        return _cached_lo_width.__wrapped__(bounds)
 
 
 def to_unit(values, bounds) -> np.ndarray:

@@ -932,27 +932,31 @@ def _draw_subset(n_draws: int, max_draws: int | None) -> np.ndarray:
     return np.unique(np.linspace(0, n_draws - 1, max_draws).astype(int))
 
 
-def _conditional_curves(knots, X, values_rows, hyper_rows):
+def _conditional_curves(knots, X, values_rows, hyper_rows, variances: bool = True):
     """Noise-free field conditionals for a stack of draws.
 
     ``values_rows`` is (T, K), ``hyper_rows`` is (T, 1 + dx); returns (T, G)
     mean and variance arrays, with exact overrides where grid points
     coincide with knots. The T prior factors come from one
-    :func:`_knot_chol` call, which raises when one does not factor.
+    :func:`_knot_chol` call, which raises when one does not factor. With
+    ``variances`` off the variance is None and its triangular solves are
+    skipped; the means are the same bits.
     """
     diff_xk = _se_diff(X, knots)
     chols = _knot_chol(_se_diff(knots, knots), hyper_rows)
     means = np.empty((len(chols), X.shape[0]))
-    vars_ = np.empty_like(means)
+    vars_ = np.empty_like(means) if variances else None
     for t, L in enumerate(chols):
         v = hyper_rows[t, 0]
         kxk = _se_kernel(diff_xk, v, hyper_rows[t, 1:])
         means[t] = kxk @ _cho_solve(L, values_rows[t])
-        s = _solve_lower(L, kxk.T)
-        vars_[t] = np.maximum(v - np.einsum("ij,ij->j", s, s), 0.0)
+        if variances:
+            s = _solve_lower(L, kxk.T)
+            vars_[t] = np.maximum(v - np.einsum("ij,ij->j", s, s), 0.0)
     rows, cols = _exact_matches(X, knots)
     means[:, rows] = values_rows[:, cols]
-    vars_[:, rows] = 0.0
+    if variances:
+        vars_[:, rows] = 0.0
     return means, vars_
 
 
@@ -1066,7 +1070,7 @@ def _predictive(samples: PosteriorSamples, emulator, x_unit: np.ndarray,
     curves = {
         name: _conditional_curves(
             samples.knots, x_unit, samples.delta_draws[name][sel],
-            samples.hyper_draws[name][sel],
+            samples.hyper_draws[name][sel], variances=False,
         )[0]
         for name in samples.delta_draws
     }

@@ -7,9 +7,10 @@ standardized form (zero mean, unit variance) with the affine transform
 stored for inversion back to physical units.
 
 The two LAPACK routines the solves call, ``dtrtrs`` and ``dpotrs``, come
-from scipy's LAPACK extension module, loaded on its own: importing this
-module does not import ``scipy.linalg``. The tuner's ``scipy.optimize``
-imports it when the tuner first runs.
+from scipy's LAPACK extension module, loaded on its own: neither importing
+this module nor fitting, tuning and querying a GP imports ``scipy`` or any
+of its subpackages. The tuner's Nelder-Mead is scipy's, ported step for
+step (see :func:`_nelder_mead`).
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from importlib.machinery import EXTENSION_SUFFIXES
-from importlib.util import module_from_spec, spec_from_file_location
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
-import scipy
 
 from .process_settings import keep_freed_arrays, one_blas_thread
 
@@ -78,7 +78,8 @@ def _lapack_routines(linalg_dir: Path) -> tuple:
     return flapack.dpotrs, flapack.dtrtrs
 
 
-dpotrs, dtrtrs = _lapack_routines(Path(scipy.__file__).parent / "linalg")
+# find_spec locates scipy without running its package init
+dpotrs, dtrtrs = _lapack_routines(Path(find_spec("scipy").origin).parent / "linalg")
 
 
 def _solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -447,6 +448,76 @@ _LOG_BOUNDS_VARIANCE = (math.log(1e-6), math.log(1e4))
 _LOG_BOUNDS_LENGTH = (math.log(1e-3), math.log(1e2))
 
 
+def _nelder_mead(f, x0, lb, ub, maxiter, xatol, fatol, adaptive):
+    """Minimise ``f`` over the box ``[lb, ub]`` by Nelder-Mead: ``(x, fun, nit, nfev)``.
+
+    This is scipy 1.17's ``minimize(f, x0, method="Nelder-Mead", bounds=...,
+    options={"maxiter", "xatol", "fatol", "adaptive"})`` step for step, so
+    the result is bitwise scipy's. ``x0`` is clipped into the box. The first
+    simplex moves each entry by 5% (a zero entry to 0.00025), reflects what
+    leaves the box through the upper bound and clips; every later point is
+    clipped too. ``adaptive`` takes Gao & Han's (2012, *Comput. Optim.
+    Appl.* 51:259) dimension-dependent parameters. The search stops when the
+    simplex spans at most ``xatol`` in every coordinate and ``fatol`` in
+    value, or at ``maxiter`` iterations, counted from 1.
+    """
+    x0 = np.clip(np.asarray(x0, dtype=float), lb, ub)
+    N = x0.size
+    if adaptive:
+        chi, psi, sigma = 1 + 2 / N, 0.75 - 1 / (2 * N), 1 - 1 / N
+    else:
+        chi, psi, sigma = 2, 0.5, 0.5
+    nfev = 0
+
+    def fun(x):
+        nonlocal nfev
+        nfev += 1
+        return f(x)
+
+    sim = np.tile(x0, (N + 1, 1))
+    for k in range(N):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    sim = np.clip(np.where(sim > ub, 2 * ub - sim, sim), lb, ub)
+    fsim = np.array([fun(x) for x in sim], dtype=float)
+    # scipy sorts the first simplex twice; an unstable sort may reorder ties again
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    nit = 1
+    while nit < maxiter:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = np.clip(2 * xbar - sim[-1], lb, ub)
+        fxr = fun(xr)
+        if fxr < fsim[0]:
+            xe = np.clip((1 + chi) * xbar - chi * sim[-1], lb, ub)
+            fxe = fun(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # contract outside the simplex, towards the reflection
+                xc = np.clip((1 + psi) * xbar - psi * sim[-1], lb, ub)
+                fxc = fun(xc)
+                shrink = not fxc <= fxr
+            else:  # contract inside, towards the worst point
+                xc = np.clip((1 - psi) * xbar + psi * sim[-1], lb, ub)
+                fxc = fun(xc)
+                shrink = not fxc < fsim[-1]
+            if shrink:
+                for j in range(1, N + 1):
+                    sim[j] = np.clip(sim[0] + sigma * (sim[j] - sim[0]), lb, ub)
+                    fsim[j] = fun(sim[j])
+            else:
+                sim[-1], fsim[-1] = xc, fxc
+        nit += 1
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], np.min(fsim), nit, nfev
+
+
 def optimize_emulator(
     train: TrainingSet,
     init: KernelParams,
@@ -455,18 +526,21 @@ def optimize_emulator(
 ) -> KernelParams:
     """Tune (variance_scale, lengthscales) by maximizing marginal likelihood.
 
-    Runs Nelder-Mead over log hyperparameters from the initial point plus a
+    Runs bounded Nelder-Mead (:func:`_nelder_mead`, adaptive above two
+    lengthscales) over log hyperparameters from the initial point plus a
     couple of seeded restarts when the budget allows, and returns whichever
-    candidate scores best; the result never scores below ``init``. The
-    whole search runs on the one BLAS thread each fit pins, so that its
-    fits do not switch the thread pools back and forth.
+    candidate scores best; the result never scores below ``init``. A
+    restart that leaves the bounds is clipped into them. The whole search
+    runs on the one BLAS thread each fit pins, so that its fits do not
+    switch the thread pools back and forth. It imports nothing from scipy.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
 
     keep_freed_arrays()
     d = init.ndim
-    bounds = [_LOG_BOUNDS_VARIANCE] + [_LOG_BOUNDS_LENGTH] * d
+    lb = np.array([_LOG_BOUNDS_VARIANCE[0]] + [_LOG_BOUNDS_LENGTH[0]] * d)
+    ub = np.array([_LOG_BOUNDS_VARIANCE[1]] + [_LOG_BOUNDS_LENGTH[1]] * d)
 
     def unpack(logp: np.ndarray) -> KernelParams:
         return KernelParams(
@@ -481,30 +555,19 @@ def optimize_emulator(
         except SingularKernelError:
             return 1e12
 
-    x0 = np.clip(
-        np.log(np.r_[init.variance_scale, init.lengthscales]),
-        [lo for lo, _ in bounds],
-        [hi for _, hi in bounds],
-    )
+    x0 = np.clip(np.log(np.r_[init.variance_scale, init.lengthscales]), lb, ub)
     starts = [x0]
     if budget >= 60:
         rng = np.random.default_rng(seed)
         starts += [x0 + 0.5 * rng.standard_normal(x0.size) for _ in range(2)]
 
-    from scipy.optimize import minimize  # on first use: a run with no GP never loads it
-
     with one_blas_thread():
         best_x, best_f = x0, neg_lml(x0)
         for s in starts:
-            res = minimize(
-                neg_lml,
-                s,
-                method="Nelder-Mead",
-                bounds=bounds,
-                options={"maxiter": budget, "xatol": 1e-4, "fatol": 1e-8, "adaptive": d > 2},
-            )
-            if res.fun < best_f:
-                best_x, best_f = res.x, res.fun
+            x, fun, _, _ = _nelder_mead(neg_lml, s, lb, ub, maxiter=budget, xatol=1e-4,
+                                        fatol=1e-8, adaptive=d > 2)
+            if fun < best_f:
+                best_x, best_f = x, fun
     return unpack(best_x)
 
 

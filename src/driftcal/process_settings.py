@@ -14,10 +14,8 @@ from __future__ import annotations
 import ctypes
 import functools
 from contextlib import contextmanager
+from importlib.util import find_spec
 from pathlib import Path
-
-import numpy as np
-import scipy
 
 __all__ = ["keep_freed_arrays", "one_blas_thread"]
 
@@ -46,15 +44,19 @@ def keep_freed_arrays() -> None:
 
 # The OpenBLAS builds numpy and scipy wheels bundle next to their package,
 # with the suffix of their thread-count controls: numpy's has 64-bit integers.
-_OPENBLAS_BUILDS = ((np, "64_"), (scipy, ""))
+_OPENBLAS_BUILDS = (("numpy", "64_"), ("scipy", ""))
 
 
 @functools.cache
 def _blas_pools() -> tuple:
-    """The ``(get, set)`` thread-count controls of every bundled OpenBLAS found."""
+    """The ``(get, set)`` thread-count controls of every bundled OpenBLAS found.
+
+    The packages are located with ``find_spec``, which runs no package init:
+    looking up scipy's pool does not import scipy.
+    """
     pools = []
     for package, suffix in _OPENBLAS_BUILDS:
-        libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+        libs = Path(find_spec(package).origin).parent.parent / f"{package}.libs"
         for path in sorted(libs.glob("libscipy_openblas*.so*")):
             lib = ctypes.CDLL(str(path))
             get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)

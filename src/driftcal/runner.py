@@ -174,7 +174,7 @@ def emit_plot_data(samples: PosteriorSamples, grid: np.ndarray, out_dir, emulato
         cols = [grid, mean, sd, mean * scale, sd * scale]
         cols += list(_conditional_curves(samples.knots, grid[:, None],
                                          samples.delta_draws[name][traj],
-                                         samples.hyper_draws[name][traj])[0])
+                                         samples.hyper_draws[name][traj], variances=False)[0])
         headers = ["x_norm", "mean", "sd", "mean_phys", "sd_phys"]
         headers += [f"traj_{j:03d}" for j in range(traj.size)]
         path = os.path.join(out_dir, f"drift_{name}.csv")

@@ -80,9 +80,9 @@ def ref_knot_chols(knots):
     return knot_chols
 
 
-def ref_conditional_curves(knots, X, values_rows, hyper_rows):
+def ref_conditional_curves(knots, X, values_rows, hyper_rows, variances=True):
     """``embedded._conditional_curves`` one draw at a time, with the broadcast kernel,
-    ``ref_knot_chol`` and scipy solvers."""
+    ``ref_knot_chol`` and scipy solvers; the variances are dropped when not asked for."""
     diff_xk = X[:, None, :] - knots[None, :, :]
     rows, cols = embedded._exact_matches(X, knots)
     T = values_rows.shape[0]
@@ -97,7 +97,7 @@ def ref_conditional_curves(knots, X, values_rows, hyper_rows):
         vars_[t] = np.maximum(v - np.einsum("ij,ij->j", s, s), 0.0)
         means[t, rows] = values_rows[t, cols]
         vars_[t, rows] = 0.0
-    return means, vars_
+    return means, vars_ if variances else None
 
 
 def ulp_distance(a, b):
@@ -353,6 +353,19 @@ def test_mixed_stack_factors_row_by_row_and_flags_the_nan_row():
         _knot_chol(knot_diff, H)
     with pytest.raises(np.linalg.LinAlgError):
         embedded._conditional_curves(knots, np.array([[0.4]]), np.zeros((3, 3)), H)
+
+
+def test_means_only_conditional_curves_are_the_full_calls_means():
+    rng = np.random.default_rng(4)
+    knots = np.linspace(0.0, 1.0, 6)[:, None]
+    X = np.r_[np.linspace(0.0, 1.0, 41), knots[:, 0]][:, None]  # the last rows hit the knots
+    values = rng.standard_normal((5, 6))
+    H = np.column_stack([rng.uniform(0.5, 2.0, 5), rng.uniform(0.1, 0.6, 5)])
+    means, _ = embedded._conditional_curves(knots, X, values, H)
+    only, none = embedded._conditional_curves(knots, X, values, H, variances=False)
+    assert none is None
+    assert only.tobytes() == means.tobytes()
+    assert np.array_equal(only[:, -6:], values)
 
 
 def test_gp_fit_and_predict_match_scipy_path(monkeypatch):

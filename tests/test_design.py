@@ -129,6 +129,10 @@ def test_unit_maps_equal_the_per_column_formulas_bitwise(case):
         phys[:, j] = lo + values[:, j] * (hi - lo)
     assert np.array_equal(to_unit(values, bounds), unit)
     assert np.array_equal(from_unit(values, bounds), phys)
+    # lists take the uncached, converting path to the same values
+    listed = [list(b) for b in bounds]
+    assert np.array_equal(to_unit(values.tolist(), listed), unit)
+    assert np.array_equal(from_unit(values.tolist(), listed), phys)
 
 
 def test_degenerate_uniform_prior():

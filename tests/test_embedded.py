@@ -624,10 +624,10 @@ def test_summaries_are_remembered_until_anything_they_read_changes(monkeypatch):
     band_passes = []
     curves = embedded._conditional_curves
 
-    def counted_curves(knots, X, *rest):
+    def counted_curves(knots, X, *rest, **kw):
         if np.array_equal(X, grid[:, None]):  # a band pass; the predictive's query is not the grid
             band_passes.append(1)
-        return curves(knots, X, *rest)
+        return curves(knots, X, *rest, **kw)
 
     monkeypatch.setattr(embedded, "_conditional_curves", counted_curves)
     emu = counting_emulator()

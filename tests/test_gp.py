@@ -4,6 +4,7 @@ import platform
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from driftcal.gp import (
     KernelParams,
     SingularKernelError,
     TrainingSet,
+    _nelder_mead,
     build_covariance,
     fit_gp,
     log_marginal_likelihood,
@@ -223,6 +225,41 @@ def test_optimizer_flat_targets_shrinks_variance():
     init = KernelParams(1.0, [0.5], nugget=1e-8)
     tuned = optimize_emulator(train, init, budget=150, seed=0)
     assert tuned.variance_scale < init.variance_scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    adaptive=st.booleans(),
+    budget=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["quadratic", "capped", "stepped"]),
+    outside=st.booleans(),
+)
+def test_nelder_mead_is_scipy_minimize_bitwise(n, adaptive, budget, seed, kind, outside):
+    # capped and stepped objectives tie on whole regions, so the simplex order of
+    # equal values is checked too; a start outside the box is clipped into it
+    from scipy.optimize import OptimizeWarning, minimize
+
+    rng = np.random.default_rng(seed)
+    lb = rng.uniform(-3.0, 1.0, n)
+    ub = lb + rng.uniform(0.05, 4.0, n)
+    x0 = rng.uniform(lb - 2.0, ub + 2.0) if outside else rng.uniform(lb, ub)
+    x0[rng.random(n) < 0.2] = 0.0
+    centre, weight = rng.uniform(-4.0, 4.0, n), rng.uniform(0.1, 5.0, n)
+
+    def f(x):
+        q = float(np.sum(weight * (x - centre) ** 2))
+        return {"quadratic": q, "capped": min(q, 2.0), "stepped": math.floor(2.0 * q) / 2.0}[kind]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OptimizeWarning)
+        ref = minimize(f, x0, method="Nelder-Mead", bounds=list(zip(lb, ub)),
+                       options={"maxiter": budget, "xatol": 1e-4, "fatol": 1e-8,
+                                "adaptive": adaptive})
+    x, fun, nit, nfev = _nelder_mead(f, x0, lb, ub, budget, 1e-4, 1e-8, adaptive)
+    assert x.tobytes() == ref.x.tobytes()
+    assert (fun, nit, nfev) == (ref.fun, ref.nit, ref.nfev)
 
 
 @settings(max_examples=25, deadline=None)

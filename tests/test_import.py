@@ -19,8 +19,9 @@ def run_fresh(code: str) -> str:
 
 def test_import_loads_no_scipy_subpackage_and_no_lazy_numpy_module():
     # scipy.stats costs about as much to import as the rest of driftcal together, and
-    # scipy.linalg's package init loads numpy.f2py, numpy.ma and numpy.testing
-    names = ("scipy.linalg", "scipy.optimize", "scipy.special", "scipy.stats",
+    # scipy.linalg's package init loads numpy.f2py, numpy.ma and numpy.testing; the
+    # LAPACK extension module and the OpenBLAS pools are found without scipy's own init
+    names = ("scipy", "scipy.linalg", "scipy.optimize", "scipy.special", "scipy.stats",
              "numpy.f2py", "numpy.testing", "numpy.ma")
     code = f"import sys, driftcal, driftcal.cli; print([n for n in {names} if n in sys.modules])"
     assert run_fresh(code) == "[]"
@@ -48,6 +49,22 @@ print(before, "scipy.linalg" in sys.modules, dpotrs is gp.dpotrs is lapack.dpotr
       dtrtrs is gp.dtrtrs is lapack.dtrtrs)
 """
     assert run_fresh(code) == "False True True True"
+
+
+def test_gp_tuning_fitting_and_prediction_load_no_scipy_package():
+    # the tuner's Nelder-Mead is driftcal's own, and the solves call the LAPACK
+    # extension module that driftcal.gp loads alone
+    code = """
+import sys
+import numpy as np
+from driftcal import gp
+x = np.random.default_rng(0).random((20, 2))
+train = gp.TrainingSet.from_raw(x, np.sin(6 * x).sum(axis=1))
+params = gp.optimize_emulator(train, gp.KernelParams(1.0, [0.5, 0.5], nugget=1e-8), budget=60)
+gp.predict(gp.fit_gp(train, params), x[:3] + 0.01)
+print([n for n in ("scipy", "scipy.linalg", "scipy.optimize") if n in sys.modules])
+"""
+    assert run_fresh(code) == "[]"
 
 
 def test_tuner_and_inverse_cdfs_load_on_first_use():

@@ -1,4 +1,3 @@
-import types
 from pathlib import Path
 
 import numpy as np
@@ -49,9 +48,12 @@ def test_pin_restores_the_pool_sizes_when_the_block_raises(pools_at_two):
 
 
 def test_pin_does_nothing_without_thread_controls(tmp_path, monkeypatch, pools_at_two):
-    fake = types.SimpleNamespace(__name__="fake", __file__=str(tmp_path / "fake" / "__init__.py"))
-    (tmp_path / "fake.libs").mkdir()
-    monkeypatch.setattr(process_settings, "_OPENBLAS_BUILDS", ((fake, ""),))
+    # a package with an empty ``.libs`` directory beside it, found on sys.path
+    (tmp_path / "driftcal_fake_blas").mkdir()
+    (tmp_path / "driftcal_fake_blas" / "__init__.py").touch()
+    (tmp_path / "driftcal_fake_blas.libs").mkdir()
+    monkeypatch.syspath_prepend(str(tmp_path))
+    monkeypatch.setattr(process_settings, "_OPENBLAS_BUILDS", (("driftcal_fake_blas", ""),))
     found = process_settings._blas_pools.__wrapped__()
     assert found == ()
     real = process_settings._blas_pools()
