@@ -396,10 +396,8 @@ class _Chain:
     that chain's alone.
 
     The emulator answers the protocol of :class:`~driftcal.gp.GPModel`: the
-    engine keeps each chain's ``new_planes`` cache and queries the stack with
-    ``predict_columns``. A GP's planes of the observation columns, which never
-    change, are computed once, and a drift-field proposal recomputes only its
-    parameter's; an :class:`~driftcal.gp.ExactEmulator` is called per chain.
+    engine queries the stack of all chains' queries with one ``predict_columns``
+    call per proposal; an :class:`~driftcal.gp.ExactEmulator` is called per chain.
 
     The fields are one list: a drift field per parameter when ``drift`` is
     set, then the additive "eta" field when ``additive`` is. Each has its own
@@ -494,13 +492,12 @@ class _Chain:
 
     # -- cached log-posterior parts -------------------------------------
 
-    def _emulate(self, chains, Q: np.ndarray, planes, cols: slice):
+    def _emulate(self, chains, Q: np.ndarray):
         """Standardized emulator mean and variance (C', n) at the queries ``Q`` of ``chains``.
 
-        ``planes`` is the queries' emulator cache, whose columns ``cols`` are refreshed in
-        place. Counts extrapolations beyond the unit box per chain.
+        Counts extrapolations beyond the unit box per chain.
         """
-        mean, var = self.emulator.predict_columns(planes, Q, cols)
+        mean, var = self.emulator.predict_columns(Q)
         if not (Q.min() >= 0.0 and Q.max() <= 1.0):
             for c, d in zip(chains, _box_distances(Q)):
                 n_out = int(np.count_nonzero(d > 0))
@@ -537,8 +534,7 @@ class _Chain:
         C = len(self.rngs)
         self.noise_rows[:] = self.sigma2[:, None]
         self._set_theta(self.Q, self.base_theta, self.values)
-        self.planes = self.emulator.new_planes(self.Q)
-        mean, var = self._emulate(range(C), self.Q, self.planes, slice(None))
+        mean, var = self._emulate(range(C), self.Q)
         self.eta_at_obs = self.values[:, -1, self.obs_sel].copy() if self.additive else 0.0
         self.loglik, ok = self._loglik(mean, self.eta_at_obs, var)
         if not all(ok):
@@ -600,8 +596,7 @@ class _Chain:
             sel = slice(None) if len(live) == len(tp_new) else live
             Q = self.Q[sel].copy()
             self._set_theta(Q, base_new[sel], self.values[sel])
-            planes = self.planes[sel].copy()
-            mean, var = self._emulate(live, Q, planes, slice(self.dx, None))
+            mean, var = self._emulate(live, Q)
             eta = self.eta_at_obs[sel] if self.additive else 0.0
             loglik, ok = self._loglik(mean, eta, var, sel)
             for j, c in enumerate(live):
@@ -612,7 +607,6 @@ class _Chain:
                 if accepted[c]:
                     self.base_theta[c] = base_new[c]
                     self.Q[c] = Q[j]
-                    self.planes[c] = planes[j]
                     self.emu_mean[c], self.emu_var[c] = mean[j], var[j]
                     self.loglik[c] = loglik[j]
                     self.theta_prior[c] = tp_new[c]
@@ -634,8 +628,7 @@ class _Chain:
             j = self.dx + k
             Q = self.Q.copy()
             np.add(self.base_theta[:, k, None], vals_new[:, self.obs_sel], out=Q[:, :, j])
-            planes = self.planes.copy()
-            mean, var = self._emulate(range(len(self.rngs)), Q, planes, slice(j, j + 1))
+            mean, var = self._emulate(range(len(self.rngs)), Q)
             eta = self.eta_at_obs
         else:
             mean, var, eta = self.emu_mean, self.emu_var, vals_new[:, self.obs_sel]
@@ -652,7 +645,6 @@ class _Chain:
                 self.values[c, k] = vals_new[c]
                 if drift:
                     self.Q[c] = Q[c]
-                    self.planes[c] = planes[c]
                     self.emu_mean[c], self.emu_var[c] = mean[c], var[c]
                 else:
                     self.eta_at_obs[c] = eta[c]
@@ -792,11 +784,9 @@ class _Chain:
 def _build_knots(data: CalibrationDataset):
     """Knots at the deduplicated observation inputs, and each observation's knot index."""
     x_unit = data.obs_x_unit()
-    knots = np.unique(x_unit, axis=0)
-    obs_idx = np.empty(x_unit.shape[0], dtype=int)
-    for i, row in enumerate(x_unit):
-        obs_idx[i] = int(np.where(np.all(knots == row, axis=1))[0][0])
-    return knots, obs_idx
+    knots, obs_idx = np.unique(x_unit, axis=0, return_inverse=True)
+    # numpy 2.0.0 returned the inverse of an axis-0 unique with the input's dimensions
+    return knots, obs_idx.reshape(-1)
 
 
 def _run_chains(data, emulator, priors, config, kind: str, timing: dict | None = None,

@@ -240,7 +240,7 @@ class GPModel:
 
     Immutable after :func:`fit_gp`; safe to share read-only across chains. Like
     :class:`ExactEmulator` it answers the emulator protocol that the sampler
-    engine calls: :meth:`predict_std`, :meth:`new_planes`, :meth:`predict_columns`.
+    engine calls: :meth:`predict_std` and :meth:`predict_columns`.
     """
 
     params: KernelParams
@@ -260,26 +260,18 @@ class GPModel:
         """:func:`predict_standardized` at ``Q``, looked up at call time (a rebound one is used)."""
         return predict_standardized(self, Q)
 
-    def new_planes(self, Q: np.ndarray) -> np.ndarray:
-        """An empty (C, G, D, N) plane cache for a (C, G, D) stack of queries."""
-        return np.empty((*Q.shape, self.train.n))
+    def predict_columns(self, Q: np.ndarray):
+        """:func:`predict_standardized` at a (C, G, D) stack of queries ``Q``.
 
-    def predict_columns(self, planes: np.ndarray, Q: np.ndarray, cols: slice):
-        """:func:`predict_standardized` at a (C, G, D) stack of queries ``Q``, from cached planes.
-
-        ``planes`` holds the queries' (C, G, D, N) squared scaled differences to the N
-        training inputs, as :func:`_se_kernel` forms them. Only the planes of columns ``cols``
-        are recomputed from ``Q``, in place; the others are reused, so a sampler whose queries
-        share fixed columns pays for the columns it moves. The planes are summed in
-        :func:`_se_kernel`'s order, the means are one batched matrix-vector product and the
+        The (C, G, N) cross-kernel to the N training inputs is built in one
+        :func:`_se_kernel` call, the means are one batched matrix-vector product and the
         variances one triangular solve over all C * G columns, so each ``[c]`` of the (C, G)
         results is bitwise ``predict_standardized(self, Q[c])``. (LAPACK solves a lone
         right-hand side by another path, so single-row queries are solved one by one.)
         """
         p = self.params
-        moved = _se_diff(Q[..., cols], self.train.inputs[:, cols], out=planes[:, :, cols])
-        _se_planes(moved, p.lengthscales[cols], overwrite=True)
-        Ks = _se_sum(planes, p.variance_scale)
+        Ks = _se_kernel(_se_diff(Q, self.train.inputs), p.variance_scale, p.lengthscales,
+                        overwrite=True)
         C, G, N = Ks.shape
         mean = np.matmul(Ks, self.alpha)
         if G == 1:
@@ -290,9 +282,9 @@ class GPModel:
         return mean, var.reshape(C, G)
 
 
-def _se_diff(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _se_diff(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Differences ``A[..., g, d] - B[i, d]`` in dimension-major (..., G, D, n) layout."""
-    return np.subtract(A[..., None], np.ascontiguousarray(B.T), out=out)
+    return A[..., None] - np.ascontiguousarray(B.T)
 
 
 def _se_kernel(diff: np.ndarray, variance, lengthscales: np.ndarray,
@@ -312,20 +304,10 @@ def _se_kernel(diff: np.ndarray, variance, lengthscales: np.ndarray,
     A (C, D) stack of lengthscales, with ``variance`` broadcast as (C, 1, 1),
     gives a (C, G, n) stack of kernels, each bitwise the one built alone.
     """
-    return _se_sum(_se_planes(diff, lengthscales, overwrite), variance)
-
-
-def _se_planes(diff: np.ndarray, lengthscales: np.ndarray, overwrite: bool = False):
-    """The squared scaled differences ``(diff_d / ls_d)^2``: :func:`_se_kernel`'s D planes."""
     z = np.divide(diff, lengthscales[..., None, :, None], out=diff if overwrite else None)
     z *= z
-    return z
-
-
-def _se_sum(planes: np.ndarray, variance) -> np.ndarray:
-    """:func:`_se_kernel` from its planes: their sum in sequence, negated, exponentiated, scaled."""
     # the planes are squares, never -0.0, so a sum of one plane is that plane
-    K = planes[..., 0, :].copy() if planes.shape[-2] == 1 else planes.sum(axis=-2)
+    K = z[..., 0, :].copy() if z.shape[-2] == 1 else z.sum(axis=-2)
     np.negative(K, out=K)
     np.exp(K, out=K)
     K *= variance
@@ -578,9 +560,9 @@ class ExactEmulator:
     enough to query directly, and in oracle tests that must bypass GP
     approximation error. Operates in raw units (shift 0, scale 1). Pass
     ``vectorized=True`` when ``fn`` maps a whole (M, D) array to an (M,)
-    vector. It answers :class:`GPModel`'s emulator protocol with an empty
-    plane cache; :meth:`predict_columns` calls :meth:`mean_at` once per chain,
-    so a vectorized ``fn`` may treat the rows of one call as one query: a
+    vector. It answers :class:`GPModel`'s emulator protocol:
+    :meth:`predict_columns` calls :meth:`mean_at` once per chain, so a
+    vectorized ``fn`` may treat the rows of one call as one query: a
     non-finite value among them rejects that chain's proposal alone.
     """
 
@@ -600,10 +582,7 @@ class ExactEmulator:
         mean = self.mean_at(Q)
         return mean, np.zeros_like(mean)
 
-    def new_planes(self, Q: np.ndarray) -> np.ndarray:
-        return np.empty((len(Q), 0))
-
-    def predict_columns(self, planes: np.ndarray, Q: np.ndarray, cols: slice):
+    def predict_columns(self, Q: np.ndarray):
         mean = np.empty(Q.shape[:2])
         for j, q in enumerate(Q):
             mean[j] = self.mean_at(q)

@@ -8,12 +8,15 @@ must reproduce, bit for bit, the ``solve_triangular``/``cho_solve`` path, one
 tests keep as frozen references: ``ref_knot_chol`` factors one kernel and
 ``ref_conditional_curves`` conditions one draw at a time. The engine's sweep
 loop adapts the proposal steps of all blocks and chains; it must reproduce
-the per-chain step adapter it replaced, kept here as a frozen reference too.
+the per-chain step adapter it replaced, kept here as a frozen reference too,
+and ``_build_knots`` must find each observation's knot as the per-row search
+it replaced did.
 """
 
 import math
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -193,15 +196,13 @@ def chain_query_case(draw):
 @settings(max_examples=100, deadline=None)
 @given(chain_query_case())
 def test_chain_query_matches_predict_standardized_bitwise(case):
-    # the engine's stacked query against each chain's query alone, for either emulator
+    # the engine's stacked query against each chain's query alone, for either emulator,
+    # queried afresh after each move of a column block
     emulator, Q, moves = case
-    planes = emulator.new_planes(Q)
-    assert planes.shape[:1] == Q.shape[:1]
-    mean, var = emulator.predict_columns(planes, Q, slice(None))
     for cols, values in [(None, None)] + moves:
         if cols is not None:
             Q[:, :, cols] = values
-            mean, var = emulator.predict_columns(planes, Q, cols)
+        mean, var = emulator.predict_columns(Q)
         for c in range(Q.shape[0]):
             ref_mean, ref_var = emulator.predict_std(Q[c])
             assert np.array_equal(mean[c], ref_mean)
@@ -210,6 +211,28 @@ def test_chain_query_matches_predict_standardized_bitwise(case):
                 ref_mean, ref_var = gp.predict_standardized(emulator, Q[c])
                 assert np.array_equal(mean[c], ref_mean)
                 assert np.array_equal(var[c], ref_var)
+
+
+def ref_build_knots(x_unit):
+    """``_build_knots``' search of each observation's row among the knots, one row at a time."""
+    knots = np.unique(x_unit, axis=0)
+    obs_idx = np.empty(x_unit.shape[0], dtype=int)
+    for i, row in enumerate(x_unit):
+        obs_idx[i] = int(np.where(np.all(knots == row, axis=1))[0][0])
+    return knots, obs_idx
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 200), st.integers(0, 2**32 - 1))
+def test_build_knots_matches_the_per_row_search(d, n, seed):
+    # a few distinct values per column, so rows repeat; signed zeros are one value
+    rng = np.random.default_rng(seed)
+    X = rng.choice(np.array([-0.0, 0.0, 0.25, 0.5, 1.0]), size=(n, d))
+    knots, obs_idx = _build_knots(SimpleNamespace(obs_x_unit=lambda: X))
+    ref_knots, ref_idx = ref_build_knots(X)
+    assert np.array_equal(knots, ref_knots)
+    assert obs_idx.shape == (n,) and np.array_equal(obs_idx, ref_idx)
+    assert np.array_equal(knots[obs_idx], X)
 
 
 @st.composite

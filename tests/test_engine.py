@@ -196,6 +196,41 @@ def test_every_acceptance_rate_is_a_python_float(calibrator):
     assert {name: type(rate) for name, rate in rates.items()} == dict.fromkeys(rates, float)
 
 
+class ProtocolOnlyEmulator:
+    """``response`` behind the emulator protocol's four members and nothing else."""
+
+    y_shift = 0.0
+    y_scale = 1.0
+
+    def predict_std(self, Q):
+        mean = response(Q)
+        return mean, np.zeros_like(mean)
+
+    def predict_columns(self, Q):
+        mean = response(Q.reshape(-1, Q.shape[-1])).reshape(Q.shape[:2])
+        return mean, np.zeros_like(mean)
+
+
+@pytest.mark.parametrize("calibrator", [run_integrated_delta, run_koh, run_combined])
+def test_an_emulator_needs_only_the_two_protocol_calls(calibrator):
+    # the whole stack in one call, where ExactEmulator calls response once per chain
+    data = edge_dataset(0.4 + 0.3 * np.linspace(0.1, 0.9, 4))
+    cfg = McmcConfig(iterations=60, burn_in=20, thin=2, chains=3, seed=9, theta0=(0.6, 0.4),
+                     sample_theta=True, audit_every=20, grid_points=5)
+    got = calibrator(data, ProtocolOnlyEmulator(), PRIORS, cfg)
+    ref = calibrator(data, EMULATOR, PRIORS, cfg)
+    assert got.delta_draws.keys() == ref.delta_draws.keys()
+    for name in ref.delta_draws:
+        assert np.array_equal(got.delta_draws[name], ref.delta_draws[name]), name
+        assert np.array_equal(got.hyper_draws[name], ref.hyper_draws[name]), name
+    assert np.array_equal(got.sigma2_draws, ref.sigma2_draws)
+    assert np.array_equal(got.theta_draws, ref.theta_draws)
+    assert got.acceptance_rates == ref.acceptance_rates
+    assert got.summaries.keys() == ref.summaries.keys()
+    for key in ref.summaries:
+        assert np.array_equal(got.summaries[key], ref.summaries[key]), key
+
+
 # -- lockstep chains ----------------------------------------------------------
 
 
