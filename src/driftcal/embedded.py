@@ -396,8 +396,9 @@ class _Chain:
     that chain's alone.
 
     The emulator answers the protocol of :class:`~driftcal.gp.GPModel`: the
-    engine queries the stack of all chains' queries with one ``predict_columns``
-    call per proposal; an :class:`~driftcal.gp.ExactEmulator` is called per chain.
+    engine takes one ``at_inputs`` query at the observations when it is built,
+    and calls it once per proposal with the stacked theta*(x) columns of all
+    chains; an :class:`~driftcal.gp.ExactEmulator` is called per chain.
 
     The fields are one list: a drift field per parameter when ``drift`` is
     set, then the additive "eta" field when ``additive`` is. Each has its own
@@ -461,6 +462,7 @@ class _Chain:
         self.base_theta = np.repeat(t0[None], C, axis=0)
         self.Q = np.empty((C, obs_idx.size, self.dx + self.dtheta))
         self.Q[:, :, : self.dx] = x_obs_unit
+        self.query = emulator.at_inputs(x_obs_unit)
 
         s0 = priors.noise.mean()
         self.sigma2 = np.full(C, s0 if math.isfinite(s0) else priors.noise.median())
@@ -497,7 +499,7 @@ class _Chain:
 
         Counts extrapolations beyond the unit box per chain.
         """
-        mean, var = self.emulator.predict_columns(Q)
+        mean, var = self.query(Q[:, :, self.dx:])
         if not (Q.min() >= 0.0 and Q.max() <= 1.0):
             for c, d in zip(chains, _box_distances(Q)):
                 n_out = int(np.count_nonzero(d > 0))
@@ -930,8 +932,15 @@ def _conditional_curves(knots, X, values_rows, hyper_rows, variances: bool = Tru
     coincide with knots. The T prior factors come from one
     :func:`_knot_chol` call, which raises when one does not factor. With
     ``variances`` off the variance is None and its triangular solves are
-    skipped; the means are the same bits.
+    skipped; the means are the same bits. When every row of ``X`` is a knot
+    the result is those overrides alone: the knot values and zero variances,
+    with nothing factored or solved (so hyperparameters that do not factor
+    raise only off the knots).
     """
+    rows, cols = _exact_matches(X, knots)
+    if rows.size == X.shape[0]:
+        means = values_rows[:, cols]
+        return means, np.zeros_like(means) if variances else None
     diff_xk = _se_diff(X, knots)
     chols = _knot_chol(_se_diff(knots, knots), hyper_rows)
     means = np.empty((len(chols), X.shape[0]))
@@ -943,7 +952,6 @@ def _conditional_curves(knots, X, values_rows, hyper_rows, variances: bool = Tru
         if variances:
             s = _solve_lower(L, kxk.T)
             vars_[t] = np.maximum(v - np.einsum("ij,ij->j", s, s), 0.0)
-    rows, cols = _exact_matches(X, knots)
     means[:, rows] = values_rows[:, cols]
     if variances:
         vars_[:, rows] = 0.0
@@ -1064,6 +1072,7 @@ def _predictive(samples: PosteriorSamples, emulator, x_unit: np.ndarray,
         )[0]
         for name in samples.delta_draws
     }
+    query = emulator.at_inputs(x_unit)
     means = np.empty((sel.size, G))
     vars_ = np.empty((sel.size, G))
     for j, t in enumerate(sel):
@@ -1074,7 +1083,7 @@ def _predictive(samples: PosteriorSamples, emulator, x_unit: np.ndarray,
         for k, name in enumerate(samples.param_names):
             if name in curves:
                 theta[:, k] += curves[name][j]
-        m, v = emulator.predict_std(np.hstack([x_unit, theta]))
+        m, v = query(theta)
         means[j] = m + curves["eta"][j] if "eta" in curves else m
         vars_[j] = v + samples.sigma2_draws[t]
 

@@ -239,8 +239,10 @@ class GPModel:
     """Fitted GP: kernel parameters, training data, Cholesky factor, weights.
 
     Immutable after :func:`fit_gp`; safe to share read-only across chains. Like
-    :class:`ExactEmulator` it answers the emulator protocol that the sampler
-    engine calls: :meth:`predict_std` and :meth:`predict_columns`.
+    :class:`ExactEmulator` it answers the emulator protocol: :meth:`predict_std` at
+    any query (the log-posterior oracle's path), and :meth:`at_inputs`, the query at
+    input rows fixed for a whole pass, which the sampler engine and the posterior
+    predictive call.
     """
 
     params: KernelParams
@@ -260,31 +262,63 @@ class GPModel:
         """:func:`predict_standardized` at ``Q``, looked up at call time (a rebound one is used)."""
         return predict_standardized(self, Q)
 
-    def predict_columns(self, Q: np.ndarray):
-        """:func:`predict_standardized` at a (C, G, D) stack of queries ``Q``.
+    def at_inputs(self, x: np.ndarray) -> Callable[[np.ndarray], tuple]:
+        """The query at the fixed (G, dx) input rows ``x``: a callable from theta rows to
+        standardized ``(mean, var)``.
 
-        The (C, G, N) cross-kernel to the N training inputs is built in one
-        :func:`_se_kernel` call, the means are one batched matrix-vector product and the
-        variances one triangular solve over all C * G columns, so each ``[c]`` of the (C, G)
-        results is bitwise ``predict_standardized(self, Q[c])``. (LAPACK solves a lone
+        The callable takes any (..., G, dtheta) stack of theta rows and returns
+        (..., G) arrays, each leading index bitwise
+        ``predict_standardized(self, np.hstack([x, theta[c]]))``. The x columns' scaled
+        squared differences to the training inputs are summed here, once; each call adds
+        only the theta planes to that sum (see :func:`_add_planes`), before the same exp,
+        batched mean and one triangular solve over every column. (LAPACK solves a lone
         right-hand side by another path, so single-row queries are solved one by one.)
         """
-        p = self.params
-        Ks = _se_kernel(_se_diff(Q, self.train.inputs), p.variance_scale, p.lengthscales,
-                        overwrite=True)
-        C, G, N = Ks.shape
-        mean = np.matmul(Ks, self.alpha)
-        if G == 1:
-            v = np.asfortranarray(np.hstack([_solve_lower(self.chol, k.T) for k in Ks]))
-        else:
-            v = _solve_lower(self.chol, Ks.reshape(C * G, N).T)
-        var = np.maximum(p.variance_scale - np.einsum("ij,ij->j", v, v), 0.0)
-        return mean, var.reshape(C, G)
+        variance, chol, alpha, n = self.params.variance_scale, self.chol, self.alpha, self.train.n
+        dx = x.shape[1]
+        if not 0 < dx < self.train.dim:
+            raise DimensionMismatchError(
+                f"{dx} fixed input columns leave no theta column of {self.train.dim}")
+        XT, ls = np.ascontiguousarray(self.train.inputs.T), self.params.lengthscales.tolist()
+        x_sum = _add_planes(None, x, XT[:dx], ls[:dx])
+        theta_XT, theta_ls = XT[dx:], ls[dx:]
+
+        def query(theta: np.ndarray):
+            if theta.shape[-1] != len(theta_ls):
+                raise DimensionMismatchError(
+                    f"{theta.shape[-1]} theta columns, the emulator takes {len(theta_ls)}")
+            Ks = _add_planes(x_sum, theta, theta_XT, theta_ls)
+            np.negative(Ks, out=Ks)
+            np.exp(Ks, out=Ks)
+            Ks *= variance
+            mean = np.matmul(Ks, alpha)
+            if mean.shape[-1] == 1:
+                v = np.asfortranarray(np.hstack([_solve_lower(chol, k.T)
+                                                 for k in Ks.reshape(-1, 1, n)]))
+            else:
+                v = _solve_lower(chol, Ks.reshape(-1, n).T)
+            var = np.maximum(variance - np.einsum("ij,ij->j", v, v), 0.0)
+            return mean, var.reshape(mean.shape)
+
+        return query
 
 
 def _se_diff(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Differences ``A[..., g, d] - B[i, d]`` in dimension-major (..., G, D, n) layout."""
     return A[..., None] - np.ascontiguousarray(B.T)
+
+
+def _add_planes(acc, A: np.ndarray, BT: np.ndarray, ls: list):
+    """``acc`` plus, one column ``d`` of ``A`` after another, the (..., G, n) planes
+    ``((A[..., g, d] - BT[d, i]) / ls[d]) ** 2``: :func:`_se_kernel`'s sum over the
+    dimensions, bitwise, continued from ``acc`` (None: from the first plane). Each plane is
+    scaled by a Python float, which numpy does faster than by a broadcast vector."""
+    for d, scale in enumerate(ls):
+        z = A[..., d, None] - BT[d]
+        z /= scale
+        z *= z
+        acc = z if acc is None else np.add(acc, z, out=z)
+    return acc
 
 
 def _se_kernel(diff: np.ndarray, variance, lengthscales: np.ndarray,
@@ -317,11 +351,10 @@ def _se_kernel(diff: np.ndarray, variance, lengthscales: np.ndarray,
 def build_covariance(a, b, params: KernelParams) -> np.ndarray:
     """Kernel matrix with entries ``variance_scale * exp(-sum_d ((a_d-b_d)/ls_d)^2)``.
 
-    Pass ``b=None`` (or the identical object as ``a``) to build the
-    self-covariance of ``a``; the nugget is added to the diagonal only in
-    that case.
+    Pass ``b=None`` to build the self-covariance of ``a``; the nugget is
+    added to the diagonal only in that case. An array ``b`` is a cross
+    covariance even when it is ``a`` itself: a query never gets the nugget.
     """
-    same = b is None or b is a
     A = _as_matrix(a)
     B = A if b is None else _as_matrix(b)
     d = params.ndim
@@ -331,7 +364,7 @@ def build_covariance(a, b, params: KernelParams) -> np.ndarray:
             f"{d} lengthscales"
         )
     K = _se_kernel(_se_diff(A, B), params.variance_scale, params.lengthscales, overwrite=True)
-    if same and params.nugget > 0:
+    if b is None and params.nugget > 0:
         K.flat[:: K.shape[0] + 1] += params.nugget
     return K
 
@@ -560,10 +593,11 @@ class ExactEmulator:
     enough to query directly, and in oracle tests that must bypass GP
     approximation error. Operates in raw units (shift 0, scale 1). Pass
     ``vectorized=True`` when ``fn`` maps a whole (M, D) array to an (M,)
-    vector. It answers :class:`GPModel`'s emulator protocol:
-    :meth:`predict_columns` calls :meth:`mean_at` once per chain, so a
-    vectorized ``fn`` may treat the rows of one call as one query: a
-    non-finite value among them rejects that chain's proposal alone.
+    vector. It answers :class:`GPModel`'s emulator protocol: the query of
+    :meth:`at_inputs` stacks the fixed inputs beside the theta rows once and
+    calls :meth:`mean_at` once per leading index, so a vectorized ``fn`` may
+    treat the rows of one call as one query: a non-finite value among them
+    rejects that chain's proposal alone.
     """
 
     y_shift = 0.0
@@ -582,8 +616,18 @@ class ExactEmulator:
         mean = self.mean_at(Q)
         return mean, np.zeros_like(mean)
 
-    def predict_columns(self, Q: np.ndarray):
-        mean = np.empty(Q.shape[:2])
-        for j, q in enumerate(Q):
-            mean[j] = self.mean_at(q)
-        return mean, np.zeros_like(mean)
+    def at_inputs(self, x: np.ndarray) -> Callable[[np.ndarray], tuple]:
+        dx = x.shape[1]
+
+        def query(theta: np.ndarray):
+            Q = np.empty((*theta.shape[:-1], dx + theta.shape[-1]))
+            Q[..., :dx] = x
+            Q[..., dx:] = theta
+            Q = Q.reshape(-1, *Q.shape[-2:])
+            mean = np.empty(Q.shape[:2])
+            for j, q in enumerate(Q):
+                mean[j] = self.mean_at(q)
+            mean = mean.reshape(theta.shape[:-1])
+            return mean, np.zeros_like(mean)
+
+        return query

@@ -57,12 +57,11 @@ def ref_cho_solve(L, b):
 
 def ref_build_covariance(a, b, params):
     """``build_covariance`` as the (G, n, D) broadcast formula."""
-    same = b is None or b is a
     A = _as_matrix(a)
     B = A if b is None else _as_matrix(b)
     diff = (A[:, None, :] - B[None, :, :]) / params.lengthscales
     K = params.variance_scale * np.exp(-(diff * diff).sum(axis=2))
-    if same and params.nugget > 0:
+    if b is None and params.nugget > 0:
         K.flat[:: K.shape[0] + 1] += params.nugget
     return K
 
@@ -127,7 +126,7 @@ def assert_kernels_bitwise(A, B, params):
                           equal_nan=True)
     assert np.array_equal(_se_kernel(_se_diff(A, B), params.variance_scale, params.lengthscales),
                           ref_build_covariance(A, B, params), equal_nan=True)
-    for b in (None, A):  # self-covariance: the nugget lands on the diagonal
+    for b in (None, A):  # the nugget lands on the diagonal of the self-covariance (b=None) alone
         assert np.array_equal(build_covariance(A, b, params), ref_build_covariance(A, b, params),
                               equal_nan=True)
 
@@ -169,12 +168,15 @@ def test_se_kernel_non_finite_inputs_land_in_the_same_places(case, data):
 
 
 @st.composite
-def chain_query_case(draw):
-    """An emulator in D = 2-5, C = 1-4 stacked queries of 1-8 rows reaching outside the
-    unit box, and a sequence of column blocks to replace. The emulator is a GP on 1-60
-    runs, or an exact function, vectorized or called per row."""
-    d, n, chains, rows = (draw(st.integers(2, 5)), draw(st.integers(1, 60)),
-                          draw(st.integers(1, 4)), draw(st.integers(1, 8)))
+def fixed_input_case(draw):
+    """An emulator in D = 2-5 and a query at G = 1-201 fixed rows of its first dx = 1 to
+    D - 1 columns, with a (C, G, D - dx) stack of C = 1-4 chains' theta rows; both reach
+    outside the unit box. The emulator is a GP on 1-160 runs, or an exact function,
+    vectorized or called per row. The stack may be one theta row per chain broadcast over
+    the G rows, as a constant-theta posterior draw is, and may hold a NaN in one chain."""
+    d, n, chains = draw(st.integers(2, 5)), draw(st.integers(1, 160)), draw(st.integers(1, 4))
+    dx = draw(st.integers(1, d - 1))
+    G = draw(st.one_of(st.just(1), st.integers(2, 201)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["gp", "exact", "exact_vectorized"]))
     if kind == "gp":
@@ -186,31 +188,39 @@ def chain_query_case(draw):
         vectorized = kind == "exact_vectorized"
         emulator = ExactEmulator((lambda Q: np.sin(Q @ w) + Q[:, 0] ** 2) if vectorized
                                  else (lambda row: math.sin(row @ w) + row[0] ** 2), vectorized)
-    Q = rng.uniform(-0.5, 1.5, (chains, rows, d))
-    blocks = draw(st.lists(st.tuples(st.integers(0, d - 1), st.integers(1, d)), max_size=5))
-    moves = [(slice(lo, min(lo + w, d)), rng.uniform(-0.5, 1.5, (chains, rows, min(w, d - lo))))
-             for lo, w in blocks]
-    return emulator, Q, moves
+    x = rng.uniform(-0.5, 1.5, (G, dx))
+    theta = rng.uniform(-0.5, 1.5, (chains, G, d - dx))
+    if draw(st.booleans()):
+        theta = np.broadcast_to(theta[:, :1], theta.shape)
+    elif draw(st.booleans()):
+        theta[draw(st.integers(0, chains - 1)), draw(st.integers(0, G - 1)),
+              draw(st.integers(0, d - dx - 1))] = np.nan
+    return emulator, x, theta
 
 
 @settings(max_examples=100, deadline=None)
-@given(chain_query_case())
+@given(fixed_input_case())
 def test_chain_query_matches_predict_standardized_bitwise(case):
-    # the engine's stacked query against each chain's query alone, for either emulator,
-    # queried afresh after each move of a column block
-    emulator, Q, moves = case
-    for cols, values in [(None, None)] + moves:
-        if cols is not None:
-            Q[:, :, cols] = values
-        mean, var = emulator.predict_columns(Q)
-        for c in range(Q.shape[0]):
-            ref_mean, ref_var = emulator.predict_std(Q[c])
-            assert np.array_equal(mean[c], ref_mean)
-            assert np.array_equal(var[c], ref_var)
-            if isinstance(emulator, gp.GPModel):
-                ref_mean, ref_var = gp.predict_standardized(emulator, Q[c])
-                assert np.array_equal(mean[c], ref_mean)
-                assert np.array_equal(var[c], ref_var)
+    # the engine's and the predictive's query at fixed inputs, over a stack of chains and
+    # for one chain's rows alone, against predict_std at the stacked rows; a NaN stays in
+    # its chain's row
+    emulator, x, theta = case
+    query = emulator.at_inputs(x)
+    mean, var = query(theta)
+    assert mean.shape == var.shape == theta.shape[:2]
+    for c in range(theta.shape[0]):
+        # C-ordered, as the engine's and the predictive's rows are: np.hstack of a broadcast
+        # view is F-ordered, and the exact functions' matmul rounds by layout
+        Q = np.hstack([x, np.ascontiguousarray(theta[c])])
+        refs = [emulator.predict_std(Q)]
+        if isinstance(emulator, gp.GPModel):
+            refs.append(gp.predict_standardized(emulator, Q))
+        for got in ((mean[c], var[c]), query(theta[c])):
+            for ref in refs:
+                assert np.array_equal(got[0], ref[0], equal_nan=True)
+                assert np.array_equal(got[1], ref[1], equal_nan=True)
+        finite = ~np.isnan(theta[c]).any(axis=1)
+        assert np.isfinite(mean[c][finite]).all() and np.isfinite(var[c][finite]).all()
 
 
 def ref_build_knots(x_unit):
@@ -389,6 +399,38 @@ def test_means_only_conditional_curves_are_the_full_calls_means():
     assert none is None
     assert only.tobytes() == means.tobytes()
     assert np.array_equal(only[:, -6:], values)
+
+
+def test_knot_rows_take_the_knot_values_without_factoring(monkeypatch):
+    """Rows that are all knots (repeated, in any order) give ``ref_conditional_curves``'
+    overrides bitwise, with no factor built; one row off the knots takes the full path."""
+    rng = np.random.default_rng(6)
+    knots = np.linspace(0.0, 1.0, 6)[:, None]
+    values = rng.standard_normal((5, 6))
+    values[0, 2] = -0.0
+    H = np.column_stack([rng.uniform(0.5, 2.0, 5), rng.uniform(0.1, 0.6, 5)])
+    factored = []
+    knot_chol = embedded._knot_chol
+    monkeypatch.setattr(embedded, "_knot_chol",
+                        lambda *a: factored.append(1) or knot_chol(*a))
+    on_knots = knots[[3, 0, 5, 5, 2]]
+    some_knots = np.r_[on_knots, [[0.33]]]
+    for X, full in ((on_knots, False), (some_knots, True)):
+        n_factored = len(factored)
+        means, vars_ = embedded._conditional_curves(knots, X, values, H)
+        ref_means, ref_vars = ref_conditional_curves(knots, X, values, H)
+        assert means.tobytes() == ref_means.tobytes()
+        assert vars_.tobytes() == ref_vars.tobytes()
+        only, none = embedded._conditional_curves(knots, X, values, H, variances=False)
+        assert none is None and only.tobytes() == means.tobytes()
+        assert len(factored) == n_factored + 2 * full
+    assert not vars_[:, :-1].any() and vars_[:, -1].all()
+    # hyperparameters that do not factor raise off the knots alone
+    H[1, 0] = np.nan
+    means, vars_ = embedded._conditional_curves(knots, on_knots, values, H)
+    assert means.tobytes() == values[:, [3, 0, 5, 5, 2]].tobytes() and not vars_.any()
+    with pytest.raises(np.linalg.LinAlgError):
+        embedded._conditional_curves(knots, some_knots, values, H)
 
 
 def test_gp_fit_and_predict_match_scipy_path(monkeypatch):

@@ -684,10 +684,14 @@ def test_plot_files_reuse_the_sampler_summary_pass(tmp_path, monkeypatch):
                      theta0=(0.5, 0.5), grid_points=11)
     samples = run_integrated_delta(data, emu, priors, cfg)
 
-    rows = []
-    predict = gp.predict_standardized
-    monkeypatch.setattr(gp, "predict_standardized",
-                        lambda model, Q: rows.append(len(Q)) or predict(model, Q))
+    rows = []  # the row count of each call of a fixed-input emulator query
+    at_inputs = gp.GPModel.at_inputs
+
+    def counted_at_inputs(model, x):
+        query = at_inputs(model, x)
+        return lambda theta: rows.append(theta.shape[-2]) or query(theta)
+
+    monkeypatch.setattr(gp.GPModel, "at_inputs", counted_at_inputs)
     emit_plot_data(samples, samples.grid, tmp_path / "reused", emu)
     assert rows == []  # the sampler's summary pass answered every grid query
 

@@ -206,14 +206,20 @@ class ProtocolOnlyEmulator:
         mean = response(Q)
         return mean, np.zeros_like(mean)
 
-    def predict_columns(self, Q):
-        mean = response(Q.reshape(-1, Q.shape[-1])).reshape(Q.shape[:2])
-        return mean, np.zeros_like(mean)
+    def at_inputs(self, x):
+        def query(theta):
+            X = np.broadcast_to(x, (*theta.shape[:-1], x.shape[1]))
+            Q = np.concatenate([X, theta], axis=-1)
+            mean = response(Q.reshape(-1, Q.shape[-1])).reshape(theta.shape[:-1])
+            return mean, np.zeros_like(mean)
+
+        return query
 
 
 @pytest.mark.parametrize("calibrator", [run_integrated_delta, run_koh, run_combined])
 def test_an_emulator_needs_only_the_two_protocol_calls(calibrator):
-    # the whole stack in one call, where ExactEmulator calls response once per chain
+    # the whole theta stack in one call, where ExactEmulator calls response once per chain
+    # and once per posterior draw
     data = edge_dataset(0.4 + 0.3 * np.linspace(0.1, 0.9, 4))
     cfg = McmcConfig(iterations=60, burn_in=20, thin=2, chains=3, seed=9, theta0=(0.6, 0.4),
                      sample_theta=True, audit_every=20, grid_points=5)

@@ -74,14 +74,28 @@ def test_self_covariance_symmetric_and_nugget_on_diagonal_only():
     K = build_covariance(a, None, p)
     assert np.allclose(K, K.T)
     assert np.allclose(np.diag(K), 1.0 + 1e-3)
-    Kc = build_covariance(a, a.copy(), p)  # distinct object: treated as a cross matrix
-    assert np.allclose(np.diag(Kc), 1.0)
+    for b in (a.copy(), a):  # an array b, even a itself, makes a cross matrix
+        assert np.array_equal(np.diag(build_covariance(a, b, p)), np.ones(6))
 
 
 def test_dimension_mismatch_raises():
     p = KernelParams(1.0, [1.0, 1.0])
     with pytest.raises(DimensionMismatchError):
         build_covariance(np.zeros((3, 1)), np.zeros((3, 1)), p)
+
+
+def test_fixed_input_query_checks_its_columns():
+    rng = np.random.default_rng(8)
+    model = fit_gp(TrainingSet.from_raw(rng.uniform(size=(6, 3)), rng.standard_normal(6)),
+                   KernelParams(1.0, [0.5, 0.5, 0.5], nugget=1e-8))
+    for x in (np.zeros((4, 0)), np.zeros((4, 3))):  # no x column, or no theta column left
+        with pytest.raises(DimensionMismatchError):
+            model.at_inputs(x)
+    query = model.at_inputs(np.zeros((4, 1)))
+    assert query(np.zeros((2, 4, 2)))[0].shape == (2, 4)
+    for theta in (np.zeros((4, 1)), np.zeros((2, 4, 3))):
+        with pytest.raises(DimensionMismatchError):
+            query(theta)
 
 
 @pytest.mark.parametrize("bad", [dict(variance_scale=0.0), dict(nugget=-1e-9),
@@ -114,9 +128,23 @@ def test_noise_free_interpolation_within_1e6():
     x = np.sort(rng.uniform(size=10))[:, None]
     y = np.sin(3.0 * x[:, 0]) + 0.5 * x[:, 0]
     train = TrainingSet.from_raw(x, y)
-    model = fit_gp(train, KernelParams(1.0, [0.4], nugget=1e-8))
-    pred = predict(model, x)
-    assert np.max(np.abs(pred.mean - y)) < 1e-6
+    model = fit_gp(train, KernelParams(1.0, [0.4], nugget=0.0))
+    assert model.params.nugget == 0.0  # the kernel of the 10 points factors as it is
+    for query in (x, x.copy()):  # the training array itself and an equal one
+        assert np.max(np.abs(predict(model, query).mean - y)) < 1e-6
+
+
+def test_predict_at_the_training_array_equals_predict_at_a_copy():
+    # a query is a cross covariance: the nugget never lands on it, not even when the query
+    # is the training array object itself
+    rng = np.random.default_rng(1)
+    x = np.sort(rng.uniform(size=10))[:, None]
+    model = fit_gp(TrainingSet.from_raw(x, np.sin(3.0 * x[:, 0])),
+                   KernelParams(1.0, [0.4], nugget=1e-8))
+    assert model.train.inputs is x
+    same, copy = predict(model, model.train.inputs), predict(model, x.copy())
+    assert same.mean.tobytes() == copy.mean.tobytes()
+    assert same.variance.tobytes() == copy.variance.tobytes()
 
 
 def test_duplicate_rows_zero_nugget_is_singular():
