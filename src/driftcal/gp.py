@@ -266,8 +266,8 @@ class GPModel:
         """The query at the fixed (G, dx) input rows ``x``: a callable from theta rows to
         standardized ``(mean, var)``.
 
-        The callable takes any (..., G, dtheta) stack of theta rows and returns
-        (..., G) arrays, each leading index bitwise
+        The callable takes a (G, dtheta) set of theta rows, or a (C, G, dtheta) stack of
+        them, and returns (G,) or (C, G) arrays, each chain ``c`` bitwise
         ``predict_standardized(self, np.hstack([x, theta[c]]))``. The x columns' scaled
         squared differences to the training inputs are summed here, once; each call adds
         only the theta planes to that sum (see :func:`_add_planes`), before the same exp,
@@ -594,10 +594,13 @@ class ExactEmulator:
     approximation error. Operates in raw units (shift 0, scale 1). Pass
     ``vectorized=True`` when ``fn`` maps a whole (M, D) array to an (M,)
     vector. It answers :class:`GPModel`'s emulator protocol: the query of
-    :meth:`at_inputs` stacks the fixed inputs beside the theta rows once and
-    calls :meth:`mean_at` once per leading index, so a vectorized ``fn`` may
-    treat the rows of one call as one query: a non-finite value among them
-    rejects that chain's proposal alone.
+    :meth:`at_inputs` writes the theta rows beside the fixed inputs and calls
+    :meth:`mean_at` once for a (G, dtheta) set and once per chain for a
+    (C, G, dtheta) stack, so a vectorized ``fn`` may treat
+    the rows of one call as one query: a non-finite value among them rejects
+    that chain's proposal alone. The query reuses one array for those rows
+    while their shape stays the same, so ``fn`` must neither modify nor keep
+    the rows it is given.
     """
 
     y_shift = 0.0
@@ -618,16 +621,23 @@ class ExactEmulator:
 
     def at_inputs(self, x: np.ndarray) -> Callable[[np.ndarray], tuple]:
         dx = x.shape[1]
+        rows = np.empty((0, dx))  # the last call's [x, theta] rows: their x columns stay
 
         def query(theta: np.ndarray):
-            Q = np.empty((*theta.shape[:-1], dx + theta.shape[-1]))
-            Q[..., :dx] = x
-            Q[..., dx:] = theta
-            Q = Q.reshape(-1, *Q.shape[-2:])
-            mean = np.empty(Q.shape[:2])
-            for j, q in enumerate(Q):
-                mean[j] = self.mean_at(q)
-            mean = mean.reshape(theta.shape[:-1])
+            nonlocal rows
+            if theta.ndim not in (2, 3):
+                raise DimensionMismatchError(f"theta rows of {theta.ndim} dimensions, not 2 or 3")
+            shape = (*theta.shape[:-1], dx + theta.shape[-1])
+            if rows.shape != shape:
+                rows = np.empty(shape)
+                rows[..., :dx] = x
+            rows[..., dx:] = theta
+            if theta.ndim == 2:
+                mean = np.array(self.mean_at(rows))  # a copy: fn may return a view of the rows
+            else:
+                mean = np.empty(shape[:2])
+                for j, q in enumerate(rows):
+                    mean[j] = self.mean_at(q)
             return mean, np.zeros_like(mean)
 
         return query

@@ -98,6 +98,17 @@ def test_fixed_input_query_checks_its_columns():
             query(theta)
 
 
+def test_exact_query_results_outlive_its_reused_rows():
+    # the function returns a view of the rows the query reuses on its next call
+    query = ExactEmulator(lambda Q: Q[:, 1], vectorized=True).at_inputs(np.zeros((3, 1)))
+    for lead in ((), (2,)):
+        first = query(np.full((*lead, 3, 1), 0.25))
+        query(np.full((*lead, 3, 1), 0.75))
+        assert np.array_equal(first[0], np.full((*lead, 3), 0.25))
+    with pytest.raises(DimensionMismatchError):
+        query(np.zeros((1, 2, 3, 1)))
+
+
 @pytest.mark.parametrize("bad", [dict(variance_scale=0.0), dict(nugget=-1e-9),
                                  dict(lengthscales=[0.0])])
 def test_invalid_hyperparameters_rejected(bad):
