@@ -596,11 +596,11 @@ class ExactEmulator:
     vector. It answers :class:`GPModel`'s emulator protocol: the query of
     :meth:`at_inputs` writes the theta rows beside the fixed inputs and calls
     :meth:`mean_at` once for a (G, dtheta) set and once per chain for a
-    (C, G, dtheta) stack, so a vectorized ``fn`` may treat
-    the rows of one call as one query: a non-finite value among them rejects
-    that chain's proposal alone. The query reuses one array for those rows
-    while their shape stays the same, so ``fn`` must neither modify nor keep
-    the rows it is given.
+    (C, G, dtheta) stack, so a vectorized ``fn`` may treat the rows of one
+    call as one query: a non-finite value among them rejects that chain's
+    proposal alone. The query reuses one array for those rows while their
+    shape stays the same, so ``fn`` must neither modify nor keep the rows it
+    is given.
     """
 
     y_shift = 0.0
