@@ -72,18 +72,6 @@ class Prior:
     def log_normal(cls, mu: float, sigma: float) -> "Prior":
         return cls("log_normal", mu, sigma)
 
-    def sample(self, rng: np.random.Generator) -> float:
-        if self.kind == "uniform":
-            if self.p1 == self.p2:
-                return self.p1
-            return float(rng.uniform(self.p1, self.p2))
-        if self.kind == "normal":
-            return float(rng.normal(self.p1, self.p2))
-        if self.kind == "inverse_gamma":
-            # X ~ Gamma(shape=a, scale=1/b)  =>  1/X ~ InvGamma(a, scale=b)
-            return 1.0 / float(rng.gamma(self.p1, 1.0 / self.p2))
-        return float(rng.lognormal(self.p1, self.p2))
-
     def logpdf(self, x: float) -> float:
         x = float(x)
         if self.kind == "uniform":

@@ -31,7 +31,7 @@ from operator import add
 import numpy as np
 
 from .design import Prior, from_unit, to_unit
-from .gp import KernelParams, PredictiveDistribution, _as_matrix
+from .gp import PredictiveDistribution, _as_matrix
 from .gp import _cho_solve, _se_diff, _se_kernel, _solve_lower
 from .samples import PosteriorSamples
 from .simulators import CalibrationDataset
@@ -148,34 +148,41 @@ class DiscrepancyField:
     """One drift field: knot locations, knot values, and its GP prior.
 
     Values are in normalized units (theta-box units for parameter fields,
-    standardized-y units for an additive output field). Conditioning on the
-    knot values is noise-free, so predictions at knot locations reproduce
+    standardized-y units for an additive output field). ``hyper`` holds the
+    prior's raw hyperparameters ``[variance, *lengthscales]``, one lengthscale
+    per knot column, in the layout the sampler engine stores. Conditioning on
+    the knot values is noise-free, so predictions at knot locations reproduce
     the stored values exactly.
     """
 
     knots: np.ndarray
     values: np.ndarray
-    hyper: KernelParams
+    hyper: np.ndarray
 
     def __post_init__(self) -> None:
         k = _as_matrix(self.knots)
         v = np.atleast_1d(np.asarray(self.values, dtype=float))
+        h = np.asarray(self.hyper, dtype=float)
         object.__setattr__(self, "knots", k)
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "hyper", h)
         if v.size != k.shape[0]:
             raise ValueError("one value per knot required")
         if not np.all(np.isfinite(v)):
             raise ValueError("field values must be finite")
+        if h.shape != (1 + k.shape[1],) or not np.all(np.isfinite(h) & (h > 0)):
+            raise ValueError(f"hyper must be {1 + k.shape[1]} positive finite reals "
+                             f"[variance, *lengthscales], got {h!r}")
 
     def log_prior(self) -> float:
         """Zero-mean GP prior log-density of the knot values."""
-        L = _knot_chol(_se_diff(self.knots, self.knots), _hyper_vector(self.hyper)[None])
+        L = _knot_chol(_se_diff(self.knots, self.knots), self.hyper[None])
         return _mvn_logpdf_zero(self.values, L[0])
 
     def conditional(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Noise-free conditional mean and variance of the field at ``x``."""
         means, vars_ = _conditional_curves(self.knots, _as_matrix(x), self.values[None, :],
-                                           _hyper_vector(self.hyper)[None, :])
+                                           self.hyper[None, :])
         return means[0], vars_[0]
 
 
@@ -309,16 +316,6 @@ def gibbs_sigma2(residuals, prior: Prior, rng: np.random.Generator) -> float:
     return 1.0 / float(rng.gamma(a, 1.0 / b))
 
 
-def _hyper_vector(hyper: KernelParams) -> np.ndarray:
-    """Raw field hyperparameters ``[variance, *lengthscales]``: the stored layout."""
-    return np.r_[hyper.variance_scale, hyper.lengthscales]
-
-
-def _field_params(h: np.ndarray) -> KernelParams:
-    """Validated field kernel parameters from raw ``[variance, *lengthscales]``."""
-    return KernelParams(h[0], h[1:], FIELD_JITTER)
-
-
 def _hyper_logprior(h: np.ndarray, var_prior: Prior, len_prior: Prior) -> float:
     """Hyperprior log-density of raw ``[variance, *lengthscales]``."""
     out = var_prior.logpdf(h[0])
@@ -373,7 +370,7 @@ def embedded_log_posterior(
         fields.append((state.eta_field, priors.eta_variance, priors.eta_lengthscale))
     total = gaussian_loglik(y_std - mean - eta_at_obs, state.noise_var + var)
     for f, var_prior, len_prior in fields:
-        total += f.log_prior() + _hyper_logprior(_hyper_vector(f.hyper), var_prior, len_prior)
+        total += f.log_prior() + _hyper_logprior(f.hyper, var_prior, len_prior)
     return total + priors.noise.logpdf(state.noise_var) + theta_prior
 
 
@@ -575,7 +572,7 @@ class _Chain:
 
     def snapshot(self, c: int) -> ChainState:
         fields = [
-            DiscrepancyField(self.knots, v.copy(), _field_params(h))
+            DiscrepancyField(self.knots, v.copy(), h.copy())
             for v, h in zip(self.values[c], self.hypers[c])
         ]
         return ChainState(

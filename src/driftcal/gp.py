@@ -270,11 +270,9 @@ class GPModel:
         them, and returns (G,) or (C, G) arrays, each chain ``c`` bitwise
         ``predict_standardized(self, np.hstack([x, theta[c]]))``. The x columns' scaled
         squared differences to the training inputs are summed here, once; each call adds
-        only the theta planes to that sum (see :func:`_add_planes`), before the same exp,
-        batched mean and one triangular solve over every column. (LAPACK solves a lone
-        right-hand side by another path, so single-row queries are solved one by one.)
+        only the theta planes to that sum (see :func:`_add_planes`) and ends in
+        :func:`_predict_from_planes`, as :func:`predict_standardized` does.
         """
-        variance, chol, alpha, n = self.params.variance_scale, self.chol, self.alpha, self.train.n
         dx = x.shape[1]
         if not 0 < dx < self.train.dim:
             raise DimensionMismatchError(
@@ -287,18 +285,7 @@ class GPModel:
             if theta.shape[-1] != len(theta_ls):
                 raise DimensionMismatchError(
                     f"{theta.shape[-1]} theta columns, the emulator takes {len(theta_ls)}")
-            Ks = _add_planes(x_sum, theta, theta_XT, theta_ls)
-            np.negative(Ks, out=Ks)
-            np.exp(Ks, out=Ks)
-            Ks *= variance
-            mean = np.matmul(Ks, alpha)
-            if mean.shape[-1] == 1:
-                v = np.asfortranarray(np.hstack([_solve_lower(chol, k.T)
-                                                 for k in Ks.reshape(-1, 1, n)]))
-            else:
-                v = _solve_lower(chol, Ks.reshape(-1, n).T)
-            var = np.maximum(variance - np.einsum("ij,ij->j", v, v), 0.0)
-            return mean, var.reshape(mean.shape)
+            return _predict_from_planes(self, _add_planes(x_sum, theta, theta_XT, theta_ls))
 
         return query
 
@@ -310,9 +297,10 @@ def _se_diff(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def _add_planes(acc, A: np.ndarray, BT: np.ndarray, ls: list):
     """``acc`` plus, one column ``d`` of ``A`` after another, the (..., G, n) planes
-    ``((A[..., g, d] - BT[d, i]) / ls[d]) ** 2``: :func:`_se_kernel`'s sum over the
-    dimensions, bitwise, continued from ``acc`` (None: from the first plane). Each plane is
-    scaled by a Python float, which numpy does faster than by a broadcast vector."""
+    ``((A[..., g, d] - BT[d, i]) / ls[d]) ** 2``, always in sequence: :func:`_se_kernel`'s
+    sum over D <= 7 dimensions, bitwise, continued from ``acc`` (None: from the first
+    plane). Each plane is scaled by a Python float, which numpy does faster than by a
+    broadcast vector. The planes of every emulator query are summed here."""
     for d, scale in enumerate(ls):
         z = A[..., d, None] - BT[d]
         z /= scale
@@ -321,8 +309,7 @@ def _add_planes(acc, A: np.ndarray, BT: np.ndarray, ls: list):
     return acc
 
 
-def _se_kernel(diff: np.ndarray, variance, lengthscales: np.ndarray,
-               overwrite: bool = False) -> np.ndarray:
+def _se_kernel(diff: np.ndarray, variance, lengthscales: np.ndarray) -> np.ndarray:
     """Squared-exponential kernel ``variance * exp(-sum_d (diff_d / ls_d)^2)``.
 
     ``diff`` holds dimension-major differences from :func:`_se_diff`, so the
@@ -332,13 +319,13 @@ def _se_kernel(diff: np.ndarray, variance, lengthscales: np.ndarray,
     innermost-axis sum also adds in sequence, so the result is bitwise
     identical. From D = 8 numpy sums pairwise: the exponent may then differ
     in its last bits, which exp turns into a relative difference of the
-    kernel that grows with the exponent. ``diff`` is scaled in place when
-    ``overwrite`` is set.
+    kernel that grows with the exponent. It builds the kernels of cached
+    differences: the training self-covariance and the drift fields'.
 
     A (C, D) stack of lengthscales, with ``variance`` broadcast as (C, 1, 1),
     gives a (C, G, n) stack of kernels, each bitwise the one built alone.
     """
-    z = np.divide(diff, lengthscales[..., None, :, None], out=diff if overwrite else None)
+    z = diff / lengthscales[..., None, :, None]
     z *= z
     # the planes are squares, never -0.0, so a sum of one plane is that plane
     K = z[..., 0, :].copy() if z.shape[-2] == 1 else z.sum(axis=-2)
@@ -363,7 +350,7 @@ def build_covariance(a, b, params: KernelParams) -> np.ndarray:
             f"inputs with {A.shape[1]} and {B.shape[1]} columns do not match "
             f"{d} lengthscales"
         )
-    K = _se_kernel(_se_diff(A, B), params.variance_scale, params.lengthscales, overwrite=True)
+    K = _se_kernel(_se_diff(A, B), params.variance_scale, params.lengthscales)
     if b is None and params.nugget > 0:
         K.flat[:: K.shape[0] + 1] += params.nugget
     return K
@@ -425,6 +412,28 @@ def fit_gp(train: TrainingSet, params: KernelParams) -> GPModel:
     return GPModel(params=p, train=train, chol=L, alpha=alpha)
 
 
+def _predict_from_planes(model: GPModel, S: np.ndarray):
+    """Standardized ``(mean, var)`` of ``model`` at the query rows whose scaled squared
+    differences to the training inputs sum to the (..., G, n) planes ``S``, overwritten.
+
+    The exp and the variance give the cross-kernel, whose product with the weights is
+    the mean; one triangular solve over every column gives the variance, floored at 0.
+    (LAPACK solves a lone right-hand side by another path, so where G is 1 each row is
+    solved on its own, as a one-row query is.)
+    """
+    variance, chol, n = model.params.variance_scale, model.chol, model.train.n
+    np.negative(S, out=S)
+    np.exp(S, out=S)
+    S *= variance
+    mean = np.matmul(S, model.alpha)
+    if mean.shape[-1] == 1:
+        v = np.asfortranarray(np.hstack([_solve_lower(chol, k.T) for k in S.reshape(-1, 1, n)]))
+    else:
+        v = _solve_lower(chol, S.reshape(-1, n).T)
+    var = np.maximum(variance - np.einsum("ij,ij->j", v, v), 0.0)
+    return mean, var.reshape(mean.shape)
+
+
 def predict_standardized(model: GPModel, query):
     """Conditional mean/variance at ``query`` in standardized target units."""
     Q = _as_matrix(query)
@@ -433,11 +442,8 @@ def predict_standardized(model: GPModel, query):
             f"query dimension {Q.shape[1]} does not match training dimension "
             f"{model.train.dim}"
         )
-    Ks = build_covariance(Q, model.train.inputs, model.params)
-    mean = Ks @ model.alpha
-    v = _solve_lower(model.chol, Ks.T)
-    var = np.maximum(model.params.variance_scale - np.einsum("ij,ij->j", v, v), 0.0)
-    return mean, var
+    planes = _add_planes(None, Q, model.train.inputs.T, model.params.lengthscales.tolist())
+    return _predict_from_planes(model, planes)
 
 
 def predict(model: GPModel, query) -> PredictiveDistribution:

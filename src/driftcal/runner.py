@@ -291,7 +291,6 @@ def orchestrate(config: RunConfig) -> RunReport:
         return report
 
     modes = ["koh", "integrated_delta"] if config.mode == "compare" else [config.mode]
-    per_mode: dict[str, PosteriorSamples] = {}
     for mode in modes:
         mcmc = config.mcmc
         if mode == "koh" and config.koh_mcmc is not None:
@@ -299,7 +298,6 @@ def orchestrate(config: RunConfig) -> RunReport:
         samples = _run_calibrator(mode, ds, emulator, config, mcmc,
                                   report.block_us.setdefault(mode, {}))
         t = _lap(report.stage_s, f"calibration:{mode}", t)
-        per_mode[mode] = samples
         sub_dir = os.path.join(out_dir, mode) if config.mode == "compare" else out_dir
         os.makedirs(sub_dir, exist_ok=True)
         _emit_outputs(samples, emulator, ds, config, sub_dir, report.outputs)

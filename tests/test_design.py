@@ -135,35 +135,6 @@ def test_unit_maps_equal_the_per_column_formulas_bitwise(case):
     assert np.array_equal(from_unit(values.tolist(), listed), phys)
 
 
-def test_degenerate_uniform_prior():
-    p = Prior.uniform(2.0, 2.0)
-    rng = np.random.default_rng(0)
-    assert all(p.sample(rng) == 2.0 for _ in range(5))
-
-
-def test_normal_sample_mean():
-    p = Prior.normal(3.0, 0.5)
-    rng = np.random.default_rng(42)
-    draws = np.array([p.sample(rng) for _ in range(1_000_000)])
-    assert abs(draws.mean() - 3.0) < 0.005
-
-
-def test_inverse_gamma_sample_mean():
-    p = Prior.inverse_gamma(3.0, 2.0)
-    rng = np.random.default_rng(42)
-    draws = np.array([p.sample(rng) for _ in range(1_000_000)])
-    assert np.all(draws > 0)
-    assert abs(draws.mean() - 1.0) < 0.02  # analytic mean b/(a-1) = 1
-
-
-def test_log_normal_sample_positive_and_median():
-    p = Prior.log_normal(np.log(0.3), 0.5)
-    rng = np.random.default_rng(0)
-    draws = np.array([p.sample(rng) for _ in range(200_000)])
-    assert np.all(draws > 0)
-    assert np.median(draws) == pytest.approx(0.3, rel=0.02)
-
-
 def test_prior_validation():
     with pytest.raises(ValueError):
         Prior.uniform(2.0, 1.0)

@@ -54,11 +54,13 @@ def unit_dataset(obs_x, obs_y, dtheta=1, names=None):
 
 
 def make_field(knots, values, variance=0.04, lengthscale=0.3):
-    return DiscrepancyField(
-        np.asarray(knots, float),
-        np.asarray(values, float),
-        KernelParams(variance, [lengthscale], FIELD_JITTER),
-    )
+    return DiscrepancyField(np.asarray(knots, float), np.asarray(values, float),
+                            [variance, lengthscale])
+
+
+def field_kernel(f):
+    """The field's prior covariance at its knots, with ``FIELD_JITTER`` on the diagonal."""
+    return build_covariance(f.knots, None, KernelParams(f.hyper[0], f.hyper[1:], FIELD_JITTER))
 
 
 # -- field and theta-star basics -------------------------------------------
@@ -79,7 +81,7 @@ def test_field_log_prior_matches_scipy_mvn():
     knots = np.array([[0.1], [0.4], [0.9]])
     values = np.array([0.05, -0.02, 0.01])
     f = make_field(knots, values)
-    cov = build_covariance(knots, None, replace(f.hyper, nugget=FIELD_JITTER))
+    cov = field_kernel(f)
     ref = stats.multivariate_normal(mean=np.zeros(3), cov=cov).logpdf(values)
     assert f.log_prior() == pytest.approx(ref, abs=1e-9)
 
@@ -149,7 +151,7 @@ def test_propose_covariance_matches_prior(monkeypatch):
     sample_cov = np.cov(draws.T)
     h = chain.hypers[0, 0]
     f = make_field(data.obs_x, np.zeros(3), variance=h[0], lengthscale=h[1])
-    K = build_covariance(f.knots, None, replace(f.hyper, nugget=FIELD_JITTER))
+    K = field_kernel(f)
     rel = np.linalg.norm(sample_cov - K) / np.linalg.norm(K)
     assert rel < 0.05
 
@@ -326,14 +328,14 @@ def test_tiny_lengthscale_proposal_is_hopeless():
     f = make_field([[0.1], [0.5], [0.9]], [0.0, 0.0, 0.0],
                    variance=priors.field_variance.median(),
                    lengthscale=priors.field_lengthscale.median())
-    tiny = replace(f, hyper=KernelParams(f.hyper.variance_scale, [1e-3], FIELD_JITTER))
+    tiny = replace(f, hyper=[f.hyper[0], 1e-3])
     log_ratio = (
         tiny.log_prior()
         + priors.field_lengthscale.logpdf(1e-3)
         - f.log_prior()
-        - priors.field_lengthscale.logpdf(f.hyper.lengthscales[0])
+        - priors.field_lengthscale.logpdf(f.hyper[1])
         + math.log(1e-3)
-        - math.log(f.hyper.lengthscales[0])
+        - math.log(f.hyper[1])
     )
     assert log_ratio < -20.0  # acceptance probability below e^-20
 

@@ -40,7 +40,7 @@ def unit_dataset(obs_x, obs_y, dtheta=1):
 def state_for(data, theta, delta, noise_var, v0=0.04, l0=0.3):
     """Baseline state: no drift fields, the discrepancy as the additive field at the knots."""
     knots, _ = _build_knots(data)
-    eta = DiscrepancyField(knots, np.asarray(delta, float), KernelParams(v0, [l0], FIELD_JITTER))
+    eta = DiscrepancyField(knots, np.asarray(delta, float), [v0, l0])
     return ChainState(
         theta_star=ThetaStar(np.asarray(theta, float), ()),
         noise_var=noise_var,
