@@ -1,12 +1,14 @@
 import inspect
 import json
 import os
+import re
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from driftcal import config as config_module
 from driftcal.cli import main
 from driftcal.config import ConfigError, EmulatorSettings, parse_config
 from driftcal.design import Prior, to_unit
@@ -15,9 +17,10 @@ from driftcal.gp import ExactEmulator
 from driftcal.problems import DIPOLE_PARAM_NAMES, dipole_dataset, dipole_problem
 from driftcal.runner import emit_plot_data, orchestrate, recompute_report
 from driftcal.samples import load_samples
-from driftcal.simulators import generate_dataset, save_dataset
+from driftcal.simulators import CalibrationDataset, generate_dataset, save_dataset
 
 HEADLINE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "dipole_compare.json"
+README = HEADLINE_CONFIG.parent.parent / "README.md"
 
 
 def base_config(out_dir="out", mode="integrated_delta", **extra):
@@ -159,6 +162,48 @@ def test_parameter_counts_are_checked_against_the_theta_priors_at_parse_time():
     assert {p: msg for p, msg in err.value.errors} == dict.fromkeys(
         ["synthetic.truth.theta0", "theta0", "priors.theta"],
         "expected 3 entries, one per synthetic.theta_priors entry, got 2")
+
+
+def test_top_level_theta0_reaches_both_calibrators_as_floats():
+    raw = base_config(mode="compare", theta0=[45, 0.33, 2],
+                      koh={"iterations": 220, "burn_in": 100})
+    cfg = parse_config(json.dumps(raw))
+    for mcmc in (cfg.mcmc, cfg.koh_mcmc):
+        assert mcmc.theta0 == (45.0, 0.33, 2.0)
+        assert all(type(v) is float for v in mcmc.theta0)
+
+
+def test_priors_theta_replaces_the_synthetic_theta_priors():
+    theta = [{"kind": "normal", "mean": 45.0, "sd": 2.0},
+             {"kind": "uniform", "lo": 0.3, "hi": 0.36},
+             {"kind": "log_normal", "mu": 0.5, "sigma": 0.2}]
+    raw = base_config(priors={"theta": theta})
+    cfg = parse_config(json.dumps(raw))
+    assert cfg.priors.theta == tuple(map(Prior.from_dict, theta))
+    assert cfg.synthetic.theta_priors == tuple(map(Prior.from_dict,
+                                                   raw["synthetic"]["theta_priors"]))
+
+
+def _readme_names(text: str) -> set[str]:
+    """The names a stretch of the README writes in backticks."""
+    return set(re.findall(r"`([A-Za-z_]\w*)`", text))
+
+
+def _readme_paragraph(lead: str) -> str:
+    """The rest of the README paragraph that starts with ``lead``."""
+    text = README.read_text()
+    start = text.index(lead) + len(lead)
+    return text[start:text.index("\n\n", start)]
+
+
+def test_readme_grammar_names_exactly_the_keys_the_parser_accepts():
+    grammar = README.read_text().split("## Configuration grammar", 1)[1]
+    rows = dict(re.findall(r"^\| `(\w+)` \| (.*)$", grammar, flags=re.MULTILINE))
+    assert set(rows) == config_module._TOP_KEYS
+    assert _readme_names(rows["emulator"]) == set(config_module._EMULATOR_CHECKS)
+    assert _readme_names(_readme_paragraph("`mcmc` keys:")) == set(config_module._MCMC_CHECKS)
+    assert _readme_names(_readme_paragraph("`priors` keys:")) == {*config_module._PRIOR_KEYS,
+                                                                   "theta"}
 
 
 def test_negative_seed_is_refused_at_parse_time(tmp_path, capsys):
@@ -582,3 +627,42 @@ def test_cli_missing_dataset_is_stage_error(tmp_path, capsys):
     cfg_path.write_text(json.dumps(raw))
     assert main(["calibrate", "--config", str(cfg_path)]) == 1
     assert "[dataset]" in capsys.readouterr().err
+
+
+def test_a_run_from_a_dataset_file_reproduces_the_synthetic_run_it_came_from(tmp_path):
+    koh = {"iterations": 220, "burn_in": 100, "thin": 2, "chains": 2}
+    raw = base_config(out_dir=str(tmp_path / "synthetic"), mode="compare", koh=koh)
+    orchestrate(parse_config(json.dumps(raw)))
+    from_file = base_config(out_dir=str(tmp_path / "file"), mode="compare", koh=koh,
+                            dataset=str(tmp_path / "synthetic" / "dataset.csv"),
+                            priors={"theta": raw["synthetic"]["theta_priors"]})
+    del from_file["synthetic"]
+    orchestrate(parse_config(json.dumps(from_file)))
+
+    def written(root):
+        return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+
+    synthetic, file = written(tmp_path / "synthetic"), written(tmp_path / "file")
+    assert synthetic - file == {"dataset.csv"} and file <= synthetic
+    for name in sorted(file - {"config_echo.json", "timing.json", "report.json"}):
+        assert ((tmp_path / "synthetic" / name).read_bytes()
+                == (tmp_path / "file" / name).read_bytes()), name
+    report = json.loads((tmp_path / "synthetic" / "report.json").read_text())
+    report["outputs"].remove("dataset.csv")
+    assert report == json.loads((tmp_path / "file" / "report.json").read_text())
+
+
+def test_a_dataset_file_of_a_two_dimensional_domain_is_a_stage_error(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    path = tmp_path / "ds.csv"
+    save_dataset(CalibrationDataset(
+        obs_x=rng.random((3, 2)), obs_y=rng.random(3), sim_x=rng.random((4, 2)),
+        sim_theta=rng.random((4, 1)), sim_y=rng.random(4),
+        domain_bounds=((0.0, 1.0), (0.0, 1.0)), theta_bounds=((0.0, 1.0),)), path)
+    raw = base_config(out_dir=str(tmp_path / "run"), dataset=str(path))
+    del raw["synthetic"]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["calibrate", "--config", str(cfg_path)]) == 1
+    assert "[dataset] grid summaries and plot files require a 1-D domain" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "emulator.json").exists()

@@ -1,4 +1,5 @@
 import copy
+import logging
 import math
 from dataclasses import replace
 
@@ -75,6 +76,13 @@ def test_field_conditional_exact_at_knots():
     assert np.all(var == 0.0)
     mid, _ = f.conditional([[0.35]])
     assert np.isfinite(mid[0])
+
+
+@pytest.mark.parametrize("hyper", [[0.04], [0.04, 0.3, 0.3], [[0.04, 0.3]], [0.0, 0.3],
+                                   [0.04, -0.3], [math.inf, 0.3], [0.04, math.nan]])
+def test_field_hyper_is_a_variance_and_one_lengthscale_per_knot_column(hyper):
+    with pytest.raises(ValueError, match="hyper must be 2 positive finite reals"):
+        DiscrepancyField(np.array([[0.2], [0.5]]), np.zeros(2), hyper)
 
 
 def test_field_log_prior_matches_scipy_mvn():
@@ -536,6 +544,35 @@ def test_log_posterior_audit_passes_during_runs():
     cfg = McmcConfig(iterations=500, burn_in=100, thin=1, chains=1, seed=2,
                      theta0=(0.5,), audit_every=50)
     run_integrated_delta(data, emu, priors, cfg)  # raises on audit failure
+
+
+def test_log_posterior_audit_fails_on_one_chains_cached_log_likelihood():
+    data = unit_dataset([[0.1], [0.6]], [0.5, 0.4])
+    knots, obs_idx = _build_knots(data)
+    chain = _Chain(data, ExactEmulator(lambda row: row[1]), CalibrationPriors(),
+                   McmcConfig(iterations=2, burn_in=1, theta0=(0.5,)),
+                   [np.random.default_rng(seed) for seed in (0, 1)], knots, obs_idx,
+                   drift=True, additive=False, accept=mh_accept, gibbs=gibbs_sigma2)
+    chain.loglik[1] += 1e-6
+    chain._audit(0)
+    cached = chain.total(1)
+    recomputed = embedded_log_posterior(chain.snapshot(1), data, chain.emulator, chain.priors)
+    with pytest.raises(RuntimeError) as err:
+        chain._audit(1)
+    assert str(err.value) == (f"log-posterior audit failed: cached {cached!r} "
+                              f"vs recomputed {recomputed!r}")
+
+
+def test_log_posterior_of_a_nan_emulator_output_is_minus_inf(caplog):
+    data = unit_dataset([[0.1], [0.6]], [0.5, 0.4])
+    state = ChainState(ThetaStar(np.array([0.5]), ()), noise_var=0.01)
+    priors = CalibrationPriors()
+    assert math.isfinite(embedded_log_posterior(state, data, ExactEmulator(lambda row: 0.5),
+                                                priors))
+    nan_at_one = ExactEmulator(lambda row: math.nan if row[0] > 0.5 else 0.5)
+    with caplog.at_level(logging.WARNING, logger="driftcal.embedded"):
+        assert embedded_log_posterior(state, data, nan_at_one, priors) == -math.inf
+    assert caplog.messages == ["emulator returned non-finite output; state rejected"]
 
 
 def test_mcmc_config_burn_in_defaults_to_half_the_iterations_up_to_1500():
