@@ -14,9 +14,7 @@ from .diagnostics import coverage_2sd, effective_sample_size, rmse, split_rhat
 from .embedded import (
     CalibrationPriors,
     ChainState,
-    DiscrepancyField,
     McmcConfig,
-    ThetaStar,
     embedded_log_posterior,
     gibbs_sigma2,
     mh_accept,

@@ -379,8 +379,8 @@ def parse_config(text: str) -> RunConfig:
             if isinstance(theta_priors, list) and theta_priors:
                 n_theta = len(theta_priors)
             synthetic = _parse_synthetic(chk, raw["synthetic"], "synthetic", n_theta)
-    if dataset_path is None and "synthetic" not in raw:
-        chk.fail("dataset", "either 'dataset' or 'synthetic' must be provided")
+    if (raw.get("dataset") is not None) == ("synthetic" in raw):
+        chk.fail("dataset", "exactly one of 'dataset' or 'synthetic' must be provided")
     if mode == "generate" and "synthetic" not in raw:
         chk.fail("synthetic", "mode=generate requires a synthetic block")
     if mode == "compare" and "koh" not in raw:

@@ -31,14 +31,12 @@ from operator import add
 import numpy as np
 
 from .design import Prior, from_unit, to_unit
-from .gp import PredictiveDistribution, _as_matrix
+from .gp import PredictiveDistribution
 from .gp import _cho_solve, _se_diff, _se_kernel, _solve_lower
 from .samples import PosteriorSamples
 from .simulators import CalibrationDataset
 
 __all__ = [
-    "DiscrepancyField",
-    "ThetaStar",
     "ChainState",
     "CalibrationPriors",
     "McmcConfig",
@@ -143,87 +141,36 @@ def _exact_matches(X: np.ndarray, knots: np.ndarray):
     return rows[keep], cols[keep]
 
 
-@dataclass(frozen=True)
-class DiscrepancyField:
-    """One drift field: knot locations, knot values, and its GP prior.
+@dataclass
+class ChainState:
+    """A chain's state as the log-posterior oracle reads it, in the engine's layout.
 
-    Values are in normalized units (theta-box units for parameter fields,
-    standardized-y units for an additive output field). ``hyper`` holds the
-    prior's raw hyperparameters ``[variance, *lengthscales]``, one lengthscale
-    per knot column, in the layout the sampler engine stores. Conditioning on
-    the knot values is noise-free, so predictions at knot locations reproduce
-    the stored values exactly.
-    """
-
-    knots: np.ndarray
-    values: np.ndarray
-    hyper: np.ndarray
-
-    def __post_init__(self) -> None:
-        k = _as_matrix(self.knots)
-        v = np.atleast_1d(np.asarray(self.values, dtype=float))
-        h = np.asarray(self.hyper, dtype=float)
-        object.__setattr__(self, "knots", k)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "hyper", h)
-        if v.size != k.shape[0]:
-            raise ValueError("one value per knot required")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("field values must be finite")
-        if h.shape != (1 + k.shape[1],) or not np.all(np.isfinite(h) & (h > 0)):
-            raise ValueError(f"hyper must be {1 + k.shape[1]} positive finite reals "
-                             f"[variance, *lengthscales], got {h!r}")
-
-    def log_prior(self) -> float:
-        """Zero-mean GP prior log-density of the knot values."""
-        L = _knot_chol(_se_diff(self.knots, self.knots), self.hyper[None])
-        return _mvn_logpdf_zero(self.values, L[0])
-
-    def conditional(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Noise-free conditional mean and variance of the field at ``x``."""
-        means, vars_ = _conditional_curves(self.knots, _as_matrix(x), self.values[None, :],
-                                           self.hyper[None, :])
-        return means[0], vars_[0]
-
-
-@dataclass(frozen=True)
-class ThetaStar:
-    """Drift-corrected parameter map theta*(x) = theta + d(x).
-
-    With no fields (the baseline calibrator) theta*(x) is theta everywhere.
+    ``values`` (F, K) and ``hypers`` (F, 1 + dx) hold one row per field: a
+    drift field per parameter, or none, then the additive "eta" field when
+    ``additive`` is set. Knot values are in normalized units (theta-box units
+    for drift fields, standardized-y units for the additive field) at the
+    knots of :func:`_build_knots`; ``hypers`` rows are raw ``[variance,
+    *lengthscales]``.
     """
 
     base_theta: np.ndarray
-    fields: tuple[DiscrepancyField, ...]
-
-    def __post_init__(self) -> None:
-        bt = np.atleast_1d(np.asarray(self.base_theta, dtype=float))
-        object.__setattr__(self, "base_theta", bt)
-        object.__setattr__(self, "fields", tuple(self.fields))
-        if self.fields and len(self.fields) != bt.size:
-            raise ValueError("need one drift field per parameter, or none")
-
-    def evaluate(self, X) -> np.ndarray:
-        """theta*(x) at each row of the (n, dx) normalized inputs; exact at knot locations.
-
-        Returns an (n, dtheta) array; each field is conditioned once for all rows.
-        """
-        X = _as_matrix(X)
-        out = np.tile(self.base_theta, (X.shape[0], 1))
-        for k, f in enumerate(self.fields):
-            out[:, k] += f.conditional(X)[0]
-        return out
-
-
-@dataclass
-class ChainState:
-    """Mutable MCMC chain state of any calibrator, as the log-posterior oracle reads it."""
-
-    theta_star: ThetaStar
+    values: np.ndarray
+    hypers: np.ndarray
     noise_var: float
-    eta_field: DiscrepancyField | None = None
+    additive: bool = False
 
     def __post_init__(self) -> None:
+        self.base_theta = np.atleast_1d(np.asarray(self.base_theta, dtype=float))
+        v = self.values = np.asarray(self.values, dtype=float)
+        h = self.hypers = np.asarray(self.hypers, dtype=float)
+        if v.ndim != 2 or not np.all(np.isfinite(v)):
+            raise ValueError(f"values must be finite (fields, knots) rows, got {v!r}")
+        if h.shape[:1] != v.shape[:1] or h.ndim != 2 or not np.all(np.isfinite(h) & (h > 0)):
+            raise ValueError(f"hypers must be one row of positive finite reals "
+                             f"[variance, *lengthscales] per field, got {h!r}")
+        if len(v) - self.additive not in (0, self.base_theta.size):
+            raise ValueError(f"{len(v)} field rows: need one drift field per parameter, "
+                             f"or none, then the additive field when additive")
         if not self.noise_var > 0:
             raise ValueError("noise_var must be positive")
 
@@ -350,27 +297,39 @@ def embedded_log_posterior(
     hyperpriors, the noise prior, and the theta prior. With no drift fields
     and an additive field this is the Kennedy & O'Hagan posterior. Theta
     outside the unit box and non-finite emulator output map to -inf.
+    Raises ``ValueError`` when the state's rows do not fit the dataset: one
+    value per knot of :func:`_build_knots`, and 1 + dx hyperparameters.
     """
-    theta_prior = _theta_logprior(state.theta_star.base_theta, priors, data.theta_bounds)
+    knots, _ = _build_knots(data)
+    n_fields, n_knots = state.values.shape
+    if n_knots != len(knots):
+        raise ValueError(f"one value per knot required: {n_knots} values, {len(knots)} knots")
+    if state.hypers.shape[1] != 1 + data.dx:
+        raise ValueError(f"hypers need {1 + data.dx} columns [variance, *lengthscales], "
+                         f"got {state.hypers.shape[1]}")
+    theta_prior = _theta_logprior(state.base_theta, priors, data.theta_bounds)
     if not math.isfinite(theta_prior):
         return -math.inf
     x_unit = data.obs_x_unit()
-    Q = np.hstack([x_unit, state.theta_star.evaluate(x_unit)])
-    mean, var = emulator.predict_std(Q)
+    # every observation is a knot: the conditionals are the knot values there
+    at_obs = _conditional_curves(knots, x_unit, state.values, state.hypers, variances=False)[0]
+    n_drift = n_fields - state.additive
+    theta_star = np.tile(state.base_theta, (len(x_unit), 1))
+    theta_star[:, :n_drift] += at_obs[:n_drift].T
+    mean, var = emulator.predict_std(np.hstack([x_unit, theta_star]))
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(var))):
         log.warning("emulator returned non-finite output; state rejected")
         return -math.inf
 
     y_std = (data.obs_y - emulator.y_shift) / emulator.y_scale
-    fields = [(f, priors.field_variance, priors.field_lengthscale)
-              for f in state.theta_star.fields]
-    eta_at_obs = 0.0
-    if state.eta_field is not None:
-        eta_at_obs = state.eta_field.conditional(x_unit)[0]
-        fields.append((state.eta_field, priors.eta_variance, priors.eta_lengthscale))
+    eta_at_obs = at_obs[-1] if state.additive else 0.0
     total = gaussian_loglik(y_std - mean - eta_at_obs, state.noise_var + var)
-    for f, var_prior, len_prior in fields:
-        total += f.log_prior() + _hyper_logprior(f.hyper, var_prior, len_prior)
+    field_priors = [(priors.field_variance, priors.field_lengthscale)] * n_drift
+    if state.additive:
+        field_priors.append((priors.eta_variance, priors.eta_lengthscale))
+    chols = _knot_chol(_se_diff(knots, knots), state.hypers)
+    for v, h, L, (var_prior, len_prior) in zip(state.values, state.hypers, chols, field_priors):
+        total += _mvn_logpdf_zero(v, L) + _hyper_logprior(h, var_prior, len_prior)
     return total + priors.noise.logpdf(state.noise_var) + theta_prior
 
 
@@ -571,15 +530,8 @@ class _Chain:
         )
 
     def snapshot(self, c: int) -> ChainState:
-        fields = [
-            DiscrepancyField(self.knots, v.copy(), h.copy())
-            for v, h in zip(self.values[c], self.hypers[c])
-        ]
-        return ChainState(
-            theta_star=ThetaStar(self.base_theta[c].copy(), fields[: self.n_drift]),
-            noise_var=float(self.sigma2[c]),
-            eta_field=fields[-1] if self.additive else None,
-        )
+        return ChainState(self.base_theta[c].copy(), self.values[c].copy(),
+                          self.hypers[c].copy(), float(self.sigma2[c]), self.additive)
 
     # -- MCMC blocks: each returns its decision for every chain ------------
 

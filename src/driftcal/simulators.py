@@ -378,8 +378,10 @@ class SyntheticSpec:
         for lo, hi in db:
             if not lo < hi:
                 raise ValueError(f"domain bound ({lo}, {hi}) needs lo < hi")
-        if self.n_sim < 1:
-            raise ValueError(f"n_sim must be >= 1, got {self.n_sim}")
+        if self.n_sim < 2:
+            raise ValueError(f"n_sim must be >= 2, got {self.n_sim}")
+        if self.n_obs < 1:
+            raise ValueError(f"n_obs must be >= 1, got {self.n_obs}")
         if self.noise_sd < 0:
             raise ValueError("noise_sd must be non-negative")
 

@@ -14,6 +14,7 @@ it replaced did.
 """
 
 import math
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -29,11 +30,11 @@ from driftcal.design import Prior
 from driftcal.embedded import (
     FIELD_JITTER,
     CalibrationPriors,
-    DiscrepancyField,
     McmcConfig,
     _build_knots,
     _Chain,
     _chol,
+    _conditional_curves,
     _knot_chol,
     _knot_chols,
     posterior_predictive,
@@ -285,6 +286,29 @@ def test_fit_gp_escalated_nugget_matches_full_kernel_factor():
     assert np.array_equal(model.alpha, ref_cho_solve(L, train.targets))
 
 
+@pytest.mark.parametrize("variance, nugget", [(1e8, 1e-7), (1e10, 9.999999999999999e-05)])
+def test_fit_gp_steps_the_nugget_by_ten_up_to_the_ceiling(variance, nugget):
+    # the fourth step from 1e-8 rounds to just below the 1e-4 ceiling
+    X = np.random.default_rng(2).random((40, 3))
+    train = TrainingSet.from_raw(X, np.sin(X).sum(axis=1))
+    model = gp.fit_gp(train, KernelParams(variance, [100.0, 100.0, 100.0], nugget=1e-8))
+    assert model.params.nugget == nugget
+    L = np.linalg.cholesky(ref_build_covariance(X, None, model.params))
+    assert np.array_equal(model.chol, L)
+    assert np.array_equal(model.alpha, ref_cho_solve(L, train.targets))
+
+
+def test_fit_gp_raises_when_the_kernel_does_not_factor_at_the_ceiling():
+    X = np.random.default_rng(2).random((40, 3))
+    train = TrainingSet.from_raw(X, np.sin(X).sum(axis=1))
+    params = KernelParams(1e12, [100.0, 100.0, 100.0], nugget=1e-8)
+    at_ceiling = replace(params, nugget=9.999999999999999e-05)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(ref_build_covariance(X, None, at_ceiling))
+    with pytest.raises(gp.SingularKernelError, match="even at nugget=0.0001"):
+        gp.fit_gp(train, params)
+
+
 def spd_matrix(rng, n):
     A = rng.standard_normal((n, n + 3))
     return A @ A.T + 1e-3 * np.eye(n)
@@ -339,14 +363,16 @@ def test_field_conditional_and_log_prior_match_build_covariance_bitwise(n, dx):
     X = rng.random((30, dx))  # off the knots: the conditional, not the exact overrides
     for _ in range(20):
         h = np.exp(rng.normal(0.0, 1.5, 1 + dx))
-        field = DiscrepancyField(knots, rng.normal(0.0, 0.2, n), h)
+        values = rng.normal(0.0, 0.2, n)
         L = _chol(build_covariance(knots, None, KernelParams(h[0], h[1:], FIELD_JITTER)))
         kxk = build_covariance(X, knots, KernelParams(h[0], h[1:]))
         s = gp._solve_lower(L, kxk.T)
-        mean, var = field.conditional(X)
-        assert np.array_equal(mean, kxk @ gp._cho_solve(L, field.values))
+        [mean], [var] = _conditional_curves(knots, X, values[None], h[None])
+        assert np.array_equal(mean, kxk @ gp._cho_solve(L, values))
         assert np.array_equal(var, np.maximum(h[0] - np.einsum("ij,ij->j", s, s), 0.0))
-        assert field.log_prior() == embedded._mvn_logpdf_zero(field.values, L)
+        [prior_chol] = _knot_chol(_se_diff(knots, knots), h[None])
+        assert (embedded._mvn_logpdf_zero(values, prior_chol)
+                == embedded._mvn_logpdf_zero(values, L))
 
 
 DUPLICATE_KNOTS = np.array([[0.2], [0.2], [0.7]])

@@ -400,6 +400,21 @@ def test_dataset_or_synthetic_required():
         parse_config(json.dumps(raw))
 
 
+def test_dataset_and_synthetic_together_are_refused(tmp_path, capsys):
+    # a dataset run would otherwise take the synthetic block's theta priors and parameter count
+    raw = base_config(out_dir=str(tmp_path / "run"), mode="generate",
+                      dataset=str(tmp_path / "ds.csv"))
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(raw))
+    assert err.value.errors == [
+        ("dataset", "exactly one of 'dataset' or 'synthetic' must be provided")]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["generate", "--config", str(cfg_path)]) == 2
+    assert "dataset: exactly one of 'dataset' or 'synthetic'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_generate_writes_budgeted_dataset(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     raw = base_config(out_dir=str(tmp_path / "run"), mode="generate")

@@ -15,9 +15,7 @@ from driftcal.embedded import (
     FIELD_JITTER,
     CalibrationPriors,
     ChainState,
-    DiscrepancyField,
     McmcConfig,
-    ThetaStar,
     delta_field_curves,
     embedded_log_posterior,
     gibbs_sigma2,
@@ -26,8 +24,10 @@ from driftcal.embedded import (
     run_integrated_delta,
     _build_knots,
     _Chain,
+    _conditional_curves,
+    _knot_chol,
 )
-from driftcal.gp import ExactEmulator, KernelParams, TrainingSet, build_covariance
+from driftcal.gp import ExactEmulator, KernelParams, TrainingSet, _se_diff, build_covariance
 from driftcal.koh import run_koh
 from driftcal.runner import emit_plot_data
 from driftcal.samples import PosteriorSamples, load_samples, save_samples
@@ -54,14 +54,16 @@ def unit_dataset(obs_x, obs_y, dtheta=1, names=None):
     )
 
 
-def make_field(knots, values, variance=0.04, lengthscale=0.3):
-    return DiscrepancyField(np.asarray(knots, float), np.asarray(values, float),
-                            [variance, lengthscale])
+def field_kernel(knots, h):
+    """A field's prior covariance at its knots, with ``FIELD_JITTER`` on the diagonal."""
+    return build_covariance(knots, None, KernelParams(h[0], h[1:], FIELD_JITTER))
 
 
-def field_kernel(f):
-    """The field's prior covariance at its knots, with ``FIELD_JITTER`` on the diagonal."""
-    return build_covariance(f.knots, None, KernelParams(f.hyper[0], f.hyper[1:], FIELD_JITTER))
+def field_log_prior(knots, values, h):
+    """Zero-mean GP prior log-density of one field's knot values under raw hyperparameters."""
+    knots = np.asarray(knots, float)
+    [L] = _knot_chol(_se_diff(knots, knots), np.array([h], float))
+    return embedded._mvn_logpdf_zero(np.asarray(values, float), L)
 
 
 # -- field and theta-star basics -------------------------------------------
@@ -69,56 +71,87 @@ def field_kernel(f):
 
 def test_field_conditional_exact_at_knots():
     knots = np.array([[0.2], [0.5], [0.8]])
-    values = np.array([0.3, -0.1, 0.2])
-    f = make_field(knots, values)
-    mean, var = f.conditional(knots)
+    values = np.array([[0.3, -0.1, 0.2]])
+    hypers = np.array([[0.04, 0.3]])
+    mean, var = _conditional_curves(knots, knots, values, hypers)
     assert np.array_equal(mean, values)
     assert np.all(var == 0.0)
-    mid, _ = f.conditional([[0.35]])
-    assert np.isfinite(mid[0])
-
-
-@pytest.mark.parametrize("hyper", [[0.04], [0.04, 0.3, 0.3], [[0.04, 0.3]], [0.0, 0.3],
-                                   [0.04, -0.3], [math.inf, 0.3], [0.04, math.nan]])
-def test_field_hyper_is_a_variance_and_one_lengthscale_per_knot_column(hyper):
-    with pytest.raises(ValueError, match="hyper must be 2 positive finite reals"):
-        DiscrepancyField(np.array([[0.2], [0.5]]), np.zeros(2), hyper)
+    mid, _ = _conditional_curves(knots, np.array([[0.35]]), values, hypers)
+    assert np.isfinite(mid[0, 0])
 
 
 def test_field_log_prior_matches_scipy_mvn():
     knots = np.array([[0.1], [0.4], [0.9]])
     values = np.array([0.05, -0.02, 0.01])
-    f = make_field(knots, values)
-    cov = field_kernel(f)
-    ref = stats.multivariate_normal(mean=np.zeros(3), cov=cov).logpdf(values)
-    assert f.log_prior() == pytest.approx(ref, abs=1e-9)
+    h = [0.04, 0.3]
+    ref = stats.multivariate_normal(mean=np.zeros(3), cov=field_kernel(knots, h)).logpdf(values)
+    assert field_log_prior(knots, values, h) == pytest.approx(ref, abs=1e-9)
 
 
-def test_theta_star_exact_addition_at_knots():
+def test_oracle_queries_theta_plus_drift_at_the_knots():
+    """theta*(x) = theta + d(x) exactly at the knots, which are the observation inputs."""
     knots = np.array([[0.2], [0.7]])
-    f1 = make_field(knots, [0.11, -0.04])
-    f2 = make_field(knots, [0.0, 0.25])
-    ts = ThetaStar(base_theta=np.array([0.5, 0.4]), fields=(f1, f2))
-    out = ts.evaluate([[0.2]])[0]
-    assert out[0] == 0.5 + 0.11
-    assert out[1] == 0.4 + 0.0
-    out = ts.evaluate([[0.7]])[0]
-    assert out[0] == 0.5 - 0.04
-    assert out[1] == 0.4 + 0.25
+    data = unit_dataset(knots, [0.5, 0.5], dtheta=2)
+    seen = []
+    emu = ExactEmulator(lambda Q: seen.append(Q.copy()) or np.zeros(len(Q)), vectorized=True)
+    state = ChainState(np.array([0.5, 0.4]), [[0.11, -0.04], [0.0, 0.25]],
+                       [[0.04, 0.3], [0.04, 0.3]], noise_var=0.01)
+    assert math.isfinite(embedded_log_posterior(state, data, emu, CalibrationPriors()))
+    [Q] = seen
+    assert Q[0].tolist() == [0.2, 0.5 + 0.11, 0.4 + 0.0]
+    assert Q[1].tolist() == [0.7, 0.5 - 0.04, 0.4 + 0.25]
 
 
-def test_theta_star_rows_match_one_point_at_a_time():
+def test_conditional_rows_match_one_point_at_a_time():
     knots = np.array([[0.2], [0.5], [0.7]])
-    f1 = make_field(knots, [0.11, 0.03, -0.04])
-    f2 = make_field(knots, [0.0, -0.1, 0.25])
-    ts = ThetaStar(base_theta=np.array([0.5, 0.4]), fields=(f1, f2))
+    values = np.array([[0.11, 0.03, -0.04], [0.0, -0.1, 0.25]])
+    hypers = np.array([[0.04, 0.3], [0.04, 0.3]])
     X = np.array([[0.0], [0.2], [0.33], [0.5], [0.61], [0.7], [0.95]])
-    rows = ts.evaluate(X)
-    single = np.vstack([ts.evaluate(X[i:i + 1]) for i in range(len(X))])
-    assert rows.shape == (len(X), 2)
+    rows = _conditional_curves(knots, X, values, hypers)[0]
+    single = np.hstack([_conditional_curves(knots, X[i:i + 1], values, hypers)[0]
+                        for i in range(len(X))])
+    assert rows.shape == (2, len(X))
     at_knots = np.isin(X[:, 0], knots[:, 0])
-    assert np.array_equal(rows[at_knots], single[at_knots])
-    assert np.allclose(rows[~at_knots], single[~at_knots], rtol=1e-12, atol=0.0)
+    assert np.array_equal(rows[:, at_knots], single[:, at_knots])
+    assert np.allclose(rows[:, ~at_knots], single[:, ~at_knots], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("hypers", [[0.04, 0.3], [[0.0, 0.3]], [[0.04, -0.3]], [[math.inf, 0.3]],
+                                    [[0.04, math.nan]], [[0.04, 0.3], [0.04, 0.3]]])
+def test_chain_state_hypers_are_one_positive_finite_row_per_field(hypers):
+    with pytest.raises(ValueError, match="hypers must be one row of positive finite reals"):
+        ChainState([0.5], [[0.0, 0.0]], hypers, noise_var=0.01)
+
+
+@pytest.mark.parametrize("values", [[0.0, 0.0], [[0.0, math.nan]], [[math.inf, 0.0]]])
+def test_chain_state_values_are_finite_rows(values):
+    with pytest.raises(ValueError, match="values must be finite"):
+        ChainState([0.5], values, [[0.04, 0.3]], noise_var=0.01)
+
+
+@pytest.mark.parametrize("n_rows, additive", [(1, False), (3, False), (0, True), (2, True)])
+def test_chain_state_needs_one_drift_field_per_parameter_or_none(n_rows, additive):
+    with pytest.raises(ValueError, match="need one drift field per parameter, or none"):
+        ChainState([0.5, 0.5], np.zeros((n_rows, 2)), np.full((n_rows, 2), 0.1), noise_var=0.01,
+                   additive=additive)
+
+
+@pytest.mark.parametrize("noise_var", [0.0, -0.01, math.nan])
+def test_chain_state_noise_var_must_be_positive(noise_var):
+    with pytest.raises(ValueError, match="noise_var must be positive"):
+        ChainState([0.5], np.zeros((0, 2)), np.zeros((0, 2)), noise_var=noise_var)
+
+
+@pytest.mark.parametrize("values, hypers, message", [
+    ([[0.0, 0.0, 0.0]], [[0.04, 0.3]], "one value per knot required: 3 values, 2 knots"),
+    ([[0.0, 0.0]], [[0.04]], "hypers need 2 columns"),
+    ([[0.0, 0.0]], [[0.04, 0.3, 0.3]], "hypers need 2 columns"),
+])
+def test_log_posterior_refuses_rows_that_do_not_fit_the_dataset(values, hypers, message):
+    data = unit_dataset([[0.1], [0.6]], [0.5, 0.4])
+    state = ChainState([0.5], values, hypers, noise_var=0.01)
+    with pytest.raises(ValueError, match=message):
+        embedded_log_posterior(state, data, ExactEmulator(lambda row: 0.5), CalibrationPriors())
 
 
 # -- proposals and acceptance ------------------------------------------------
@@ -158,8 +191,7 @@ def test_propose_covariance_matches_prior(monkeypatch):
         draws[i] = chain.values[0, 0] - before
     sample_cov = np.cov(draws.T)
     h = chain.hypers[0, 0]
-    f = make_field(data.obs_x, np.zeros(3), variance=h[0], lengthscale=h[1])
-    K = field_kernel(f)
+    K = field_kernel(data.obs_x, h)
     rel = np.linalg.norm(sample_cov - K) / np.linalg.norm(K)
     assert rel < 0.05
 
@@ -251,11 +283,7 @@ def test_gibbs_sigma2_requires_inverse_gamma():
 
 
 def offset_state(knots, offset, noise_var=0.01, base=0.5):
-    f = make_field(knots, np.full(len(knots), offset), variance=1.0, lengthscale=0.3)
-    return ChainState(
-        theta_star=ThetaStar(np.array([base]), (f,)),
-        noise_var=noise_var,
-    )
+    return ChainState([base], np.full((1, len(knots)), offset), [[1.0, 0.3]], noise_var)
 
 
 def test_log_posterior_scan_peaks_at_zero_offset():
@@ -285,11 +313,7 @@ def test_log_posterior_change_matches_direct_evaluation():
     noise = 0.02
 
     def state_for(v):
-        f = make_field(knots, v, variance=1.0, lengthscale=0.3)
-        return ChainState(
-            theta_star=ThetaStar(np.array([0.5]), (f,)),
-            noise_var=noise,
-        )
+        return ChainState([0.5], [v], [[1.0, 0.3]], noise)
 
     def direct_loglik(v):
         out = 0.0
@@ -300,10 +324,8 @@ def test_log_posterior_change_matches_direct_evaluation():
 
     lp1 = embedded_log_posterior(state_for(values), data, emu, priors)
     lp2 = embedded_log_posterior(state_for(2 * values), data, emu, priors)
-    f1 = make_field(knots, values, variance=1.0, lengthscale=0.3)
-    f2 = make_field(knots, 2 * values, variance=1.0, lengthscale=0.3)
-    expected = (direct_loglik(2 * values) + f2.log_prior()) - (
-        direct_loglik(values) + f1.log_prior()
+    expected = (direct_loglik(2 * values) + field_log_prior(knots, 2 * values, [1.0, 0.3])) - (
+        direct_loglik(values) + field_log_prior(knots, values, [1.0, 0.3])
     )
     assert lp2 - lp1 == pytest.approx(expected, abs=1e-9)
 
@@ -333,17 +355,15 @@ def test_log_posterior_gaussian_tail_in_noise_variance():
 
 def test_tiny_lengthscale_proposal_is_hopeless():
     priors = CalibrationPriors()
-    f = make_field([[0.1], [0.5], [0.9]], [0.0, 0.0, 0.0],
-                   variance=priors.field_variance.median(),
-                   lengthscale=priors.field_lengthscale.median())
-    tiny = replace(f, hyper=[f.hyper[0], 1e-3])
+    knots, values = [[0.1], [0.5], [0.9]], [0.0, 0.0, 0.0]
+    variance, ell = priors.field_variance.median(), priors.field_lengthscale.median()
     log_ratio = (
-        tiny.log_prior()
+        field_log_prior(knots, values, [variance, 1e-3])
         + priors.field_lengthscale.logpdf(1e-3)
-        - f.log_prior()
-        - priors.field_lengthscale.logpdf(f.hyper[1])
+        - field_log_prior(knots, values, [variance, ell])
+        - priors.field_lengthscale.logpdf(ell)
         + math.log(1e-3)
-        - math.log(f.hyper[1])
+        - math.log(ell)
     )
     assert log_ratio < -20.0  # acceptance probability below e^-20
 
@@ -565,7 +585,7 @@ def test_log_posterior_audit_fails_on_one_chains_cached_log_likelihood():
 
 def test_log_posterior_of_a_nan_emulator_output_is_minus_inf(caplog):
     data = unit_dataset([[0.1], [0.6]], [0.5, 0.4])
-    state = ChainState(ThetaStar(np.array([0.5]), ()), noise_var=0.01)
+    state = ChainState([0.5], np.zeros((0, 2)), np.zeros((0, 2)), noise_var=0.01)
     priors = CalibrationPriors()
     assert math.isfinite(embedded_log_posterior(state, data, ExactEmulator(lambda row: 0.5),
                                                 priors))

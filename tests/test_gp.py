@@ -258,6 +258,20 @@ def test_optimizer_budget_zero_rejected():
         optimize_emulator(train, KernelParams(1.0, [0.5], nugget=1e-8), budget=0)
 
 
+def test_optimizer_scores_singular_fits_1e12_and_keeps_init():
+    # a repeated input row at nugget 0 makes every candidate's fit singular
+    x = np.random.default_rng(4).random((20, 2))
+    x[7] = x[3]
+    train = TrainingSet.from_raw(x, np.sin(x).sum(axis=1))
+    init = KernelParams(1.0, [0.4, 0.3], nugget=0.0)
+    with pytest.raises(SingularKernelError):
+        fit_gp(train, init)
+    tuned = optimize_emulator(train, init, budget=60, seed=0)  # restarts from 60
+    assert tuned.variance_scale == init.variance_scale
+    assert tuned.lengthscales.tolist() == [0.4, 0.3]
+    assert tuned.nugget == 0.0
+
+
 def test_optimizer_flat_targets_shrinks_variance():
     x = np.linspace(0, 1, 12)[:, None]
     train = TrainingSet.from_raw(x, np.full(12, 3.7))

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = SRC.parent / "README.md"
 
 
 def run_fresh(code: str) -> str:
@@ -132,3 +133,10 @@ def test_every_name_in_a_module_all_resolves():
                                    if not hasattr(module, n)]
     assert {"design", "embedded", "gp", "simulators"} <= set(exported)
     assert not any(exported.values()), exported
+
+
+def test_readme_library_use_block_runs_as_written():
+    # the block a reader copies: a renamed import or argument would break it silently
+    section = README.read_text().split("## Library use", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    assert run_fresh(block)

@@ -9,10 +9,7 @@ from driftcal.embedded import (
     FIELD_JITTER,
     CalibrationPriors,
     ChainState,
-    DiscrepancyField,
     McmcConfig,
-    ThetaStar,
-    _build_knots,
     embedded_log_posterior,
     posterior_predictive,
 )
@@ -39,13 +36,7 @@ def unit_dataset(obs_x, obs_y, dtheta=1):
 
 def state_for(data, theta, delta, noise_var, v0=0.04, l0=0.3):
     """Baseline state: no drift fields, the discrepancy as the additive field at the knots."""
-    knots, _ = _build_knots(data)
-    eta = DiscrepancyField(knots, np.asarray(delta, float), [v0, l0])
-    return ChainState(
-        theta_star=ThetaStar(np.asarray(theta, float), ()),
-        noise_var=noise_var,
-        eta_field=eta,
-    )
+    return ChainState(theta, [delta], [[v0, l0]], noise_var, additive=True)
 
 
 def test_log_posterior_grid_scan_peaks_at_truth():

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from driftcal.design import Prior
 from driftcal.problems import dipole_dataset, dipole_problem
@@ -158,7 +159,10 @@ def test_synthetic_spec_validation():
     spec = dipole_problem()[1]
     for changes, message in [
         ({"domain_bounds": ((1.0, 1.0),)}, "needs lo < hi"),
-        ({"n_sim": 0}, "n_sim must be >= 1"),
+        ({"n_sim": 0}, "n_sim must be >= 2, got 0"),
+        ({"n_sim": 1}, "n_sim must be >= 2, got 1"),
+        ({"n_obs": 0}, "n_obs must be >= 1, got 0"),
+        ({"n_obs": -1}, "n_obs must be >= 1, got -1"),
         ({"domain_bounds": ((5.0, 40.0), (0.0, 1.0))}, "1-D domain"),
         ({"noise_sd": -0.1}, "noise_sd must be non-negative"),
     ]:
@@ -185,10 +189,24 @@ def test_theta_bounds_from_priors():
     assert bounds[1] == (-3.0, 3.0)
 
 
+@pytest.mark.parametrize("prior, ref", [
+    (Prior.log_normal(0.2, 0.5), stats.lognorm(s=0.5, scale=math.exp(0.2))),
+    (Prior.inverse_gamma(3.0, 2.0), stats.invgamma(3.0, scale=2.0)),
+])
+def test_theta_bounds_of_an_unbounded_prior_are_its_central_99_percent(prior, ref):
+    [(lo, hi)] = theta_bounds_from_priors([prior])
+    assert lo == pytest.approx(ref.ppf(0.005), rel=1e-12)
+    assert hi == pytest.approx(ref.ppf(0.995), rel=1e-12)
+
+
 def test_dataset_validation():
-    with pytest.raises(ValueError, match="observation"):
+    with pytest.raises(ValueError, match="n_obs must be >= 1"):
         dipole_dataset(n_sim=5, n_obs=0)
     ds = dipole_dataset(n_sim=5, n_obs=2)
+    with pytest.raises(ValueError, match="need at least 1 observation"):
+        replace(ds, obs_x=np.empty((0, 1)), obs_y=np.empty(0))
+    with pytest.raises(ValueError, match="need at least 2 simulator runs"):
+        replace(ds, sim_x=ds.sim_x[:1], sim_theta=ds.sim_theta[:1], sim_y=ds.sim_y[:1])
     with pytest.raises(ValueError, match="bounds"):
         type(ds)(
             obs_x=np.array([[100.0]]),
