@@ -297,9 +297,12 @@ def embedded_log_posterior(
     hyperpriors, the noise prior, and the theta prior. With no drift fields
     and an additive field this is the Kennedy & O'Hagan posterior. Theta
     outside the unit box and non-finite emulator output map to -inf.
-    Raises ``ValueError`` when the state's rows do not fit the dataset: one
-    value per knot of :func:`_build_knots`, and 1 + dx hyperparameters.
+    Raises ``ValueError`` when the state does not fit the dataset: one base
+    theta per parameter, one value per knot of :func:`_build_knots`, and
+    1 + dx hyperparameters.
     """
+    if state.base_theta.size != data.dtheta:
+        raise ValueError(f"base_theta needs {data.dtheta} entries, got {state.base_theta.size}")
     knots, _ = _build_knots(data)
     n_fields, n_knots = state.values.shape
     if n_knots != len(knots):

@@ -142,14 +142,16 @@ def test_chain_state_noise_var_must_be_positive(noise_var):
         ChainState([0.5], np.zeros((0, 2)), np.zeros((0, 2)), noise_var=noise_var)
 
 
-@pytest.mark.parametrize("values, hypers, message", [
-    ([[0.0, 0.0, 0.0]], [[0.04, 0.3]], "one value per knot required: 3 values, 2 knots"),
-    ([[0.0, 0.0]], [[0.04]], "hypers need 2 columns"),
-    ([[0.0, 0.0]], [[0.04, 0.3, 0.3]], "hypers need 2 columns"),
+@pytest.mark.parametrize("base, values, hypers, message", [
+    ([0.5], [[0.0, 0.0, 0.0]], [[0.04, 0.3]], "one value per knot required: 3 values, 2 knots"),
+    ([0.5], [[0.0, 0.0]], [[0.04]], "hypers need 2 columns"),
+    ([0.5], [[0.0, 0.0]], [[0.04, 0.3, 0.3]], "hypers need 2 columns"),
+    ([0.5, 0.3], np.zeros((0, 2)), np.zeros((0, 2)), "base_theta needs 1 entries, got 2"),
 ])
-def test_log_posterior_refuses_rows_that_do_not_fit_the_dataset(values, hypers, message):
+def test_log_posterior_refuses_a_state_that_does_not_fit_the_dataset(base, values, hypers,
+                                                                     message):
     data = unit_dataset([[0.1], [0.6]], [0.5, 0.4])
-    state = ChainState([0.5], values, hypers, noise_var=0.01)
+    state = ChainState(base, values, hypers, noise_var=0.01)
     with pytest.raises(ValueError, match=message):
         embedded_log_posterior(state, data, ExactEmulator(lambda row: 0.5), CalibrationPriors())
 
