@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .design import Prior
-from .embedded import SUMMARY_MAX_DRAWS, CalibrationPriors, McmcConfig
+from .embedded import CalibrationPriors, McmcConfig
 from .simulators import (DRIFT_KINDS, TESTBED_NAMES, AnalyticDipole, DriftFunction,
-                         DriftTestbed, DriftTruth, SyntheticSpec, theta_bounds_from_priors)
+                         DriftTestbed, DriftTruth, SyntheticSpec, param_names_error,
+                         theta_bounds_from_priors)
 
 __all__ = ["ConfigError", "RunConfig", "EmulatorSettings", "parse_config"]
 
@@ -41,8 +42,8 @@ class EmulatorSettings:
 class RunConfig:
     """Fully validated run configuration with defaults filled in.
 
-    The top-level ``theta0`` and ``grid_points`` keys are stored in ``mcmc``
-    and ``koh_mcmc``.
+    The top-level ``theta0``, ``grid_points`` and ``predictive_draws`` keys are
+    stored in ``mcmc`` and ``koh_mcmc``.
     """
 
     mode: str
@@ -55,7 +56,6 @@ class RunConfig:
     mcmc: McmcConfig
     koh_mcmc: McmcConfig | None
     trajectories: int = 20
-    predictive_draws: int = SUMMARY_MAX_DRAWS
     raw: dict = field(default_factory=dict, repr=False)
 
 
@@ -198,8 +198,9 @@ _SIMULATOR_CHECKS = {
 # synthetic.simulator: the constructor of each simulator kind, given the checked settings
 _SIMULATORS = {"analytic_dipole": AnalyticDipole, "drift_testbed": DriftTestbed.named}
 _DRIFT_CHECKS = {"kind": _one_of(DRIFT_KINDS), "params": _number_list}
-_SHARED_MCMC_CHECKS = {"grid_points": _integer(1)}  # top-level, for both calibrators
-_RUN_CHECKS = {"trajectories": _integer(0), "predictive_draws": _integer(1)}
+# top-level, for both calibrators
+_SHARED_MCMC_CHECKS = {"grid_points": _integer(1), "predictive_draws": _integer(1)}
+_RUN_CHECKS = {"trajectories": _integer(0)}
 _PRIOR_KEYS = ("field_variance", "field_lengthscale", "eta_variance", "eta_lengthscale", "noise")
 
 
@@ -279,9 +280,8 @@ def _parse_synthetic(chk: _Checker, obj: dict, path: str,
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         chk.fail(f"{path}.param_names", "expected a list of strings")
         names = []
-    elif "eta" in names or len(set(names)) != len(names):
-        chk.fail(f"{path}.param_names",
-                 f"expected distinct names, none of them 'eta' (the additive field's), got {names}")
+    elif problem := param_names_error(names):
+        chk.fail(f"{path}.param_names", problem)
     if truth is None or not bounds or len(theta_priors) != len(priors_raw or []):
         return None
     if names and len(names) != len(theta_priors):

@@ -200,7 +200,9 @@ class CalibrationPriors:
 
 @dataclass(frozen=True)
 class McmcConfig:
-    """Chain-length, adaptation, and block-selection settings."""
+    """Chain-length, adaptation, block-selection and summary settings: every posterior
+    summary of a run, the sampler's and the runner's, reads at most ``predictive_draws``
+    evenly strided draws, and the grid ones ``grid_points`` points."""
 
     iterations: int = 4000
     burn_in: int | None = None  # None resolves to min(1500, iterations // 2)
@@ -216,6 +218,7 @@ class McmcConfig:
     theta0: tuple[float, ...] | None = None
     audit_every: int = 1000
     grid_points: int = 101
+    predictive_draws: int = 2000
 
     def __post_init__(self) -> None:
         if self.burn_in is None:
@@ -225,12 +228,13 @@ class McmcConfig:
                 f"need iterations > burn_in >= 0, got iterations={self.iterations}, "
                 f"burn_in={self.burn_in}"
             )
-        if self.thin < 1:
-            raise ValueError("thin must be >= 1")
-        if self.chains < 1:
-            raise ValueError("chains must be >= 1")
-        if self.grid_points < 1:
-            raise ValueError("grid_points must be >= 1")
+        for name in ("thin", "chains", "grid_points", "predictive_draws"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not (math.isfinite(self.initial_step) and self.initial_step > 0):
+            raise ValueError(f"initial_step must be finite and > 0, got {self.initial_step}")
+        if self.audit_every < 0:
+            raise ValueError(f"audit_every must be >= 0, got {self.audit_every}")
 
 
 ADAPT_TARGET = 0.3  # the acceptance rate the step adaptation aims at
@@ -283,6 +287,12 @@ def _theta_logprior(theta_unit: np.ndarray, priors: CalibrationPriors, theta_bou
                      for p, t, (lo, hi) in zip(priors.theta, unit, theta_bounds)))
 
 
+def _check_theta_priors(priors: CalibrationPriors, data: CalibrationDataset) -> None:
+    if priors.theta is not None and len(priors.theta) != data.dtheta:
+        raise ValueError(f"{len(priors.theta)} theta priors for a dataset with "
+                         f"{data.dtheta} calibration parameters")
+
+
 def embedded_log_posterior(
     state: ChainState,
     data: CalibrationDataset,
@@ -297,12 +307,13 @@ def embedded_log_posterior(
     hyperpriors, the noise prior, and the theta prior. With no drift fields
     and an additive field this is the Kennedy & O'Hagan posterior. Theta
     outside the unit box and non-finite emulator output map to -inf.
-    Raises ``ValueError`` when the state does not fit the dataset: one base
-    theta per parameter, one value per knot of :func:`_build_knots`, and
-    1 + dx hyperparameters.
+    Raises ``ValueError`` when the state or the theta priors do not fit the
+    dataset: one base theta and one theta prior (when given) per parameter,
+    one value per knot of :func:`_build_knots`, and 1 + dx hyperparameters.
     """
     if state.base_theta.size != data.dtheta:
         raise ValueError(f"base_theta needs {data.dtheta} entries, got {state.base_theta.size}")
+    _check_theta_priors(priors, data)
     knots, _ = _build_knots(data)
     n_fields, n_knots = state.values.shape
     if n_knots != len(knots):
@@ -755,11 +766,7 @@ def _run_chains(data, emulator, priors, config, kind: str, timing: dict | None =
     give one entry per parameter, or when the domain is not 1-D (the grid
     summaries need one), before any sweep.
     """
-    if priors.theta is not None and len(priors.theta) != data.dtheta:
-        raise ValueError(
-            f"{len(priors.theta)} theta priors for a dataset with "
-            f"{data.dtheta} calibration parameters"
-        )
+    _check_theta_priors(priors, data)
     if config.theta0 is not None and len(config.theta0) != data.dtheta:
         raise ValueError(
             f"theta0 has {len(config.theta0)} entries, dataset has {data.dtheta} parameters"
@@ -797,31 +804,27 @@ def _run_chains(data, emulator, priors, config, kind: str, timing: dict | None =
         extrapolation_max_distance=max(engine.extrap_max),
         seed=config.seed,
     )
-    _attach_summaries(samples, emulator)
+    _attach_summaries(samples, emulator, config.predictive_draws)
     return samples
 
 
-SUMMARY_MAX_DRAWS = 2000
-
-
-def _attach_summaries(samples: PosteriorSamples, emulator) -> None:
+def _attach_summaries(samples: PosteriorSamples, emulator, max_draws: int) -> None:
     """Fill ``samples.summaries`` with the grid bands of every field and the grid predictive.
 
-    Each uses at most ``SUMMARY_MAX_DRAWS`` draws. This is the summary pass
-    that later calls reuse: :func:`delta_field_curves` and
-    :func:`posterior_predictive` remember their results on ``samples``, so a
-    later call on ``samples.grid`` that selects the same draws (as
-    ``runner.emit_plot_data`` does at its default ``predictive_draws``)
+    Each uses at most ``max_draws`` draws, the run's ``predictive_draws``.
+    This is the summary pass that later calls reuse: :func:`delta_field_curves`
+    and :func:`posterior_predictive` remember their results on ``samples``, so
+    ``runner.emit_plot_data``, given the same grid and ``predictive_draws``,
     reads them back instead of computing them again.
     """
     grid = samples.grid
     samples.summaries["x_norm"] = grid
     for name in samples.delta_draws:
-        mean, sd = delta_field_curves(samples, name, grid, max_draws=SUMMARY_MAX_DRAWS)
+        mean, sd = delta_field_curves(samples, name, grid, max_draws=max_draws)
         samples.summaries[f"delta_mean:{name}"] = mean
         samples.summaries[f"delta_sd:{name}"] = sd
     query = from_unit(grid[:, None], samples.domain_bounds)
-    pred = posterior_predictive(samples, emulator, query, max_draws=SUMMARY_MAX_DRAWS)
+    pred = posterior_predictive(samples, emulator, query, max_draws=max_draws)
     samples.summaries["predictive_mean"] = pred.mean
     samples.summaries["predictive_sd"] = pred.sd
 
@@ -1028,10 +1031,8 @@ def _predictive(samples: PosteriorSamples, emulator, x_unit: np.ndarray,
     means = np.empty((sel.size, G))
     vars_ = np.empty((sel.size, G))
     for j, t in enumerate(sel):
-        if samples.theta_draws is not None:
-            theta = np.tile(samples.theta_draws[t], (G, 1))
-        else:
-            theta = np.tile(samples.base_theta, (G, 1))
+        base = samples.base_theta if samples.theta_draws is None else samples.theta_draws[t]
+        theta = np.tile(base, (G, 1))
         for k, name in enumerate(samples.param_names):
             if name in curves:
                 theta[:, k] += curves[name][j]

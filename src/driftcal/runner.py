@@ -132,7 +132,7 @@ def _train_emulator(config: RunConfig, ds: CalibrationDataset, out_dir: str,
 
 def emit_plot_data(samples: PosteriorSamples, grid: np.ndarray, out_dir, emulator,
                    trajectories: int = RunConfig.trajectories,
-                   predictive_draws: int | None = RunConfig.predictive_draws) -> list[str]:
+                   predictive_draws: int | None = McmcConfig.predictive_draws) -> list[str]:
     """Write plot-ready delimited files: predictive bands plus per-field drift bands.
 
     ``grid`` is a normalized evaluation grid. The drift files carry the
@@ -141,8 +141,8 @@ def emit_plot_data(samples: PosteriorSamples, grid: np.ndarray, out_dir, emulato
     posterior draws, picked among the ``predictive_draws`` ones). The bands
     come from :func:`posterior_predictive` and :func:`delta_field_curves`,
     which return what the sampler's summary pass stored when the grid and
-    the selected draws are the same. Raises when the sample set holds no
-    draws.
+    ``predictive_draws`` are the sampler's. Raises when the sample set holds
+    no draws.
     """
     if samples.n_draws == 0:
         raise ValueError("emit_plot_data needs at least one stored draw")
@@ -162,10 +162,7 @@ def emit_plot_data(samples: PosteriorSamples, grid: np.ndarray, out_dir, emulato
                header="x,x_norm,mean,sd,lo1,hi1,lo2,hi2", comments="# ")
     written.append(path)
 
-    widths = {
-        name: samples.theta_bounds[k][1] - samples.theta_bounds[k][0]
-        for k, name in enumerate(samples.param_names)
-    }
+    widths = {name: hi - lo for name, (lo, hi) in zip(samples.param_names, samples.theta_bounds)}
     sel = _draw_subset(samples.n_draws, predictive_draws)
     traj = sel[_draw_subset(sel.size, trajectories)]
     for name in sorted(samples.delta_draws):
@@ -184,17 +181,6 @@ def emit_plot_data(samples: PosteriorSamples, grid: np.ndarray, out_dir, emulato
     return written
 
 
-def _predictive_at_obs(samples: PosteriorSamples, emulator, ds: CalibrationDataset,
-                       out_dir, predictive_draws: int | None) -> tuple[str, np.ndarray, np.ndarray]:
-    pred = posterior_predictive(samples, emulator, ds.obs_x, max_draws=predictive_draws)
-    table = np.column_stack([ds.obs_x, ds.obs_y, pred.mean, pred.sd])
-    xcols = ",".join(f"x{j}" for j in range(ds.dx))
-    path = os.path.join(out_dir, "predictive_obs.csv")
-    np.savetxt(path, table, fmt=_FMT, delimiter=",",
-               header=f"{xcols},y_obs,pred_mean,pred_sd", comments="# ")
-    return path, pred.mean, pred.sd
-
-
 def _chain_diagnostics(samples: PosteriorSamples) -> tuple[dict, dict]:
     rhat, ess = {}, {}
     for name, trace in samples.scalar_traces().items():
@@ -204,10 +190,7 @@ def _chain_diagnostics(samples: PosteriorSamples) -> tuple[dict, dict]:
 
 
 def _calibrator_metrics(prefix: str, samples: PosteriorSamples, emulator,
-                        ds: CalibrationDataset, out_dir, outputs, config) -> dict[str, float]:
-    path, mean, sd = _predictive_at_obs(samples, emulator, ds, out_dir,
-                                        config.predictive_draws)
-    outputs.append(path)
+                        ds: CalibrationDataset, mean, sd) -> dict[str, float]:
     lowx = ds.obs_x_unit()[:, 0] <= LOW_DRIFT_X
     metrics = {
         f"{prefix}rmse_obs": rmse(mean, ds.obs_y),
@@ -241,13 +224,21 @@ def _run_calibrator(mode: str, ds, emulator, config: RunConfig, mcmc: McmcConfig
 
 
 @_stage("predictive")
-def _emit_outputs(samples, emulator, ds, config, sub_dir, outputs) -> None:
+def _emit_outputs(samples, emulator, ds, config, mcmc, sub_dir, outputs) -> tuple:
+    """Write the samples, the plot files and ``predictive_obs.csv``; returns its mean and sd."""
     outputs.extend(save_samples(samples, os.path.join(sub_dir, "samples")))
     outputs.extend(
         emit_plot_data(samples, samples.grid, sub_dir, emulator,
                        trajectories=config.trajectories,
-                       predictive_draws=config.predictive_draws)
+                       predictive_draws=mcmc.predictive_draws)
     )
+    pred = posterior_predictive(samples, emulator, ds.obs_x, max_draws=mcmc.predictive_draws)
+    xcols = ",".join(f"x{j}" for j in range(ds.dx))
+    path = os.path.join(sub_dir, "predictive_obs.csv")
+    np.savetxt(path, np.column_stack([ds.obs_x, ds.obs_y, pred.mean, pred.sd]), fmt=_FMT,
+               delimiter=",", header=f"{xcols},y_obs,pred_mean,pred_sd", comments="# ")
+    outputs.append(path)
+    return pred.mean, pred.sd
 
 
 def _lap(stages: dict[str, float], name: str, since: float) -> float:
@@ -300,13 +291,10 @@ def orchestrate(config: RunConfig) -> RunReport:
         t = _lap(report.stage_s, f"calibration:{mode}", t)
         sub_dir = os.path.join(out_dir, mode) if config.mode == "compare" else out_dir
         os.makedirs(sub_dir, exist_ok=True)
-        _emit_outputs(samples, emulator, ds, config, sub_dir, report.outputs)
+        mean, sd = _emit_outputs(samples, emulator, ds, config, mcmc, sub_dir, report.outputs)
 
         prefix = f"{mode}." if config.mode == "compare" else ""
-        report.metrics.update(
-            _calibrator_metrics(prefix, samples, emulator, ds, sub_dir,
-                                report.outputs, config)
-        )
+        report.metrics.update(_calibrator_metrics(prefix, samples, emulator, ds, mean, sd))
         rhat, ess = _chain_diagnostics(samples)
         report.acceptance.update({f"{prefix}{k}": v for k, v in samples.acceptance_rates.items()})
         report.rhat.update({f"{prefix}{k}": v for k, v in rhat.items()})
@@ -350,7 +338,7 @@ def _finish(report: RunReport, out_dir: str, t0: float) -> None:
 def _read_predictive(path: str) -> list[np.ndarray]:
     """The ``y_obs``, ``pred_mean`` and ``pred_sd`` columns of a ``predictive_obs.csv``.
 
-    Columns are found by the header names :func:`_predictive_at_obs` writes;
+    Columns are found by the header names :func:`_emit_outputs` writes;
     a file whose first line does not name them, or that has no rows, a row
     of another width or a cell that is not a number, raises a
     :class:`StageError`.

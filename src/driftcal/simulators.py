@@ -31,6 +31,7 @@ __all__ = [
     "bisection_critical_search",
     "generate_dataset",
     "theta_bounds_from_priors",
+    "param_names_error",
     "save_dataset",
     "load_dataset",
 ]
@@ -250,6 +251,17 @@ class DriftTruth:
         )
 
 
+def param_names_error(names) -> str | None:
+    """Why ``names`` cannot name the calibration parameters, or None when they can: each
+    keys its field and heads output files and columns, so it must be an identifier."""
+    if not all(name.isidentifier() for name in names):
+        return f"param_names must be identifiers, got {list(names)}"
+    if "eta" in names or len(set(names)) != len(names):
+        return (f"param_names must be distinct and not 'eta' (the additive field's name), "
+                f"got {list(names)}")
+    return None
+
+
 def theta_bounds_from_priors(priors) -> tuple[tuple[float, float], ...]:
     """Normalization box per parameter: prior bounds, or central 99%/3-sigma range."""
     out = []
@@ -307,9 +319,8 @@ class CalibrationDataset:
             raise ValueError("theta array does not match the declared parameter count")
         if len(names) != len(tb):
             raise ValueError("param_names length does not match theta dimension")
-        if "eta" in names or len(set(names)) != len(names):
-            raise ValueError(f"param_names must be distinct and not 'eta' (the additive "
-                             f"field's name), got {list(names)}")
+        if problem := param_names_error(names):
+            raise ValueError(problem)
         for kind, bounds in (("domain", db), ("theta", tb)):
             for j, (lo, hi) in enumerate(bounds):
                 if not lo < hi:

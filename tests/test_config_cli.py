@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from driftcal import config as config_module
+from driftcal import embedded
 from driftcal.cli import main
 from driftcal.config import ConfigError, EmulatorSettings, parse_config
 from driftcal.design import Prior, to_unit
@@ -80,7 +81,7 @@ def test_omitted_blocks_parse_to_the_dataclass_defaults():
     assert cfg.emulator == EmulatorSettings()
     spec = cfg.synthetic
     assert (spec.n_sim, spec.n_obs, spec.noise_sd) == (43, 5, 0.0)
-    assert (cfg.trajectories, cfg.predictive_draws) == (20, 2000)
+    assert (cfg.trajectories, cfg.mcmc.predictive_draws) == (20, 2000)
     raw["mcmc"], raw["emulator"] = {}, {}
     assert parse_config(json.dumps(raw)).mcmc == McmcConfig(seed=3)
 
@@ -234,10 +235,10 @@ def test_unknown_simulator_kind_is_refused_at_its_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("names, message", [
-    (["mu", "eta", "l_c"], "expected distinct names, none of them 'eta' (the additive field's), "
-                           "got ['mu', 'eta', 'l_c']"),
-    (["mu", "mu", "l_c"], "expected distinct names, none of them 'eta' (the additive field's), "
-                          "got ['mu', 'mu', 'l_c']"),
+    (["mu", "eta", "l_c"], "param_names must be distinct and not 'eta' (the additive field's "
+                           "name), got ['mu', 'eta', 'l_c']"),
+    (["mu", "mu", "l_c"], "param_names must be distinct and not 'eta' (the additive field's "
+                          "name), got ['mu', 'mu', 'l_c']"),
     (None, "expected a list of strings"),
 ])
 def test_eta_and_repeated_param_names_are_refused_at_parse_time(tmp_path, capsys, names, message):
@@ -252,6 +253,38 @@ def test_eta_and_repeated_param_names_are_refused_at_parse_time(tmp_path, capsys
     assert main(["calibrate", "--config", str(cfg_path)]) == 2
     assert f"synthetic.param_names: {message}" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("name", ["nu/x", "a,b", ""])
+def test_param_names_that_are_not_identifiers_are_refused_at_parse_time(tmp_path, capsys, name):
+    # "nu/x" failed after every chain had run, "a,b" wrote a dataset.csv that does not
+    # load, and "" wrote drift_.csv
+    raw = base_config(out_dir=str(tmp_path / "run"))
+    raw["synthetic"]["param_names"] = ["mu", name, "l_c"]
+    message = f"param_names must be identifiers, got ['mu', {name!r}, 'l_c']"
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps(raw))
+    assert err.value.errors == [("synthetic.param_names", message)]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    assert main(["calibrate", "--config", str(cfg_path)]) == 2
+    assert f"synthetic.param_names: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("initial_step", 0.0, "must be > 0.0, got 0.0"),
+    ("initial_step", -1.0, "must be > 0.0, got -1.0"),
+    ("audit_every", -1, "must be >= 0, got -1"),
+])
+def test_the_config_reports_step_and_audit_values_at_their_keys(key, value, message):
+    # McmcConfig refuses these too; the parser's check runs first and names the key
+    for block in ("mcmc", "koh"):
+        raw = base_config(mode="compare", koh={"iterations": 220, "burn_in": 100})
+        raw[block][key] = value
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(raw))
+        assert err.value.errors == [(f"{block}.{key}", message)]
 
 
 def test_zero_width_theta_prior_is_refused_at_parse_time(tmp_path, capsys):
@@ -503,6 +536,48 @@ def test_rerun_is_byte_identical(tmp_path):
             b = a.replace(str(tmp_path / "a"), str(tmp_path / "b"), 1)
             with open(a, "rb") as fa, open(b, "rb") as fb:
                 assert fa.read() == fb.read(), name
+
+
+@pytest.mark.parametrize("predictive_draws", [50, None])
+def test_every_summary_reads_the_one_draw_selection(tmp_path, monkeypatch, predictive_draws):
+    # each calibrator computes one grid predictive and one band per field, at the config's
+    # predictive_draws, and summary.csv, predictive.csv and drift_*.csv all carry them
+    raw = base_config(out_dir=str(tmp_path / "run"), mode="compare",
+                      koh={"iterations": 220, "burn_in": 100, "thin": 2, "chains": 2})
+    if predictive_draws is None:
+        del raw["predictive_draws"]  # the default of 2000 selects all 120 stored draws
+    else:
+        raw["predictive_draws"] = predictive_draws
+    n_sel = predictive_draws or 120
+    grid_passes, bands = [], []
+    predictive, curves = embedded._predictive, embedded._conditional_curves
+
+    def counted_predictive(samples, emulator, x_unit, sel):
+        if len(x_unit) == raw["grid_points"]:  # the predictive at the 5 observations is not
+            grid_passes.append((samples.kind, sel.size))
+        return predictive(samples, emulator, x_unit, sel)
+
+    def counted_curves(knots, X, values_rows, hyper_rows, variances=True):
+        if variances:  # a band; the predictive and the trajectories need no variances
+            bands.append(len(values_rows))
+        return curves(knots, X, values_rows, hyper_rows, variances)
+
+    monkeypatch.setattr(embedded, "_predictive", counted_predictive)
+    monkeypatch.setattr(embedded, "_conditional_curves", counted_curves)
+    orchestrate(parse_config(json.dumps(raw)))
+    assert grid_passes == [("koh", n_sel), ("integrated_delta", n_sel)]
+    assert bands == [n_sel] * (1 + 3)  # koh's eta field, then the three drift fields
+
+    for mode, names in (("koh", ["eta"]), ("integrated_delta", ["l_c", "mu", "nu"])):
+        run = tmp_path / "run" / mode
+        summary = load_samples(run / "samples").summaries
+        pred = np.loadtxt(run / "predictive.csv", delimiter=",", comments="#")
+        assert np.array_equal(summary["predictive_mean"], pred[:, 2])
+        assert np.array_equal(summary["predictive_sd"], pred[:, 3])
+        for name in names:
+            band = np.loadtxt(run / f"drift_{name}.csv", delimiter=",", comments="#")
+            assert np.array_equal(summary[f"delta_mean:{name}"], band[:, 1]), (mode, name)
+            assert np.array_equal(summary[f"delta_sd:{name}"], band[:, 2]), (mode, name)
 
 
 def test_emit_plot_data_guards(tmp_path):

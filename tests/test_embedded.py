@@ -1,6 +1,7 @@
 import copy
 import logging
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -154,6 +155,19 @@ def test_log_posterior_refuses_a_state_that_does_not_fit_the_dataset(base, value
     state = ChainState(base, values, hypers, noise_var=0.01)
     with pytest.raises(ValueError, match=message):
         embedded_log_posterior(state, data, ExactEmulator(lambda row: 0.5), CalibrationPriors())
+
+
+@pytest.mark.parametrize("n_priors", [1, 4])
+def test_log_posterior_refuses_theta_priors_of_the_wrong_length(n_priors):
+    # zip would apply the first prior alone, or stop at the last parameter
+    data = unit_dataset([[0.1], [0.6]], [0.5, 0.4], dtheta=3)
+    state = ChainState([0.5] * 3, np.zeros((0, 2)), np.zeros((0, 2)), noise_var=0.01)
+    emu = ExactEmulator(lambda row: 0.5)
+    with pytest.raises(ValueError, match=f"{n_priors} theta priors for a dataset with 3 "):
+        embedded_log_posterior(state, data, emu,
+                               CalibrationPriors(theta=(Prior.uniform(0.0, 1.0),) * n_priors))
+    three = CalibrationPriors(theta=(Prior.uniform(0.0, 1.0),) * 3)
+    assert math.isfinite(embedded_log_posterior(state, data, emu, three))
 
 
 # -- proposals and acceptance ------------------------------------------------
@@ -611,6 +625,23 @@ def test_mcmc_config_validation():
         McmcConfig(thin=0)
     with pytest.raises(ValueError):
         McmcConfig(chains=0)
+
+
+@pytest.mark.parametrize("settings, message", [
+    # nan rejects every proposal; a step <= 0 is clamped to 1e-6 by the first
+    # burn-in update, after which every proposal is accepted
+    ({"initial_step": math.nan}, "initial_step must be finite and > 0, got nan"),
+    ({"initial_step": math.inf}, "initial_step must be finite and > 0, got inf"),
+    ({"initial_step": -1.0}, "initial_step must be finite and > 0, got -1.0"),
+    ({"initial_step": 0.0}, "initial_step must be finite and > 0, got 0.0"),
+    # (it + 1) % -1 == 0 would audit every sweep
+    ({"audit_every": -1}, "audit_every must be >= 0, got -1"),
+    ({"predictive_draws": 0}, "predictive_draws must be >= 1"),
+])
+def test_mcmc_config_refuses_what_the_config_parser_refuses(settings, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        McmcConfig(**settings)
+    assert McmcConfig(initial_step=1e-3, audit_every=0, predictive_draws=1).audit_every == 0
 
 
 def test_out_of_support_initial_theta_is_an_error():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -256,6 +257,36 @@ def test_dataset_refuses_a_bound_without_width(tmp_path, field, width):
     path.write_text(text.replace(header, f"# {field}: {json.dumps([list(b) for b in bad])}"))
     with pytest.raises(ValueError, match=message):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("name, file_message", [
+    ("nu/x", "param_names must be identifiers"),  # a path: samples/delta_nu/x.csv
+    ("a,b", "param_names length does not match"),  # two columns of the dataset file
+    ("", "param_names must be identifiers"),  # drift_.csv
+    ("2nu", "param_names must be identifiers"),
+])
+def test_dataset_refuses_names_that_are_not_identifiers(tmp_path, name, file_message):
+    # a name heads the sample, plot and dataset files and their columns
+    ds = dipole_dataset(n_sim=5, n_obs=2)
+    names = ("mu", name, "l_c")
+    with pytest.raises(ValueError, match=re.escape(f"param_names must be identifiers, "
+                                                   f"got {list(names)}")):
+        replace(ds, param_names=names)
+    path = tmp_path / "ds.csv"
+    save_dataset(ds, path)
+    header = "role,x0,mu,nu,l_c,y"
+    text = path.read_text()
+    assert header in text
+    path.write_text(text.replace(header, ",".join(["role", "x0", *names, "y"])))
+    with pytest.raises(ValueError, match=file_message):
+        load_dataset(path)
+
+
+def test_identifier_names_and_the_default_names_pass():
+    ds = dipole_dataset(n_sim=5, n_obs=2)
+    assert ds.param_names == ("mu", "nu", "l_c")
+    assert replace(ds, param_names=()).param_names == ("theta0", "theta1", "theta2")
+    assert replace(ds, param_names=("_a", "b2", "l_c")).param_names == ("_a", "b2", "l_c")
 
 
 def test_dataset_file_round_trip_with_a_parameter_named_like_a_domain_column(tmp_path):
